@@ -36,7 +36,7 @@ from .pathfind import (
     obstacle_vertices,
     supercover_line,
 )
-from .planner import Waypoint, cost_to_reach, next_waypoint, restart_point
+from .planner import Waypoint, next_waypoint, restart_point
 from .render import render_svg
 from .sim import GroundTruth, SensorModel
 
@@ -67,7 +67,6 @@ __all__ = [
     "Waypoint",
     "astar",
     "build_visibility_graph",
-    "cost_to_reach",
     "default_level_count",
     "euclid",
     "explored_only",

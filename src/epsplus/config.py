@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+_FLOAT_KEYS = ("capacity_e0", "travel_rate", "coverage_rate", "sensor_range")
 
 
 @dataclass
@@ -16,21 +19,22 @@ class MissionConfig:
     levels: int | None = None  # None -> coarsen until one top cell
 
     def __post_init__(self) -> None:
+        if self.coverage_rate is None:
+            self.coverage_rate = 2.0 * self.travel_rate
+        for key in _FLOAT_KEYS:
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be a finite number, got {value}")
         if self.capacity_e0 <= 0:
             raise ValueError("capacity_e0 must be positive")
         if self.travel_rate <= 0:
             raise ValueError("travel_rate must be positive")
-        if self.coverage_rate is None:
-            self.coverage_rate = 2.0 * self.travel_rate
         if self.coverage_rate <= 0:
             raise ValueError("coverage_rate must be positive")
         if self.sensor_range <= 0:
             raise ValueError("sensor_range must be positive")
         if self.levels is not None and self.levels < 1:
             raise ValueError("levels must be >= 1 or auto")
-
-
-_FLOAT_KEYS = ("capacity_e0", "travel_rate", "coverage_rate", "sensor_range")
 
 
 def parse_config(text: str) -> MissionConfig:

@@ -58,6 +58,7 @@ class CellGrid:
         # column plateaus, strictly decreasing left to right
         self._b_by_col = [width - c for c in range(width)]
         self.b_max = width
+        self._reachable: set[Cell] | None = None  # flood-fill cache, see reachable_unexplored
 
     # -- indexing -----------------------------------------------------------
 
@@ -74,10 +75,6 @@ class CellGrid:
     def b_field(self, cell: Cell) -> int:
         """Static potential of the cell's column."""
         return self._b_by_col[cell[0]]
-
-    def cell_center(self, cell: Cell) -> tuple[float, float]:
-        """Center of the cell in meters."""
-        return ((cell[0] + 0.5) * self.cell_size, (cell[1] + 0.5) * self.cell_size)
 
     def cells(self) -> Iterator[Cell]:
         for row in range(self.height):
@@ -114,6 +111,8 @@ class CellGrid:
             if st is CellState.UNEXPLORED:
                 self._states[self._idx(cell)] = CellState.OBSTACLE
                 changed += 1
+        if changed:
+            self._reachable = None  # a new obstacle may cut the free space
         return changed
 
     def mark_traversed(self, cell: Cell) -> None:
@@ -122,11 +121,23 @@ class CellGrid:
         if self._states[idx] is CellState.OBSTACLE:
             raise MapConflictError(f"cannot traverse obstacle cell {cell}")
         self._states[idx] = CellState.EXPLORED
+        if self._reachable is not None:
+            self._reachable.discard(cell)  # connectivity is unchanged
 
     # -- queries ------------------------------------------------------------
 
     def reachable_unexplored(self) -> set[Cell]:
-        """Unexplored cells 8-connected to the station through non-obstacle cells."""
+        """Unexplored cells 8-connected to the station through non-obstacle cells.
+
+        The flood fill is cached until a sensor update adds an obstacle. The
+        returned set is the live cache: callers must not modify it, and
+        traversing a cell removes that cell from it.
+        """
+        if self._reachable is None:
+            self._reachable = self._flood_unexplored()
+        return self._reachable
+
+    def _flood_unexplored(self) -> set[Cell]:
         start = self.station
         if self.state(start) is CellState.OBSTACLE:
             return set()

@@ -43,7 +43,6 @@ class CoarseLevel:
         self.grid_height = grid_height
         n = self.ncols * self.nrows
         self.unexplored_count = [0] * n
-        self.free_or_unknown_count = [0] * n
         self.total = [0] * n
         for cj in range(self.nrows):
             for ci in range(self.ncols):
@@ -93,19 +92,13 @@ class MapsHierarchy:
     def rebuild_counts(self) -> None:
         """Recompute every counter from a fresh scan of the grid states."""
         for lv in self.levels:
-            n = lv.ncols * lv.nrows
-            lv.unexplored_count = [0] * n
-            lv.free_or_unknown_count = [0] * n
+            lv.unexplored_count = [0] * (lv.ncols * lv.nrows)
         for cell in self.grid.cells():
-            st = self.grid.state(cell)
+            if self.grid.state(cell) is not CellState.UNEXPLORED:
+                continue
             for lv in self.levels:
                 ci, cj = lv.index_of(cell)
-                i = lv._i(ci, cj)
-                if st is CellState.UNEXPLORED:
-                    lv.unexplored_count[i] += 1
-                    lv.free_or_unknown_count[i] += 1
-                elif st is CellState.EXPLORED:
-                    lv.free_or_unknown_count[i] += 1
+                lv.unexplored_count[lv._i(ci, cj)] += 1
 
     def on_state_change(self, cell: Cell, old: CellState, new: CellState) -> None:
         """Incremental counter update for a single cell transition."""
@@ -115,13 +108,7 @@ class MapsHierarchy:
             raise ValueError(f"illegal transition {old} -> {new} at {cell}")
         for lv in self.levels:
             ci, cj = lv.index_of(cell)
-            i = lv._i(ci, cj)
-            lv.unexplored_count[i] -= 1
-            if new is CellState.OBSTACLE:
-                lv.free_or_unknown_count[i] -= 1
-
-    def potential_coarse(self, level: int, ci: int, cj: int) -> float:
-        return self.level(level).potential(ci, cj)
+            lv.unexplored_count[lv._i(ci, cj)] -= 1
 
     def unexplored_in_extent(self, level: int, ci: int, cj: int) -> list[Cell]:
         """Unexplored level-0 cells inside the given coarse cell, scan order."""

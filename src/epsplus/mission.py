@@ -3,10 +3,13 @@
 Each charge cycle is one trajectory that starts and ends at the station.
 Coverage proceeds one cell per decision: sense, pick the next waypoint,
 check that the remaining energy pays for reaching it plus retreating from
-it, then move. Retreats and advances run as shortest paths over explored
-cells (visibility-graph A* with an 8-connected fallback when no sight-line
-path exists yet); advances may cross unexplored free space only when no
-explored corridor to the restart point exists.
+it, then move. Every move is booked in one place: its energy, its segment
+and its log row. Retreats and advances run as shortest paths over explored
+cells (the shorter of visibility-graph A* and 8-connected grid A*, since no
+sight-line path may exist yet); advances may cross unexplored free space
+only when no explored corridor to the restart point exists. The unexplored
+cells still reachable from the station come from the belief grid's cached
+flood fill.
 
 The retreat-cost side of the energy gate uses an incrementally maintained
 explored-grid distance field instead of rebuilding the visibility graph on
@@ -35,6 +38,7 @@ from .hierarchy import MapsHierarchy
 from .pathfind import (
     DistanceField,
     PathResult,
+    StatePredicate,
     astar,
     build_visibility_graph,
     euclid,
@@ -164,8 +168,7 @@ class Mission:
         self._segments: list[_SegmentBuilder] = []
         self._visits: dict[Cell, int] = {}
         self._cum_length = 0.0
-        self._reachable_cache: set[Cell] | None = None
-        self._route: dict | None = None
+        self._route: list[Cell] = []  # remaining cells of the planned coverage route
         self._traj_start_unexplored = 0
         self._start_trajectory()
         self._coverage_enter(self.pos)
@@ -190,11 +193,6 @@ class Mission:
 
     # -- belief updates -------------------------------------------------------
 
-    def _reachable(self) -> set[Cell]:
-        if self._reachable_cache is None:
-            self._reachable_cache = self.grid.reachable_unexplored()
-        return self._reachable_cache
-
     def _add_obstacles(self, detected: "frozenset[Cell] | list[Cell] | set[Cell]") -> list[Cell]:
         new = sorted(c for c in set(detected) if self.grid.state(c) is CellState.UNEXPLORED)
         if not new:
@@ -203,8 +201,7 @@ class Mission:
         assert changed == len(new)
         for c in new:
             self.hier.on_state_change(c, CellState.UNEXPLORED, CellState.OBSTACLE)
-        self._reachable_cache = None
-        self._route = None
+        self._route = []
         return new
 
     def _sense_here(self) -> list[Cell]:
@@ -254,21 +251,29 @@ class Mission:
             )
         )
 
+    def _book(self, frm: Cell, to: Cell, kind: SegmentKind) -> None:
+        """Charge the move frm -> to, extend the open segment and log a row.
+
+        The energy is consumed first, so an exhausted budget raises before
+        this method changes anything.
+        """
+        d = euclid(self.grid, frm, to)
+        cost = self.energy.consume(d, kind)
+        self.pos = to
+        seg = self._segments[-1]
+        seg.cells.append(to)
+        seg.length += d
+        seg.energy += cost
+        self._cum_length += d
+        self._log_row()
+
     # -- motion -----------------------------------------------------------------
 
     def _coverage_move(self, nxt: Cell) -> None:
-        s = euclid(self.grid, self.pos, nxt)
         assert self.gt.validate_move(self.pos, nxt)
-        cost = self.energy.consume(s, SegmentKind.COVERAGE)
-        self.pos = nxt
+        self._book(self.pos, nxt, SegmentKind.COVERAGE)
         self._mark_explored(nxt)
         self._visits[nxt] = self._visits.get(nxt, 0) + 1
-        seg = self._segments[-1]
-        seg.cells.append(nxt)
-        seg.length += s
-        seg.energy += cost
-        self._cum_length += s
-        self._log_row()
 
     def _execute_polyline(self, nodes: list[Cell], kind: SegmentKind):
         """Walk a node path edge by edge; yields MOVED per node reached.
@@ -276,7 +281,6 @@ class Mission:
         Returns "arrived", or "stopped" when a contact detection or newly
         sensed obstacle invalidates the remaining plan (advance only).
         """
-        seg = self._segments[-1]
         for k in range(len(nodes) - 1):
             u, v = nodes[k], nodes[k + 1]
             assert self.pos == u
@@ -304,87 +308,58 @@ class Mission:
                         stop = cell
                         break
             if stop is None:
-                d = euclid(self.grid, u, v)
-                cost = self.energy.consume(d, kind)
-                seg.cells.append(v)
-                seg.length += d
-                seg.energy += cost
-                self._cum_length += d
-                self._log_row()
+                self._book(u, v, kind)
                 yield MissionEvent.MOVED
             else:
                 if kind is SegmentKind.RETREAT:
                     raise PlanningError("retreat path blocked; explored cells must stay free")
                 if stop != u:
-                    d = euclid(self.grid, u, stop)
-                    cost = self.energy.consume(d, kind)
-                    seg.cells.append(stop)
-                    seg.length += d
-                    seg.energy += cost
-                    self._cum_length += d
-                    self._log_row()
+                    self._book(u, stop, kind)
                     yield MissionEvent.MOVED
                 return "stopped"
         return "arrived"
 
     # -- path planning -----------------------------------------------------------
 
+    def _shortest(self, start: Cell, goal: Cell, traversable: StatePredicate) -> PathResult | None:
+        """The shorter of visibility-graph A* and grid A* (ties: lower cell list).
+
+        The goal is admitted whatever its state; both planners accept it.
+        """
+        vis = build_visibility_graph(self.grid, start, goal, traversable)
+        options = [
+            astar(vis, start, goal),
+            grid_astar(self.grid, start, goal, traversable, extra=frozenset((goal,))),
+        ]
+        found = [p for p in options if p is not None]
+        return min(found, key=lambda p: (p.length, p.cells), default=None)
+
     def _plan_retreat(self, from_cell: Cell) -> PathResult:
-        station = self.grid.station
-        options = []
-        vis = build_visibility_graph(self.grid, from_cell, station, explored_only)
-        vpath = astar(vis, from_cell, station)
-        if vpath is not None:
-            options.append(vpath)
-        gpath = grid_astar(self.grid, from_cell, station, explored_only)
-        if gpath is not None:
-            options.append(gpath)
-        if not options:
+        plan = self._shortest(from_cell, self.grid.station, explored_only)
+        if plan is None:
             raise PlanningError(f"no retreat path from {from_cell}")
-        options.sort(key=lambda p: (p.length, p.cells))
-        return options[0]
+        return plan
 
     def _plan_advance(self, start: Cell, target: Cell) -> PathResult | None:
-        options = []
-        vis = build_visibility_graph(self.grid, start, target, explored_only)
-        vpath = astar(vis, start, target)
-        if vpath is not None:
-            options.append(vpath)
-        gpath = grid_astar(
-            self.grid, start, target, explored_only, extra=frozenset((target,))
-        )
-        if gpath is not None:
-            options.append(gpath)
-        if not options:
-            vis2 = build_visibility_graph(self.grid, start, target, non_obstacle)
-            vpath2 = astar(vis2, start, target)
-            if vpath2 is not None:
-                options.append(vpath2)
-            gpath2 = grid_astar(self.grid, start, target, non_obstacle)
-            if gpath2 is not None:
-                options.append(gpath2)
-        if not options:
-            return None
-        options.sort(key=lambda p: (p.length, p.cells))
-        return options[0]
+        plan = self._shortest(start, target, explored_only)
+        if plan is None:
+            plan = self._shortest(start, target, non_obstacle)
+        return plan
 
     def _route_for(self, target: Cell) -> list[Cell]:
         """Cell route from the vehicle to the waypoint (adjacent or planned chain)."""
         if max(abs(target[0] - self.pos[0]), abs(target[1] - self.pos[1])) == 1:
             return [self.pos, target]
-        r = self._route
-        if r is not None and r["target"] == target:
-            cells = r["cells"]
-            i = r["i"]
-            if i + 1 < len(cells) and cells[i + 1] == self.pos:
-                i += 1
-                r["i"] = i
-            if cells[i] == self.pos:
-                return cells[i:]
+        route = self._route
+        if route and route[-1] == target:
+            if len(route) > 1 and route[1] == self.pos:
+                del route[0]
+            if route[0] == self.pos:
+                return route
         plan = grid_astar(self.grid, self.pos, target, non_obstacle)
         if plan is None:
             raise PlanningError(f"no route to reachable waypoint {target}")
-        self._route = {"target": target, "cells": plan.cells, "i": 0}
+        self._route = plan.cells
         return plan.cells
 
     @staticmethod
@@ -421,7 +396,6 @@ class Mission:
             wp = next_waypoint(
                 grid, self.hier, self.pos,
                 excluded=frozenset(self.infeasible),
-                reachable=self._reachable(),
             )
             if wp is None:
                 return "done"
@@ -464,7 +438,6 @@ class Mission:
             wp = restart_point(
                 grid, self.hier, station,
                 excluded=frozenset(self.infeasible | skipped),
-                reachable=self._reachable(),
             )
             if wp is None:
                 return False
@@ -501,12 +474,11 @@ class Mission:
             if (
                 self.grid.state(target) is not CellState.UNEXPLORED
                 or target in self.infeasible
-                or target not in self._reachable()
+                or target not in self.grid.reachable_unexplored()
             ):
                 wp = next_waypoint(
                     self.grid, self.hier, self.pos,
                     excluded=frozenset(self.infeasible),
-                    reachable=self._reachable(),
                 )
                 if wp is None:
                     return False

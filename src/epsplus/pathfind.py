@@ -155,24 +155,19 @@ class VisibilityGraph:
         self.nodes = nodes
         self.adjacency = adjacency
 
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.adjacency.values()) // 2
-
 
 def build_visibility_graph(
     grid: CellGrid,
     start: Cell,
     goal: Cell,
     traversable: StatePredicate,
-    exempt: frozenset[Cell] | None = None,
 ) -> VisibilityGraph:
     """Pairwise-visibility graph over the start, the goal and obstacle vertices.
 
     The start and goal cells are admitted as nodes regardless of their own
     state; edge interiors must still pass the predicate.
     """
-    if exempt is None:
-        exempt = frozenset((start, goal))
+    exempt = frozenset((start, goal))
     nodes = sorted({start, goal} | set(obstacle_vertices(grid, traversable)))
     adjacency: dict[Cell, list[tuple[Cell, float]]] = {n: [] for n in nodes}
     for i, u in enumerate(nodes):
@@ -337,12 +332,7 @@ class DistanceField:
 
     def insert(self, cell: Cell) -> None:
         grid = self.grid
-        base = 0.0 if cell == grid.station else math.inf
-        for n in grid.neighbors8(cell):
-            if grid.state(n) is CellState.EXPLORED:
-                d = self.distance(n) + euclid(grid, n, cell)
-                if d < base:
-                    base = d
+        base = self.neighbor_estimate(cell)
         if base >= self.distance(cell):
             return
         self._dist[cell[1] * grid.width + cell[0]] = base

@@ -12,15 +12,17 @@ after a recharge.
 Unexplored cells that are walled off from the station, or that the mission
 has ruled out as energy-infeasible, are skipped; when nothing selectable
 remains the selection reports completion by returning ``None``.
+Reachability is the grid's own cached flood fill
+(:meth:`CellGrid.reachable_unexplored`); only coarse selections read it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .grid import Cell, CellGrid, CellState
 from .hierarchy import MapsHierarchy
+from .pathfind import euclid
 
 
 @dataclass(frozen=True)
@@ -29,17 +31,11 @@ class Waypoint:
     source_level: int
 
 
-def cost_to_reach(grid: CellGrid, frm: Cell, to: Cell) -> float:
-    """Straight-line center distance in meters (the neighbor tie-break cost)."""
-    return grid.cell_size * math.hypot(to[0] - frm[0], to[1] - frm[1])
-
-
 def next_waypoint(
     grid: CellGrid,
     hierarchy: MapsHierarchy,
     current: Cell,
     excluded: frozenset[Cell] = frozenset(),
-    reachable: set[Cell] | None = None,
 ) -> Waypoint | None:
     """Next navigation goal from the current cell, or None when coverage is done."""
     if grid.state(current) is CellState.OBSTACLE:
@@ -48,14 +44,14 @@ def next_waypoint(
     for n in grid.neighbors8(current):
         if grid.state(n) is not CellState.UNEXPLORED or n in excluded:
             continue
-        key = (-grid.b_field(n), cost_to_reach(grid, current, n), n)
+        key = (-grid.b_field(n), euclid(grid, current, n), n)
         if best is None or key < best:
             best = key
     if best is not None:
         wp = Waypoint(best[2], 0)
         assert grid.state(wp.cell) is CellState.UNEXPLORED
         return wp
-    return _coarse_select(grid, hierarchy, current, excluded, reachable)
+    return _coarse_select(grid, hierarchy, current, excluded)
 
 
 def restart_point(
@@ -63,10 +59,9 @@ def restart_point(
     hierarchy: MapsHierarchy,
     station: Cell,
     excluded: frozenset[Cell] = frozenset(),
-    reachable: set[Cell] | None = None,
 ) -> Waypoint | None:
     """Coverage start point after a recharge, or None when coverage is done."""
-    return _coarse_select(grid, hierarchy, station, excluded, reachable)
+    return _coarse_select(grid, hierarchy, station, excluded)
 
 
 def _coarse_select(
@@ -74,10 +69,8 @@ def _coarse_select(
     hierarchy: MapsHierarchy,
     origin: Cell,
     excluded: frozenset[Cell],
-    reachable: set[Cell] | None,
 ) -> Waypoint | None:
-    if reachable is None:
-        reachable = grid.reachable_unexplored()
+    reachable = grid.reachable_unexplored()
     ox, oy = origin
     for level in range(1, hierarchy.K + 1):
         lv = hierarchy.level(level)

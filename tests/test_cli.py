@@ -56,6 +56,17 @@ def test_run_map_without_station_exit_1(tmp_path, capsys):
     assert "no station" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["capacity_e0 = nan", "sensor_range = inf"])
+def test_run_non_finite_config_exit_1(tmp_path, capsys, line):
+    map_path = write(tmp_path, "m.txt", SMALL_MAP)
+    cfg_path = write(tmp_path, "cfg.txt", line + "\n")
+    rc = main(["run", map_path, "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert "Traceback" not in err
+
+
 def test_run_with_config(tmp_path):
     map_path = write(tmp_path, "m.txt", SMALL_MAP)
     cfg_path = write(
@@ -166,6 +177,10 @@ def test_config_defaults_and_overrides():
         "capacity_e0 : 3",
         "levels = 2.5",
         "capacity_e0 = -1",
+        "capacity_e0 = nan",
+        "travel_rate = inf",
+        "coverage_rate = -inf",
+        "sensor_range = inf",
     ],
 )
 def test_config_rejects_bad_input(text):

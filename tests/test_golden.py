@@ -1,0 +1,53 @@
+"""Golden outputs: SHA-256 of ``trajectory.csv`` and ``report.txt`` per bundled scenario.
+
+A refactor must keep these byte-identical. A change that alters the outputs
+on purpose re-pins the hashes and says why in CHANGES.md.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from epsplus.config import MissionConfig
+from epsplus.grid import parse_map_text
+from epsplus.mission import Mission, log_to_csv, report_to_text
+from epsplus.sim import GroundTruth
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+SMALL_OFFICE_CONFIG = MissionConfig(
+    capacity_e0=14.0, travel_rate=0.5, coverage_rate=1.0, sensor_range=1.5
+)
+
+GOLDEN = {
+    "field_a": (
+        MissionConfig(),
+        "1426904c223b4f402b1eaf8b6b585d4c5f8004b024ae7555157e1c9b5d173667",
+        "4ac7fbd437b300b8b38aa547bbf9b231af11092bde79856112611ece649eb000",
+    ),
+    "field_b": (
+        MissionConfig(),
+        "e3aca093ec5c1fbfb097cae13c1b364f0285bfd5c5c3660ce6a17d92aaa7a151",
+        "f526174033315845ac8784ad9f0e665a6a72214aa3368ae3d21857368f44c76d",
+    ),
+    "small_office": (
+        SMALL_OFFICE_CONFIG,
+        "5082f6c8bef5c8430915c8675430e9ff557e57a657a43bd72fd0847d42c8a123",
+        "2832dcd7a62c51e766c3d19cabc34773bce2cad37690fa7b827ebbd6a2bfc5ba",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_outputs(name):
+    config, csv_sha, report_sha = GOLDEN[name]
+    gt = GroundTruth.from_parsed(parse_map_text((SCENARIOS / f"{name}.txt").read_text()))
+    mission = Mission(gt, config)
+    report = mission.run()
+    assert _sha256(log_to_csv(mission.log_rows)) == csv_sha
+    assert _sha256(report_to_text(report)) == report_sha

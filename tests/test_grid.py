@@ -154,6 +154,13 @@ def test_state_transitions_monotone(ops):
         for c in grid.cells():
             if grid.state(c) is not history[c][-1]:
                 history[c].append(grid.state(c))
+        # the cached reachable set must match a fresh flood after every op
+        obstacles = {c for c in grid.cells() if grid.state(c) is CellState.OBSTACLE}
+        expected = {
+            c for c in flood_reachable(6, 6, obstacles, grid.station)
+            if grid.state(c) is CellState.UNEXPLORED
+        }
+        assert grid.reachable_unexplored() == expected
     for c, seq in history.items():
         assert len(seq) <= 2
         if len(seq) == 2:

@@ -59,12 +59,12 @@ def test_default_level_count_single_top_cell():
 def test_coarse_potential_extremes():
     grid = CellGrid(8, 8, 1.0, (0, 0))
     h = MapsHierarchy(grid)
-    assert h.potential_coarse(1, 0, 0) == 1.0
+    assert h.level(1).potential(0, 0) == 1.0
     for c in range(2):
         for r in range(2):
             grid.mark_traversed((c, r))
             h.on_state_change((c, r), CellState.UNEXPLORED, CellState.EXPLORED)
-    assert h.potential_coarse(1, 0, 0) == 0.0
+    assert h.level(1).potential(0, 0) == 0.0
 
 
 def test_coarse_potential_fraction_vs_recount():
@@ -78,7 +78,7 @@ def test_coarse_potential_fraction_vs_recount():
         h.on_state_change(cell, CellState.UNEXPLORED, CellState.EXPLORED)
     top = h.level(h.K)
     assert top.extent(0, 0) == (0, 0, 10, 10)
-    assert h.potential_coarse(h.K, 0, 0) == 0.37
+    assert h.level(h.K).potential(0, 0) == 0.37
     assert brute_counts(grid, top)[(0, 0)] == 37
 
 
@@ -117,7 +117,7 @@ def test_counters_match_brute_force(flips):
         oracle = brute_counts(grid, lv)
         for (ci, cj), n in oracle.items():
             assert lv.unexplored_count[cj * lv.ncols + ci] == n
-            assert (h.potential_coarse(level, ci, cj) > 0) == (n > 0)
+            assert (lv.potential(ci, cj) > 0) == (n > 0)
 
 
 def test_levels_validation():

@@ -4,7 +4,8 @@ import pytest
 
 from epsplus.grid import CellGrid, CellState
 from epsplus.hierarchy import MapsHierarchy
-from epsplus.planner import cost_to_reach, next_waypoint, restart_point
+from epsplus.pathfind import euclid
+from epsplus.planner import next_waypoint, restart_point
 
 
 def hierarchy_for(grid):
@@ -26,10 +27,11 @@ def explore_all_but(grid, keep_unexplored, obstacles=()):
 
 
 def test_cost_to_reach():
+    # the neighbor tie-break cost is the center-to-center distance
     grid = CellGrid(10, 10, 1.0, (0, 0))
-    assert cost_to_reach(grid, (3, 3), (4, 3)) == pytest.approx(1.0)
-    assert cost_to_reach(grid, (3, 3), (4, 4)) == pytest.approx(math.sqrt(2))
-    assert cost_to_reach(grid, (3, 3), (3, 3)) == 0.0
+    assert euclid(grid, (3, 3), (4, 3)) == pytest.approx(1.0)
+    assert euclid(grid, (3, 3), (4, 4)) == pytest.approx(math.sqrt(2))
+    assert euclid(grid, (3, 3), (3, 3)) == 0.0
 
 
 def test_unique_positive_neighbor():
@@ -172,7 +174,7 @@ def test_argmax_correctness_on_random_beliefs():
         b = grid.b_field(wp.cell)
         assert all(grid.b_field(n) <= b for n in positives)
         same = [n for n in positives if grid.b_field(n) == b]
-        assert all(cost_to_reach(grid, current, wp.cell) <= cost_to_reach(grid, current, n) for n in same)
+        assert all(euclid(grid, current, wp.cell) <= euclid(grid, current, n) for n in same)
 
 
 def test_done_iff_no_reachable_unexplored():
