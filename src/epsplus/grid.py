@@ -59,6 +59,10 @@ class CellGrid:
         self._b_by_col = [width - c for c in range(width)]
         self.b_max = width
         self._reachable: set[Cell] | None = None  # flood-fill cache, see reachable_unexplored
+        # Bumped on every state change; caches derived from the states
+        # compare against it.
+        self.version = 0
+        self._vis_cores: dict = {}  # visibility-graph cores, kept by pathfind
 
     # -- indexing -----------------------------------------------------------
 
@@ -112,15 +116,20 @@ class CellGrid:
                 self._states[self._idx(cell)] = CellState.OBSTACLE
                 changed += 1
         if changed:
+            self.version += 1
             self._reachable = None  # a new obstacle may cut the free space
         return changed
 
     def mark_traversed(self, cell: Cell) -> None:
         """Record that the vehicle traversed the cell (unexplored -> explored)."""
         idx = self._idx(cell)
-        if self._states[idx] is CellState.OBSTACLE:
+        st = self._states[idx]
+        if st is CellState.OBSTACLE:
             raise MapConflictError(f"cannot traverse obstacle cell {cell}")
+        if st is CellState.EXPLORED:
+            return
         self._states[idx] = CellState.EXPLORED
+        self.version += 1
         if self._reachable is not None:
             self._reachable.discard(cell)  # connectivity is unchanged
 

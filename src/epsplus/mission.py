@@ -11,11 +11,20 @@ only when no explored corridor to the restart point exists. The unexplored
 cells still reachable from the station come from the belief grid's cached
 flood fill.
 
+Reachability and path planning read caches owned by the belief grid. The flood fill is
+dropped when a sensor update adds an obstacle. The visibility-graph core
+(obstacle vertices and the sight lines among them, one per predicate) is
+rebuilt after any state change: a new obstacle or a traversed cell. Between
+those events, the many restart candidates an advance may try on a tight
+budget share one core, and each plan adds only its own start and goal edges.
+
 The retreat-cost side of the energy gate uses an incrementally maintained
 explored-grid distance field instead of rebuilding the visibility graph on
 every step. That estimate never undercuts the executed retreat (grid length
 bounds the sight-line length from above), so the budget stays safe; it can
-only trigger a retreat slightly early.
+only trigger a retreat slightly early. ``tests/test_mission.py`` checks this
+bound on every retreat flown on the bundled scenarios and on tight-budget
+random maps.
 
 Ground truth backstop: sonar rays cannot see past corner contacts, so a
 planned cell may turn out to hold an obstacle. Stepping into it is refused

@@ -8,6 +8,16 @@ Line of sight between two cell centers uses a supercover traversal: every
 cell the segment touches must be traversable, and a segment passing exactly
 through a lattice corner counts both flanking cells, so squeezing between
 two diagonally adjacent blocked cells is not a valid sight line.
+
+Visibility graphs are assembled per query from a cached core: the obstacle
+vertices, the sight-line edges among them, and for each vertex pair blocked
+by a single cell, that cell. The belief grid holds at most one core per
+predicate (keyed by its truth table over the cell states) and bumps a
+version counter whenever a sensor update adds an obstacle or a cell is
+traversed; a core built at an older version is rebuilt on its next use. A
+query then adds only the start and goal edges.
+
+Grid A* searches flat indices of a passability mask built once per call.
 """
 
 from __future__ import annotations
@@ -148,12 +158,66 @@ class PathResult:
 
 
 class VisibilityGraph:
-    """Undirected graph over {start, goal, obstacle vertices} with sight-line edges."""
+    """Undirected graph over {start, goal, obstacle vertices} with sight-line edges.
+
+    Adjacency lists of obstacle vertices may be shared with the grid's cached
+    core; callers must not modify them.
+    """
 
     def __init__(self, grid: CellGrid, nodes: list[Cell], adjacency: dict[Cell, list[tuple[Cell, float]]]):
         self.grid = grid
         self.nodes = nodes
         self.adjacency = adjacency
+
+
+class _Core:
+    """The part of a visibility graph that depends only on the belief grid.
+
+    ``adjacency`` holds the sight-line edges among the obstacle vertices;
+    ``blocked_by`` maps a cell to the vertex pairs ``(u, v, w)`` whose sight
+    line that cell alone blocks.
+    """
+
+    __slots__ = ("version", "adjacency", "blocked_by")
+
+    def __init__(self, grid: CellGrid, traversable: StatePredicate, admit: frozenset[Cell]):
+        self.version = grid.version
+        vertices = sorted(obstacle_vertices(grid, traversable))
+        ok = _passability(grid, traversable, admit)
+        stride = grid.height + 2
+        adjacency: dict[Cell, list[tuple[Cell, float]]] = {v: [] for v in vertices}
+        blocked_by: dict[Cell, list[tuple[Cell, Cell, float]]] = {}
+        for i, u in enumerate(vertices):
+            for v in vertices[i + 1 :]:
+                blocker = None
+                for cell in supercover_line(u, v):
+                    if not ok[(cell[0] + 1) * stride + cell[1] + 1]:
+                        if blocker is not None:
+                            break
+                        blocker = cell
+                else:
+                    w = euclid(grid, u, v)
+                    if blocker is None:
+                        adjacency[u].append((v, w))
+                        adjacency[v].append((u, w))
+                    else:
+                        blocked_by.setdefault(blocker, []).append((u, v, w))
+        self.adjacency = adjacency
+        self.blocked_by = blocked_by
+
+
+def _cached_core(grid: CellGrid, traversable: StatePredicate) -> _Core:
+    """The grid's core for this predicate, rebuilt when the grid state changed.
+
+    Cores are keyed by the predicate's truth table over the cell states, so
+    equivalent predicates share one entry.
+    """
+    key = tuple(traversable(s) for s in CellState)
+    core = grid._vis_cores.get(key)
+    if core is None or core.version != grid.version:
+        core = _Core(grid, traversable, frozenset())
+        grid._vis_cores[key] = core
+    return core
 
 
 def build_visibility_graph(
@@ -165,18 +229,41 @@ def build_visibility_graph(
     """Pairwise-visibility graph over the start, the goal and obstacle vertices.
 
     The start and goal cells are admitted as nodes regardless of their own
-    state; edge interiors must still pass the predicate.
+    state, and sight lines may cross them; all other cells a sight line
+    touches must pass the predicate.
+
+    Edges among obstacle vertices come from the grid's cached core, so a
+    query adds only the start and goal edges, plus the vertex pairs blocked
+    by nothing but an endpoint that fails the predicate. When both endpoints
+    fail it, a core that admits them is built for this query alone.
     """
     exempt = frozenset((start, goal))
-    nodes = sorted({start, goal} | set(obstacle_vertices(grid, traversable)))
-    adjacency: dict[Cell, list[tuple[Cell, float]]] = {n: [] for n in nodes}
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
-            if los_clear(grid, u, v, traversable, exempt):
-                w = euclid(grid, u, v)
-                adjacency[u].append((v, w))
-                adjacency[v].append((u, w))
-    return VisibilityGraph(grid, nodes, adjacency)
+    failing = [e for e in sorted(exempt) if not traversable(grid.state(e))]
+    if len(failing) == 2:
+        # pairs blocked by both endpoints together are in no cached core
+        core = _Core(grid, traversable, exempt)
+        edges = []
+    else:
+        core = _cached_core(grid, traversable)
+        edges = [pair for e in failing for pair in core.blocked_by.get(e, ())]
+    shared = core.adjacency
+    targets = list(shared)
+    adjacency = dict(shared)
+    for e in sorted(exempt):
+        if e in shared:
+            continue
+        for v in targets:
+            if los_clear(grid, e, v, traversable, exempt):
+                edges.append((e, v, euclid(grid, e, v)))
+        targets.append(e)
+        adjacency[e] = []
+    for u, v, w in edges:
+        for a, b in ((u, v), (v, u)):
+            if adjacency[a] is shared.get(a):
+                adjacency[a] = adjacency[a] + [(b, w)]  # copy, so the core stays intact
+            else:
+                adjacency[a].append((b, w))
+    return VisibilityGraph(grid, sorted(adjacency), adjacency)
 
 
 def astar(graph: VisibilityGraph, start: Cell, goal: Cell) -> PathResult | None:
@@ -214,8 +301,33 @@ def _reconstruct(grid: CellGrid, parent: dict[Cell, Cell | None], goal: Cell) ->
     while parent[cells[-1]] is not None:
         cells.append(parent[cells[-1]])  # type: ignore[arg-type]
     cells.reverse()
+    return _path_result(grid, cells)
+
+
+def _path_result(grid: CellGrid, cells: list[Cell]) -> PathResult:
     length = math.fsum(euclid(grid, cells[i], cells[i + 1]) for i in range(len(cells) - 1))
     return PathResult(cells, length)
+
+
+def _passability(grid: CellGrid, traversable: StatePredicate, extra: frozenset[Cell]) -> bytearray:
+    """1 for every cell that passes the predicate or is in ``extra``, else 0.
+
+    The mask is column-major with a one-cell border of zeros: cell (c, r) is
+    at ``(c + 1) * (height + 2) + r + 1``. Flat indices therefore order like
+    ``(col, row)`` tuples, and neighbour offsets need no bounds checks.
+    """
+    width, height = grid.width, grid.height
+    stride = height + 2
+    pass_of = {s: int(traversable(s)) for s in CellState}.__getitem__
+    states = grid._states
+    ok = bytearray(stride * (width + 2))
+    for col in range(width):
+        base = (col + 1) * stride + 1
+        ok[base : base + height] = bytes(map(pass_of, states[col::width]))
+    for cell in extra:
+        if grid.in_bounds(cell):
+            ok[(cell[0] + 1) * stride + cell[1] + 1] = 1
+    return ok
 
 
 def _grid_neighbors(
@@ -252,36 +364,63 @@ def grid_astar(
     """Shortest 8-connected cell path; diagonal squeezes allowed unless disabled.
 
     ``extra`` admits specific cells (typically an unexplored goal) regardless
-    of their state.
+    of their state. Cells are searched as flat indices of one passability
+    mask built per call; since those indices order like ``(col, row)``
+    tuples, heap ties break as they would on cells.
     """
-
-    def passable(c: Cell) -> bool:
-        return traversable(grid.state(c)) or c in extra
-
-    if not (passable(start) and passable(goal)):
+    if not (grid.in_bounds(start) and grid.in_bounds(goal)):
+        return None
+    ok = _passability(grid, traversable, extra)
+    stride = grid.height + 2
+    s_idx = (start[0] + 1) * stride + start[1] + 1
+    g_idx = (goal[0] + 1) * stride + goal[1] + 1
+    if not (ok[s_idx] and ok[g_idx]):
         return None
     if start == goal:
         return PathResult([start], 0.0)
-    g = {start: 0.0}
-    parent: dict[Cell, Cell | None] = {start: None}
-    heap = [(euclid(grid, start, goal), start)]
-    closed: set[Cell] = set()
+    size = grid.cell_size
+    diag = SQRT2 * size
+    # (index offset, side offsets, step length, dc, dr); a diagonal step
+    # without corner cutting also needs both side cells, the others check
+    # their own cell (offset 0), which is always passable.
+    moves = []
+    for dc, dr in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
+        if dc and dr:
+            side_a, side_b = (0, 0) if cut_corners else (dc * stride, dr)
+            moves.append((dc * stride + dr, side_a, side_b, diag, dc, dr))
+        else:
+            moves.append((dc * stride + dr, 0, 0, size, dc, dr))
+    hypot = math.hypot
+    heappush, heappop = heapq.heappush, heapq.heappop
+    # goal offsets in bordered coordinates, so (goal - v) comes out exact
+    gc, gr = goal[0] + 1, goal[1] + 1
+    g = {s_idx: 0.0}
+    parent = {s_idx: -1}
+    heap = [(euclid(grid, start, goal), s_idx)]
+    closed = bytearray(len(ok))
     while heap:
-        _, u = heapq.heappop(heap)
-        if u in closed:
+        _, u = heappop(heap)
+        if closed[u]:
             continue
-        closed.add(u)
-        if u == goal:
-            return _reconstruct(grid, parent, goal)
+        closed[u] = 1
+        if u == g_idx:
+            cells = []
+            while u != -1:
+                cells.append((u // stride - 1, u % stride - 1))
+                u = parent[u]
+            cells.reverse()
+            return _path_result(grid, cells)
         gu = g[u]
-        for v, w in _grid_neighbors(grid, u, passable, cut_corners):
-            if v in closed:
+        uc, ur = divmod(u, stride)
+        for off, side_a, side_b, w, dc, dr in moves:
+            v = u + off
+            if not ok[v] or closed[v] or not (ok[u + side_a] and ok[u + side_b]):
                 continue
             ng = gu + w
             if ng < g.get(v, math.inf):
                 g[v] = ng
                 parent[v] = u
-                heapq.heappush(heap, (ng + euclid(grid, v, goal), v))
+                heappush(heap, (ng + size * hypot(gc - uc - dc, gr - ur - dr), v))
     return None
 
 

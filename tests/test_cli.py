@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from epsplus.cli import main, read_log_csv
@@ -54,6 +59,33 @@ def test_run_map_without_station_exit_1(tmp_path, capsys):
     rc = main(["run", map_path, "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "no station" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("....\n...\nC...\n", "line 2 has length 3"),
+        ("", "map file is empty"),
+        ("....\n.x..\nC...\n", "invalid character 'x'"),
+    ],
+    ids=["ragged_row", "empty_file", "invalid_character"],
+)
+def test_run_malformed_map_exit_1(tmp_path, text, message):
+    # run as a process, so an uncaught exception would show as a traceback
+    map_path = write(tmp_path, "m.txt", text)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "epsplus.cli", "run", map_path, "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("line", ["capacity_e0 = nan", "sensor_range = inf"])

@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from epsplus.mission import Mission, MissionEvent, log_to_csv, run_mission
 from epsplus.sim import GroundTruth
 
 from helpers import flood_reachable, map_text, random_rect_obstacles
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def gt_from_text(text):
@@ -210,3 +213,49 @@ def test_energy_infeasible_cells_reported_not_attempted():
     for traj in report.trajectories:
         assert traj.energy <= 8.0 + 1e-9
         assert traj.first_cell == gt.station and traj.last_cell == gt.station
+
+
+def retreat_cases():
+    """Bundled scenarios plus tight-budget random maps (E0 0.6-1.1 x diagonal)."""
+    yield "field_a", (SCENARIOS / "field_a.txt").read_text(), MissionConfig()
+    yield "field_b", (SCENARIOS / "field_b.txt").read_text(), MissionConfig()
+    yield "small_office", (SCENARIOS / "small_office.txt").read_text(), MissionConfig(
+        capacity_e0=14.0, travel_rate=0.5, coverage_rate=1.0, sensor_range=1.5
+    )
+    rng = random.Random(41)
+    for i in range(20):
+        w, h = rng.randint(12, 20), rng.randint(12, 20)
+        obstacles = random_rect_obstacles(rng, w, h, (0, 0), rng.uniform(0.05, 0.3))
+        e0 = rng.uniform(0.6, 1.1) * math.hypot(w, h)
+        yield f"tight-{i}", map_text(w, h, obstacles, (0, 0)), MissionConfig(
+            capacity_e0=e0, sensor_range=3.0
+        )
+
+
+def test_retreat_estimate_bounds_every_flown_retreat(monkeypatch):
+    # the gate prices a retreat with the distance field; the retreat flown
+    # must never be longer, and must reach the station with energy left
+    flown = []
+    at_station = []
+    plan_retreat = Mission._plan_retreat
+    close_trajectory = Mission._close_trajectory
+
+    def checked_plan(self, from_cell):
+        plan = plan_retreat(self, from_cell)
+        flown.append((from_cell, plan.length, self.dfield.distance(from_cell)))
+        return plan
+
+    def checked_close(self):
+        at_station.append((self.pos == self.grid.station, self.energy.remaining))
+        close_trajectory(self)
+
+    monkeypatch.setattr(Mission, "_plan_retreat", checked_plan)
+    monkeypatch.setattr(Mission, "_close_trajectory", checked_close)
+    for name, text, cfg in retreat_cases():
+        flown.clear()
+        at_station.clear()
+        run_mission(gt_from_text(text), cfg)
+        for start, length, estimate in flown:
+            assert length <= estimate + 1e-9, (name, start, length, estimate)
+        assert flown, name
+        assert all(home and left >= 0.0 for home, left in at_station), name

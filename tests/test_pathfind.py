@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 
@@ -231,3 +232,205 @@ def test_distance_field_matches_dijkstra_after_growth():
         for cell in grid.cells():
             if grid.state(cell) is CellState.EXPLORED:
                 assert field.distance(cell) == pytest.approx(oracle[cell], abs=1e-9)
+
+
+# -- visibility-graph cache ------------------------------------------------------
+
+def pairwise_visibility(grid, start, goal, traversable):
+    """From-scratch reference build: sight-line checks over every node pair."""
+    exempt = frozenset((start, goal))
+    nodes = sorted({start, goal} | set(obstacle_vertices(grid, traversable)))
+    edges = set()
+    for i, u in enumerate(nodes):
+        for v in nodes[i + 1 :]:
+            if los_clear(grid, u, v, traversable, exempt):
+                w = math.hypot(v[0] - u[0], v[1] - u[1]) * grid.cell_size
+                edges.add((u, v, w))
+                edges.add((v, u, w))
+    return nodes, edges
+
+
+def graph_edges(graph):
+    edges = [(u, v, w) for u in graph.nodes for v, w in graph.adjacency[u]]
+    assert len(edges) == len(set(edges)), "duplicate edge"
+    assert set(graph.adjacency) == set(graph.nodes)
+    return set(edges)
+
+
+QUERY_KINDS = ("any", "unexplored_goal", "vertex_goal", "failing_goal", "same", "both_fail")
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_visibility_cache_matches_pairwise_build(data):
+    w = data.draw(st.integers(3, 9), label="width")
+    h = data.draw(st.integers(3, 9), label="height")
+    grid = CellGrid(w, h, 1.0, (0, 0))
+    grid.mark_traversed((0, 0))
+    cells = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+
+    def update(op):
+        # a small block of cells, so one update can move several corners
+        c0, r0 = data.draw(cells, label=op)
+        size = data.draw(st.integers(1, 3), label="block")
+        block = [(c, r) for c in range(c0, min(c0 + size, w)) for r in range(r0, min(r0 + size, h))]
+        if op == "obstacle":
+            grid.apply_sensor_update(
+                c for c in block if c != grid.station and grid.state(c) is not CellState.EXPLORED
+            )
+        else:
+            for c in block:
+                if grid.state(c) is not CellState.OBSTACLE:
+                    grid.mark_traversed(c)
+
+    def query(pred):
+        kind = data.draw(st.sampled_from(QUERY_KINDS), label="kind")
+        start = data.draw(cells, label="start")
+        goal = data.draw(cells, label="goal")
+        failing = [c for c in grid.cells() if not pred(grid.state(c))]
+        if kind == "unexplored_goal":
+            pool = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
+        elif kind == "vertex_goal":
+            pool = obstacle_vertices(grid, pred)
+        elif kind == "failing_goal":
+            pool = failing
+        else:
+            pool = []
+        if pool:
+            goal = data.draw(st.sampled_from(pool), label=f"{kind} goal")
+        if kind == "same":
+            goal = start
+        elif kind == "both_fail" and len(failing) >= 2:
+            start, goal = data.draw(
+                st.lists(st.sampled_from(failing), min_size=2, max_size=2, unique=True),
+                label="failing endpoints",
+            )
+        graph = build_visibility_graph(grid, start, goal, pred)
+        nodes, edges = pairwise_visibility(grid, start, goal, pred)
+        assert graph.nodes == nodes
+        assert graph_edges(graph) == edges
+
+    # every update is followed by a query under each predicate, so a core
+    # that an update should have invalidated is always asked for again
+    for op in ["obstacle"] * data.draw(st.integers(1, 3), label="initial obstacles") + ["traverse"]:
+        update(op)
+    for _ in range(data.draw(st.integers(1, 10), label="rounds")):
+        query(explored_only)
+        query(non_obstacle)
+        update(data.draw(st.sampled_from(("obstacle", "traverse")), label="update"))
+    query(explored_only)
+    query(non_obstacle)
+
+
+def test_visibility_edges_through_a_failing_endpoint():
+    # vertices around the single obstacle (3, 5): (2, 4)-(4, 4) is blocked
+    # only by the unexplored goal (3, 4), (2, 4)-(4, 6) only by the obstacle
+    grid = CellGrid(7, 7, 1.0, (0, 0))
+    grid.apply_sensor_update([(3, 5)])
+    for c in grid.cells():
+        if c not in ((3, 5), (3, 4)):
+            grid.mark_traversed(c)
+    for pred, goal, pair in (
+        (explored_only, (3, 4), ((2, 4), (4, 4))),
+        (non_obstacle, (3, 5), ((2, 4), (4, 6))),
+    ):
+        build_visibility_graph(grid, (0, 0), (6, 0), pred)  # caches the core
+        graph = build_visibility_graph(grid, (0, 0), goal, pred)
+        assert pair[1] in dict(graph.adjacency[pair[0]])
+        assert graph_edges(graph) == pairwise_visibility(grid, (0, 0), goal, pred)[1]
+
+
+def test_visibility_cache_keeps_one_core_per_predicate():
+    grid = explored_grid(8, 8, {(3, 3), (3, 4)}, (0, 0))
+    for _ in range(3):
+        build_visibility_graph(grid, (0, 0), (7, 7), explored_only)
+        build_visibility_graph(grid, (0, 0), (7, 7), lambda s: s is CellState.EXPLORED)
+        build_visibility_graph(grid, (0, 0), (7, 7), non_obstacle)
+    assert len(grid._vis_cores) == 2
+
+
+# -- grid A* ---------------------------------------------------------------------
+
+def reference_grid_astar(grid, start, goal, traversable, extra, cut_corners):
+    """Cell-tuple grid A*: the heap entries the mask-based search must reproduce."""
+
+    def passable(c):
+        return grid.in_bounds(c) and (traversable(grid.state(c)) or c in extra)
+
+    def h(c):
+        return grid.cell_size * math.hypot(goal[0] - c[0], goal[1] - c[1])
+
+    if not (passable(start) and passable(goal)):
+        return None
+    g = {start: 0.0}
+    parent = {start: None}
+    heap = [(h(start), start)]
+    closed = set()
+    while heap:
+        _, u = heapq.heappop(heap)
+        if u in closed:
+            continue
+        closed.add(u)
+        if u == goal:
+            cells = [goal]
+            while parent[cells[-1]] is not None:
+                cells.append(parent[cells[-1]])
+            return cells[::-1]
+        for dc, dr in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
+            v = (u[0] + dc, u[1] + dr)
+            if not passable(v) or v in closed:
+                continue
+            if dc and dr and not cut_corners:
+                if not (passable((u[0] + dc, u[1])) and passable((u[0], u[1] + dr))):
+                    continue
+            ng = g[u] + (math.sqrt(2.0) * grid.cell_size if dc and dr else grid.cell_size)
+            if ng < g.get(v, math.inf):
+                g[v] = ng
+                parent[v] = u
+                heapq.heappush(heap, (ng + h(v), v))
+    return None
+
+
+def random_belief_grid(rng, w, h):
+    """Belief grid with random obstacles and a random mix of explored cells."""
+    grid = CellGrid(w, h, 1.0, (0, 0))
+    obstacles = random_rect_obstacles(rng, w, h, (0, 0), rng.uniform(0.05, 0.35))
+    if obstacles:
+        grid.apply_sensor_update(obstacles)
+    explored_share = rng.uniform(0.3, 1.0)
+    for c in grid.cells():
+        if c not in obstacles and (c == (0, 0) or rng.random() < explored_share):
+            grid.mark_traversed(c)
+    return grid
+
+
+@pytest.mark.parametrize("cut_corners", [True, False])
+def test_grid_astar_matches_dijkstra_with_unexplored_goal(cut_corners):
+    rng = random.Random(23 if cut_corners else 29)
+    found = missed = 0
+    for _ in range(60):
+        grid = random_belief_grid(rng, rng.randint(5, 16), rng.randint(5, 16))
+        explored = [c for c in grid.cells() if grid.state(c) is CellState.EXPLORED]
+        unexplored = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
+        start = rng.choice(explored)
+        goal = rng.choice(unexplored) if unexplored else rng.choice(explored)
+        extra = frozenset((goal,))
+        for pred in (explored_only, non_obstacle):
+            path = grid_astar(grid, start, goal, pred, extra=extra, cut_corners=cut_corners)
+            dist = grid_dijkstra(grid, start, pred, extra=extra, cut_corners=cut_corners)
+            ref = reference_grid_astar(grid, start, goal, pred, extra, cut_corners)
+            if path is None:
+                assert goal not in dist and ref is None
+                missed += 1
+                continue
+            found += 1
+            assert path.cells == ref
+            assert path.length == pytest.approx(dist[goal], abs=1e-9)
+            assert path.cells[0] == start and path.cells[-1] == goal
+            for u, v in zip(path.cells, path.cells[1:]):
+                assert max(abs(u[0] - v[0]), abs(u[1] - v[1])) == 1
+                assert grid.in_bounds(v) and (pred(grid.state(v)) or v in extra)
+                if not cut_corners and u[0] != v[0] and u[1] != v[1]:
+                    for side in ((v[0], u[1]), (u[0], v[1])):
+                        assert pred(grid.state(side)) or side in extra
+    assert found and missed
