@@ -9,8 +9,8 @@ unexplored cell after each recharge.
 from .config import MissionConfig, parse_config
 from .energy import EnergyState, SegmentKind
 from .errors import EnergyExhaustedError, MapConflictError, MapFormatError, PlanningError
-from .grid import CellGrid, CellState, ParsedMap, grid_to_ascii, parse_map_text
-from .hierarchy import MapsHierarchy, default_level_count, potential_level0
+from .grid import CellGrid, CellState, ParsedMap, parse_map_text
+from .hierarchy import MapsHierarchy, default_level_count
 from .mission import (
     Mission,
     MissionEvent,
@@ -30,7 +30,6 @@ from .pathfind import (
     euclid,
     explored_only,
     grid_astar,
-    grid_dijkstra,
     los_clear,
     non_obstacle,
     obstacle_vertices,
@@ -71,8 +70,6 @@ __all__ = [
     "euclid",
     "explored_only",
     "grid_astar",
-    "grid_dijkstra",
-    "grid_to_ascii",
     "log_to_csv",
     "los_clear",
     "next_waypoint",
@@ -80,7 +77,6 @@ __all__ = [
     "obstacle_vertices",
     "parse_config",
     "parse_map_text",
-    "potential_level0",
     "render_svg",
     "report_to_text",
     "restart_point",

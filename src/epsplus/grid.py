@@ -8,7 +8,15 @@ row 0 at the bottom. Each cell carries one of three symbolic states:
 * ``OBSTACLE``   -- a detected obstacle occupies the cell.
 
 State transitions are one-way: unexplored cells may become explored or
-obstacle; explored and obstacle are absorbing.
+obstacle; explored and obstacle are absorbing. So equal counts of a state
+mean the same cells, which is how caches derived from the states (the
+visibility-graph cores in ``pathfind``) decide staleness.
+
+The states live in one ``bytearray``, ``flat``: column-major inside a
+one-cell frame of ``BORDER`` bytes, so cell ``(c, r)`` is at
+``(c + 1) * stride + r + 1`` with ``stride = height + 2``. Flat indices
+order like ``(col, row)`` tuples, and an offset from ``steps`` added to a
+cell's index lands on a cell or the frame, so walks need no bounds checks.
 
 The static field ``b`` assigns every unexplored cell a positive integer
 potential that is constant along a column and strictly decreasing from left
@@ -18,7 +26,7 @@ left-to-right column pattern.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from enum import IntEnum
 from typing import Iterable, Iterator
 
@@ -39,6 +47,10 @@ class CellState(IntEnum):
     OBSTACLE = 2
 
 
+BORDER = 3  # byte value of the frame around the grid; not a CellState
+_STATE_OF = tuple(CellState)  # byte value -> CellState
+
+
 class CellGrid:
     """Dense belief grid plus the static column-potential field."""
 
@@ -54,27 +66,37 @@ class CellGrid:
         self.height = height
         self.cell_size = float(cell_size)
         self.station = (int(col), int(row))
-        self._states = [CellState.UNEXPLORED] * (width * height)
+        self.stride = stride = height + 2
+        edge = bytes([BORDER])
+        self.flat = bytearray(edge * stride + (edge + bytes(height) + edge) * width + edge * stride)
+        # (flat index offset, step length in meters) per move, in NEIGHBORS_8 order
+        self.steps = tuple(
+            (dc * stride + dr, self.cell_size * math.hypot(dc, dr)) for dc, dr in NEIGHBORS_8
+        )
         # column plateaus, strictly decreasing left to right
         self._b_by_col = [width - c for c in range(width)]
         self.b_max = width
         self._reachable: set[Cell] | None = None  # flood-fill cache, see reachable_unexplored
-        # Bumped on every state change; caches derived from the states
-        # compare against it.
-        self.version = 0
         self._vis_cores: dict = {}  # visibility-graph cores, kept by pathfind
 
     # -- indexing -----------------------------------------------------------
 
-    def _idx(self, cell: Cell) -> int:
-        return cell[1] * self.width + cell[0]
+    def index(self, cell: Cell) -> int:
+        """Flat index of an in-bounds cell."""
+        return (cell[0] + 1) * self.stride + cell[1] + 1
+
+    def cell_at(self, i: int) -> Cell:
+        """The cell at a flat index (inverse of :meth:`index`)."""
+        col, row = divmod(i, self.stride)
+        return (col - 1, row - 1)
 
     def in_bounds(self, cell: Cell) -> bool:
         col, row = cell
         return 0 <= col < self.width and 0 <= row < self.height
 
     def state(self, cell: Cell) -> CellState:
-        return self._states[self._idx(cell)]
+        # index() inlined: this is the most called accessor
+        return _STATE_OF[self.flat[(cell[0] + 1) * self.stride + cell[1] + 1]]
 
     def b_field(self, cell: Cell) -> int:
         """Static potential of the cell's column."""
@@ -109,27 +131,27 @@ class CellGrid:
                 raise ValueError(f"detected obstacle {cell} out of bounds")
             if cell == self.station:
                 raise MapConflictError(f"obstacle detected on the station cell {cell}")
-            st = self._states[self._idx(cell)]
-            if st is CellState.EXPLORED:
+            i = self.index(cell)
+            if self.flat[i] == CellState.EXPLORED:
                 raise MapConflictError(f"obstacle detected on explored cell {cell}")
-            if st is CellState.UNEXPLORED:
-                self._states[self._idx(cell)] = CellState.OBSTACLE
+            if self.flat[i] == CellState.UNEXPLORED:
+                self.flat[i] = CellState.OBSTACLE
                 changed += 1
         if changed:
-            self.version += 1
             self._reachable = None  # a new obstacle may cut the free space
         return changed
 
     def mark_traversed(self, cell: Cell) -> None:
         """Record that the vehicle traversed the cell (unexplored -> explored)."""
-        idx = self._idx(cell)
-        st = self._states[idx]
-        if st is CellState.OBSTACLE:
+        if not self.in_bounds(cell):
+            raise ValueError(f"traversed cell {cell} out of bounds")
+        i = self.index(cell)
+        st = self.flat[i]
+        if st == CellState.OBSTACLE:
             raise MapConflictError(f"cannot traverse obstacle cell {cell}")
-        if st is CellState.EXPLORED:
+        if st == CellState.EXPLORED:
             return
-        self._states[idx] = CellState.EXPLORED
-        self.version += 1
+        self.flat[i] = CellState.EXPLORED
         if self._reachable is not None:
             self._reachable.discard(cell)  # connectivity is unchanged
 
@@ -147,33 +169,24 @@ class CellGrid:
         return self._reachable
 
     def _flood_unexplored(self) -> set[Cell]:
-        start = self.station
-        if self.state(start) is CellState.OBSTACLE:
-            return set()
-        seen = {start}
-        queue = deque([start])
-        found: set[Cell] = set()
-        if self.state(start) is CellState.UNEXPLORED:
-            found.add(start)
-        while queue:
-            cell = queue.popleft()
-            for n in self.neighbors8(cell):
-                if n in seen:
-                    continue
-                st = self.state(n)
-                if st is CellState.OBSTACLE:
-                    continue
-                seen.add(n)
-                if st is CellState.UNEXPLORED:
-                    found.add(n)
-                queue.append(n)
-        return found
+        # the station is never an obstacle (apply_sensor_update refuses it)
+        flat = self.flat
+        obstacle = int(CellState.OBSTACLE)
+        offsets = [off for off, _ in self.steps]
+        reached = [self.index(self.station)]
+        seen = bytearray(len(flat))
+        seen[reached[0]] = 1
+        for i in reached:  # breadth-first: visits the cells appended meanwhile
+            for off in offsets:
+                j = i + off
+                if not seen[j]:
+                    seen[j] = 1
+                    if flat[j] < obstacle:  # neither obstacle nor border
+                        reached.append(j)
+        return {self.cell_at(i) for i in reached if flat[i] == CellState.UNEXPLORED}
 
     def counts(self) -> dict[CellState, int]:
-        out = {CellState.UNEXPLORED: 0, CellState.EXPLORED: 0, CellState.OBSTACLE: 0}
-        for st in self._states:
-            out[st] += 1
-        return out
+        return {s: self.flat.count(s) for s in CellState}
 
 
 # -- ASCII map format ---------------------------------------------------------

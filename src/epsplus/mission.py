@@ -14,9 +14,10 @@ flood fill.
 Reachability and path planning read caches owned by the belief grid. The flood fill is
 dropped when a sensor update adds an obstacle. The visibility-graph core
 (obstacle vertices and the sight lines among them, one per predicate) is
-rebuilt after any state change: a new obstacle or a traversed cell. Between
-those events, the many restart candidates an advance may try on a tight
-budget share one core, and each plan adds only its own start and goal edges.
+rebuilt after a new obstacle, and under ``explored_only`` also after a
+traversed cell. Between those events, the many restart candidates an advance
+may try on a tight budget share one core, and each plan adds only its own
+start and goal edges.
 
 The retreat-cost side of the energy gate uses an incrementally maintained
 explored-grid distance field instead of rebuilding the visibility graph on

@@ -12,12 +12,14 @@ two diagonally adjacent blocked cells is not a valid sight line.
 Visibility graphs are assembled per query from a cached core: the obstacle
 vertices, the sight-line edges among them, and for each vertex pair blocked
 by a single cell, that cell. The belief grid holds at most one core per
-predicate (keyed by its truth table over the cell states) and bumps a
-version counter whenever a sensor update adds an obstacle or a cell is
-traversed; a core built at an older version is rebuilt on its next use. A
-query then adds only the start and goal edges.
+predicate, keyed by its truth table over the cell states. A core records the
+obstacle count it was built at, plus the explored count when the predicate
+tells explored from unexplored cells; since cells only leave the unexplored
+state, equal counts mean the same cells, and a core whose counts moved is
+rebuilt on its next use. A query then adds only the start and goal edges.
 
-Grid A* searches flat indices of a passability mask built once per call.
+Grid walks (obstacle vertices, grid A*, the distance field) index the
+grid's bordered flat state bytes; a passability mask is one translation.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .grid import Cell, CellGrid, CellState
+from .grid import Cell, CellGrid, CellState, NEIGHBORS_8
 
 StatePredicate = Callable[[CellState], bool]
 
@@ -121,7 +123,7 @@ def los_clear(
 
 
 def obstacle_vertices(grid: CellGrid, traversable: StatePredicate) -> list[Cell]:
-    """Convex-corner free cells of discovered obstacle boundaries.
+    """Convex-corner free cells of discovered obstacle boundaries, in (col, row) order.
 
     A cell qualifies if it satisfies the predicate and touches an obstacle
     cell diagonally while both cells flanking that diagonal are not
@@ -129,24 +131,23 @@ def obstacle_vertices(grid: CellGrid, traversable: StatePredicate) -> list[Cell]
     cells. Corners of obstacles touching the map border are produced by the
     same pattern.
     """
-    state = grid.state
-    out = []
-    for row in range(grid.height):
-        for col in range(grid.width):
-            cell = (col, row)
-            if not traversable(state(cell)):
-                continue
-            for dc, dr in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                d = (col + dc, row + dr)
-                if not grid.in_bounds(d) or state(d) is not CellState.OBSTACLE:
-                    continue
-                if (
-                    state((col + dc, row)) is not CellState.OBSTACLE
-                    and state((col, row + dr)) is not CellState.OBSTACLE
-                ):
-                    out.append(cell)
-                    break
-    return out
+    flat = grid.flat
+    ok = _passability(grid, traversable, frozenset())
+    obstacle = int(CellState.OBSTACLE)
+    off = {move: o for move, (o, _) in zip(NEIGHBORS_8, grid.steps)}
+    # per diagonal: (diagonal, its column step, its row step) as flat offsets
+    diagonals = [(off[(dc, dr)], off[(dc, 0)], off[(0, dr)]) for dc in (1, -1) for dr in (1, -1)]
+    found = set()
+    o = flat.find(obstacle)
+    while o != -1:
+        # a candidate c sees obstacle o across diagonal d; the flanking cells
+        # c + col step and c + row step are o - row step and o - col step
+        for d, col_step, row_step in diagonals:
+            c = o - d
+            if ok[c] and flat[o - row_step] != obstacle and flat[o - col_step] != obstacle:
+                found.add(c)
+        o = flat.find(obstacle, o + 1)
+    return [grid.cell_at(i) for i in sorted(found)]
 
 
 @dataclass
@@ -178,20 +179,19 @@ class _Core:
     line that cell alone blocks.
     """
 
-    __slots__ = ("version", "adjacency", "blocked_by")
+    __slots__ = ("adjacency", "blocked_by")
 
     def __init__(self, grid: CellGrid, traversable: StatePredicate, admit: frozenset[Cell]):
-        self.version = grid.version
-        vertices = sorted(obstacle_vertices(grid, traversable))
+        vertices = obstacle_vertices(grid, traversable)
         ok = _passability(grid, traversable, admit)
-        stride = grid.height + 2
+        index = grid.index
         adjacency: dict[Cell, list[tuple[Cell, float]]] = {v: [] for v in vertices}
         blocked_by: dict[Cell, list[tuple[Cell, Cell, float]]] = {}
         for i, u in enumerate(vertices):
             for v in vertices[i + 1 :]:
                 blocker = None
                 for cell in supercover_line(u, v):
-                    if not ok[(cell[0] + 1) * stride + cell[1] + 1]:
+                    if not ok[index(cell)]:
                         if blocker is not None:
                             break
                         blocker = cell
@@ -207,17 +207,23 @@ class _Core:
 
 
 def _cached_core(grid: CellGrid, traversable: StatePredicate) -> _Core:
-    """The grid's core for this predicate, rebuilt when the grid state changed.
+    """The grid's core for this predicate, rebuilt when its state counts moved.
 
     Cores are keyed by the predicate's truth table over the cell states, so
-    equivalent predicates share one entry.
+    equivalent predicates share one entry. Each is stored with the obstacle
+    count it was built at (vertices are obstacle corners), plus the explored
+    count when the predicate tells explored from unexplored cells; since
+    cells only leave the unexplored state, equal counts mean the same cells.
     """
     key = tuple(traversable(s) for s in CellState)
-    core = grid._vis_cores.get(key)
-    if core is None or core.version != grid.version:
-        core = _Core(grid, traversable, frozenset())
-        grid._vis_cores[key] = core
-    return core
+    flat = grid.flat
+    tells_explored = key[CellState.EXPLORED] != key[CellState.UNEXPLORED]
+    explored = flat.count(CellState.EXPLORED) if tells_explored else None
+    stamp = (flat.count(CellState.OBSTACLE), explored)
+    cached = grid._vis_cores.get(key)
+    if cached is None or cached[0] != stamp:
+        cached = grid._vis_cores[key] = (stamp, _Core(grid, traversable, frozenset()))
+    return cached[1]
 
 
 def build_visibility_graph(
@@ -312,21 +318,13 @@ def _path_result(grid: CellGrid, cells: list[Cell]) -> PathResult:
 def _passability(grid: CellGrid, traversable: StatePredicate, extra: frozenset[Cell]) -> bytearray:
     """1 for every cell that passes the predicate or is in ``extra``, else 0.
 
-    The mask is column-major with a one-cell border of zeros: cell (c, r) is
-    at ``(c + 1) * (height + 2) + r + 1``. Flat indices therefore order like
-    ``(col, row)`` tuples, and neighbour offsets need no bounds checks.
+    The mask is indexed like ``grid.flat``; its border is 0, since the
+    translation table maps every byte but the passing states to 0.
     """
-    width, height = grid.width, grid.height
-    stride = height + 2
-    pass_of = {s: int(traversable(s)) for s in CellState}.__getitem__
-    states = grid._states
-    ok = bytearray(stride * (width + 2))
-    for col in range(width):
-        base = (col + 1) * stride + 1
-        ok[base : base + height] = bytes(map(pass_of, states[col::width]))
+    ok = grid.flat.translate(bytes(bool(traversable(s)) for s in CellState).ljust(256, b"\0"))
     for cell in extra:
         if grid.in_bounds(cell):
-            ok[(cell[0] + 1) * stride + cell[1] + 1] = 1
+            ok[grid.index(cell)] = 1
     return ok
 
 
@@ -359,41 +357,29 @@ def grid_astar(
     goal: Cell,
     traversable: StatePredicate,
     extra: frozenset[Cell] = frozenset(),
-    cut_corners: bool = True,
 ) -> PathResult | None:
-    """Shortest 8-connected cell path; diagonal squeezes allowed unless disabled.
+    """Shortest 8-connected cell path; diagonal squeezes between blocked cells allowed.
 
     ``extra`` admits specific cells (typically an unexplored goal) regardless
-    of their state. Cells are searched as flat indices of one passability
-    mask built per call; since those indices order like ``(col, row)``
-    tuples, heap ties break as they would on cells.
+    of their state. Cells are searched as flat grid indices over one
+    passability mask built per call; since those indices order like
+    ``(col, row)`` tuples, heap ties break as they would on cells.
     """
     if not (grid.in_bounds(start) and grid.in_bounds(goal)):
         return None
     ok = _passability(grid, traversable, extra)
-    stride = grid.height + 2
-    s_idx = (start[0] + 1) * stride + start[1] + 1
-    g_idx = (goal[0] + 1) * stride + goal[1] + 1
+    s_idx = grid.index(start)
+    g_idx = grid.index(goal)
     if not (ok[s_idx] and ok[g_idx]):
         return None
     if start == goal:
         return PathResult([start], 0.0)
+    steps = grid.steps
+    cell_at = grid.cell_at
     size = grid.cell_size
-    diag = SQRT2 * size
-    # (index offset, side offsets, step length, dc, dr); a diagonal step
-    # without corner cutting also needs both side cells, the others check
-    # their own cell (offset 0), which is always passable.
-    moves = []
-    for dc, dr in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
-        if dc and dr:
-            side_a, side_b = (0, 0) if cut_corners else (dc * stride, dr)
-            moves.append((dc * stride + dr, side_a, side_b, diag, dc, dr))
-        else:
-            moves.append((dc * stride + dr, 0, 0, size, dc, dr))
     hypot = math.hypot
     heappush, heappop = heapq.heappush, heapq.heappop
-    # goal offsets in bordered coordinates, so (goal - v) comes out exact
-    gc, gr = goal[0] + 1, goal[1] + 1
+    gc, gr = goal
     g = {s_idx: 0.0}
     parent = {s_idx: -1}
     heap = [(euclid(grid, start, goal), s_idx)]
@@ -406,21 +392,21 @@ def grid_astar(
         if u == g_idx:
             cells = []
             while u != -1:
-                cells.append((u // stride - 1, u % stride - 1))
+                cells.append(cell_at(u))
                 u = parent[u]
             cells.reverse()
             return _path_result(grid, cells)
         gu = g[u]
-        uc, ur = divmod(u, stride)
-        for off, side_a, side_b, w, dc, dr in moves:
+        for off, w in steps:
             v = u + off
-            if not ok[v] or closed[v] or not (ok[u + side_a] and ok[u + side_b]):
+            if not ok[v] or closed[v]:
                 continue
             ng = gu + w
             if ng < g.get(v, math.inf):
                 g[v] = ng
                 parent[v] = u
-                heappush(heap, (ng + size * hypot(gc - uc - dc, gr - ur - dr), v))
+                vc, vr = cell_at(v)
+                heappush(heap, (ng + size * hypot(gc - vc, gr - vr), v))
     return None
 
 
@@ -459,42 +445,46 @@ class DistanceField:
     decrease; inserting a newly explored cell seeds it from its explored
     neighbors and propagates any improvements outward. The value is an upper
     bound on the length of any executable retreat from that cell, which keeps
-    the energy gate conservative.
+    the energy gate conservative. Distances are kept per flat grid index.
     """
 
     def __init__(self, grid: CellGrid):
         self.grid = grid
-        self._dist = [math.inf] * (grid.width * grid.height)
+        self._dist = [math.inf] * len(grid.flat)
 
     def distance(self, cell: Cell) -> float:
-        return self._dist[cell[1] * self.grid.width + cell[0]]
+        return self._dist[self.grid.index(cell)]
 
     def insert(self, cell: Cell) -> None:
         grid = self.grid
+        dist = self._dist
         base = self.neighbor_estimate(cell)
-        if base >= self.distance(cell):
+        i = grid.index(cell)
+        if base >= dist[i]:
             return
-        self._dist[cell[1] * grid.width + cell[0]] = base
-        heap = [(base, cell)]
+        dist[i] = base
+        flat = grid.flat
+        explored = int(CellState.EXPLORED)
+        heap = [(base, i)]
         while heap:
             d, u = heapq.heappop(heap)
-            if d > self.distance(u):
+            if d > dist[u]:
                 continue
-            for v in grid.neighbors8(u):
-                if grid.state(v) is not CellState.EXPLORED:
+            for off, w in grid.steps:
+                v = u + off
+                if flat[v] != explored:
                     continue
-                nd = d + euclid(grid, u, v)
-                if nd < self.distance(v):
-                    self._dist[v[1] * grid.width + v[0]] = nd
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
                     heapq.heappush(heap, (nd, v))
 
     def neighbor_estimate(self, cell: Cell) -> float:
         """Upper bound on the retreat length from a not-yet-explored cell."""
         grid = self.grid
+        i = grid.index(cell)
         best = 0.0 if cell == grid.station else math.inf
-        for n in grid.neighbors8(cell):
-            if grid.state(n) is CellState.EXPLORED:
-                d = self.distance(n) + euclid(grid, n, cell)
-                if d < best:
-                    best = d
+        for off, w in grid.steps:
+            if grid.flat[i + off] == CellState.EXPLORED:
+                best = min(best, self._dist[i + off] + w)
         return best

@@ -48,11 +48,8 @@ class GroundTruth:
         self.width = width
         self.height = height
         self.cell_size = float(cell_size)
-        self.obstacles = obstacles
+        self.obstacles = frozenset(obstacles)
         self.station = station
-        self._flags = [False] * (width * height)
-        for col, row in obstacles:
-            self._flags[row * width + col] = True
         self._sense_cache: dict[tuple[float, Cell], frozenset[Cell]] = {}
         self._offsets: list[Cell] | None = None
         self._offsets_range: float | None = None
@@ -62,14 +59,14 @@ class GroundTruth:
         return cls(parsed.width, parsed.height, cell_size, parsed.obstacles, parsed.station)
 
     def is_obstacle(self, cell: Cell) -> bool:
-        return self._flags[cell[1] * self.width + cell[0]]
+        return cell in self.obstacles
 
     def free_cells(self) -> set[Cell]:
         return {
             (col, row)
             for row in range(self.height)
             for col in range(self.width)
-            if not self._flags[row * self.width + col]
+            if (col, row) not in self.obstacles
         }
 
     def _disk_offsets(self, range_m: float) -> list[Cell]:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epsplus.errors import MapConflictError, MapFormatError
-from epsplus.grid import CellGrid, CellState, grid_to_ascii, parse_map_text
+from epsplus.grid import BORDER, NEIGHBORS_8, CellGrid, CellState, grid_to_ascii, parse_map_text
 
 from helpers import flood_reachable
 
@@ -60,6 +60,23 @@ def test_sensor_update_conflicts():
         grid.apply_sensor_update({(0, 0)})
     with pytest.raises(ValueError):
         grid.apply_sensor_update({(9, 9)})
+
+
+def test_flat_index_round_trip():
+    grid = CellGrid(5, 3, 1.0, (0, 0))
+    indices = [grid.index(c) for c in grid.cells()]
+    assert [grid.cell_at(i) for i in indices] == list(grid.cells())
+    # flat indices order like (col, row) tuples
+    assert sorted(indices) == [grid.index(c) for c in sorted(grid.cells())]
+    frame = set(range(len(grid.flat))) - set(indices)
+    assert len(frame) == 2 * (5 + 3) + 4
+    assert all(grid.flat[i] == BORDER for i in frame)
+    for cell in [(0, 0), (4, 2), (2, 1)]:
+        moved = [(cell[0] + dc, cell[1] + dr) for dc, dr in NEIGHBORS_8]
+        assert [grid.cell_at(grid.index(cell) + off) for off, _ in grid.steps] == moved
+        assert grid.neighbors8(cell) == [n for n in moved if grid.in_bounds(n)]
+    with pytest.raises(ValueError):
+        grid.mark_traversed((5, 0))
 
 
 def test_mark_traversed():
@@ -154,6 +171,10 @@ def test_state_transitions_monotone(ops):
         for c in grid.cells():
             if grid.state(c) is not history[c][-1]:
                 history[c].append(grid.state(c))
+        # the frame around the cells stays BORDER, and counts match the cells
+        inside = {grid.index(c) for c in grid.cells()}
+        assert all(b == BORDER for i, b in enumerate(grid.flat) if i not in inside)
+        assert grid.counts() == {s: sum(grid.state(c) is s for c in grid.cells()) for s in CellState}
         # the cached reachable set must match a fresh flood after every op
         obstacles = {c for c in grid.cells() if grid.state(c) is CellState.OBSTACLE}
         expected = {

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from epsplus.grid import CellGrid, CellState
 from epsplus.pathfind import (
     DistanceField,
+    _cached_core,
+    _passability,
     astar,
     build_visibility_graph,
     explored_only,
@@ -194,13 +196,11 @@ def test_visibility_length_bounded_by_grid_path():
 # -- grid search & distance field ------------------------------------------------
 
 def test_grid_astar_squeeze_control():
-    # diagonal squeeze between two obstacles: allowed as motion, not without corner cutting
+    # a diagonal squeeze between two obstacles is allowed as motion
     obstacles = {(1, 2), (2, 1)}
     grid = explored_grid(4, 4, obstacles, (0, 0))
-    squeezing = grid_astar(grid, (1, 1), (2, 2), explored_only, cut_corners=True)
+    squeezing = grid_astar(grid, (1, 1), (2, 2), explored_only)
     assert squeezing.length == pytest.approx(math.sqrt(2))
-    strict = grid_astar(grid, (1, 1), (2, 2), explored_only, cut_corners=False)
-    assert strict is None or strict.length > math.sqrt(2) + 1e-9
 
 
 def test_distance_field_matches_dijkstra_after_growth():
@@ -340,6 +340,22 @@ def test_visibility_edges_through_a_failing_endpoint():
         assert graph_edges(graph) == pairwise_visibility(grid, (0, 0), goal, pred)[1]
 
 
+def test_visibility_core_staleness_follows_state_counts():
+    grid = CellGrid(8, 8, 1.0, (0, 0))
+    grid.apply_sensor_update([(3, 3), (3, 4)])
+    for c in grid.cells():
+        if grid.state(c) is CellState.UNEXPLORED and c not in ((6, 7), (0, 7)):
+            grid.mark_traversed(c)
+    before = {pred: _cached_core(grid, pred) for pred in (explored_only, non_obstacle)}
+    grid.mark_traversed((6, 7))
+    assert _cached_core(grid, non_obstacle) is before[non_obstacle]
+    assert _cached_core(grid, explored_only) is not before[explored_only]
+    before = {pred: _cached_core(grid, pred) for pred in (explored_only, non_obstacle)}
+    grid.apply_sensor_update([(0, 7)])
+    for pred, core in before.items():
+        assert _cached_core(grid, pred) is not core
+
+
 def test_visibility_cache_keeps_one_core_per_predicate():
     grid = explored_grid(8, 8, {(3, 3), (3, 4)}, (0, 0))
     for _ in range(3):
@@ -349,9 +365,45 @@ def test_visibility_cache_keeps_one_core_per_predicate():
     assert len(grid._vis_cores) == 2
 
 
+# -- flat-index walks against tuple references -------------------------------------
+
+def reference_obstacle_vertices(grid, traversable):
+    """Tuple-based scan of every cell: the vertex set the flat-index walk must find."""
+    state = grid.state
+    out = []
+    for row in range(grid.height):
+        for col in range(grid.width):
+            if not traversable(state((col, row))):
+                continue
+            for dc, dr in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                d = (col + dc, row + dr)
+                if not grid.in_bounds(d) or state(d) is not CellState.OBSTACLE:
+                    continue
+                if (
+                    state((col + dc, row)) is not CellState.OBSTACLE
+                    and state((col, row + dr)) is not CellState.OBSTACLE
+                ):
+                    out.append((col, row))
+                    break
+    return out
+
+
+def test_flat_walks_match_tuple_references():
+    rng = random.Random(41)
+    for _ in range(60):
+        w, h = rng.randint(1, 14), rng.randint(1, 14)
+        grid = random_belief_grid(rng, w, h)
+        for pred in (explored_only, non_obstacle):
+            assert obstacle_vertices(grid, pred) == sorted(reference_obstacle_vertices(grid, pred))
+            extra = frozenset([rng.choice(list(grid.cells())), (-1, 0), (w, h)])
+            ok = _passability(grid, pred, extra)
+            passing = {c for c in grid.cells() if pred(grid.state(c)) or c in extra}
+            assert {grid.cell_at(i) for i, b in enumerate(ok) if b} == passing
+
+
 # -- grid A* ---------------------------------------------------------------------
 
-def reference_grid_astar(grid, start, goal, traversable, extra, cut_corners):
+def reference_grid_astar(grid, start, goal, traversable, extra):
     """Cell-tuple grid A*: the heap entries the mask-based search must reproduce."""
 
     def passable(c):
@@ -380,9 +432,6 @@ def reference_grid_astar(grid, start, goal, traversable, extra, cut_corners):
             v = (u[0] + dc, u[1] + dr)
             if not passable(v) or v in closed:
                 continue
-            if dc and dr and not cut_corners:
-                if not (passable((u[0] + dc, u[1])) and passable((u[0], u[1] + dr))):
-                    continue
             ng = g[u] + (math.sqrt(2.0) * grid.cell_size if dc and dr else grid.cell_size)
             if ng < g.get(v, math.inf):
                 g[v] = ng
@@ -404,9 +453,8 @@ def random_belief_grid(rng, w, h):
     return grid
 
 
-@pytest.mark.parametrize("cut_corners", [True, False])
-def test_grid_astar_matches_dijkstra_with_unexplored_goal(cut_corners):
-    rng = random.Random(23 if cut_corners else 29)
+def test_grid_astar_matches_dijkstra_with_unexplored_goal():
+    rng = random.Random(23)
     found = missed = 0
     for _ in range(60):
         grid = random_belief_grid(rng, rng.randint(5, 16), rng.randint(5, 16))
@@ -416,9 +464,9 @@ def test_grid_astar_matches_dijkstra_with_unexplored_goal(cut_corners):
         goal = rng.choice(unexplored) if unexplored else rng.choice(explored)
         extra = frozenset((goal,))
         for pred in (explored_only, non_obstacle):
-            path = grid_astar(grid, start, goal, pred, extra=extra, cut_corners=cut_corners)
-            dist = grid_dijkstra(grid, start, pred, extra=extra, cut_corners=cut_corners)
-            ref = reference_grid_astar(grid, start, goal, pred, extra, cut_corners)
+            path = grid_astar(grid, start, goal, pred, extra=extra)
+            dist = grid_dijkstra(grid, start, pred, extra=extra)
+            ref = reference_grid_astar(grid, start, goal, pred, extra)
             if path is None:
                 assert goal not in dist and ref is None
                 missed += 1
@@ -430,7 +478,4 @@ def test_grid_astar_matches_dijkstra_with_unexplored_goal(cut_corners):
             for u, v in zip(path.cells, path.cells[1:]):
                 assert max(abs(u[0] - v[0]), abs(u[1] - v[1])) == 1
                 assert grid.in_bounds(v) and (pred(grid.state(v)) or v in extra)
-                if not cut_corners and u[0] != v[0] and u[1] != v[1]:
-                    for side in ((v[0], u[1]), (u[0], v[1])):
-                        assert pred(grid.state(side)) or side in extra
     assert found and missed
