@@ -7,7 +7,10 @@ it, then move. Every move is booked in one place: its energy, its segment
 and its log row. Retreats and advances run as shortest paths over explored
 cells (the shorter of visibility-graph A* and 8-connected grid A*, since no
 sight-line path may exist yet); advances may cross unexplored free space
-only when no explored corridor to the restart point exists. The unexplored
+only when no explored corridor to the restart point exists. Both planners
+take a start that passes the predicate and admit the goal whatever its
+state, so a sight-line path is always also a grid walk: grid A* runs first,
+and the visibility graph is built only when it found a path. The unexplored
 cells still reachable from the station come from the belief grid's cached
 flood fill.
 
@@ -46,6 +49,7 @@ from .errors import PlanningError
 from .grid import Cell, CellGrid, CellState
 from .hierarchy import MapsHierarchy
 from .pathfind import (
+    SQRT2,
     DistanceField,
     PathResult,
     StatePredicate,
@@ -55,12 +59,11 @@ from .pathfind import (
     explored_only,
     grid_astar,
     non_obstacle,
+    path_length,
     supercover_line,
 )
 from .planner import next_waypoint, restart_point
 from .sim import GroundTruth, SensorModel
-
-SQRT2 = math.sqrt(2.0)
 
 
 class MissionEvent(Enum):
@@ -142,19 +145,6 @@ def report_to_text(report: MissionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _SegmentBuilder:
-    __slots__ = ("kind", "cells", "length", "energy")
-
-    def __init__(self, kind: SegmentKind, start: Cell):
-        self.kind = kind
-        self.cells = [start]
-        self.length = 0.0
-        self.energy = 0.0
-
-    def freeze(self) -> TrajectorySegment:
-        return TrajectorySegment(self.kind, self.cells, self.length, self.energy)
-
-
 class Mission:
     """Single deterministic mission over one ground-truth map."""
 
@@ -175,7 +165,7 @@ class Mission:
         self.log_rows: list[LogRow] = []
         self.report: MissionReport | None = None
         self.infeasible: set[Cell] = set()
-        self._segments: list[_SegmentBuilder] = []
+        self._segments: list[TrajectorySegment] = []
         self._visits: dict[Cell, int] = {}
         self._cum_length = 0.0
         self._route: list[Cell] = []  # remaining cells of the planned coverage route
@@ -230,17 +220,15 @@ class Mission:
         self._traj_start_unexplored = self.grid.counts()[CellState.UNEXPLORED]
 
     def _close_trajectory(self) -> None:
-        traj = Trajectory(len(self.trajectories) + 1, [s.freeze() for s in self._segments])
+        traj = Trajectory(len(self.trajectories) + 1, self._segments)
         assert traj.first_cell == self.grid.station and traj.last_cell == self.grid.station
         assert traj.energy <= self.energy.capacity + 1e-9
         assert self.grid.counts()[CellState.UNEXPLORED] < self._traj_start_unexplored
         self.trajectories.append(traj)
         self._segments = []
 
-    def _begin_segment(self, kind: SegmentKind, start: Cell) -> _SegmentBuilder:
-        seg = _SegmentBuilder(kind, start)
-        self._segments.append(seg)
-        return seg
+    def _begin_segment(self, kind: SegmentKind, start: Cell) -> None:
+        self._segments.append(TrajectorySegment(kind, [start], 0.0, 0.0))
 
     def _coverage_enter(self, cell: Cell) -> None:
         self._begin_segment(SegmentKind.COVERAGE, cell)
@@ -334,15 +322,14 @@ class Mission:
     def _shortest(self, start: Cell, goal: Cell, traversable: StatePredicate) -> PathResult | None:
         """The shorter of visibility-graph A* and grid A* (ties: lower cell list).
 
-        The goal is admitted whatever its state; both planners accept it.
+        Every sight-line path is also a grid walk, so the visibility graph
+        is built only when grid A* found a path.
         """
-        vis = build_visibility_graph(self.grid, start, goal, traversable)
-        options = [
-            astar(vis, start, goal),
-            grid_astar(self.grid, start, goal, traversable, extra=frozenset((goal,))),
-        ]
-        found = [p for p in options if p is not None]
-        return min(found, key=lambda p: (p.length, p.cells), default=None)
+        walk = grid_astar(self.grid, start, goal, traversable)
+        if walk is None:
+            return None
+        sight = astar(build_visibility_graph(self.grid, start, goal, traversable), start, goal)
+        return walk if sight is None else min((sight, walk), key=lambda p: (p.length, p.cells))
 
     def _plan_retreat(self, from_cell: Cell) -> PathResult:
         plan = self._shortest(from_cell, self.grid.station, explored_only)
@@ -372,27 +359,13 @@ class Mission:
         self._route = plan.cells
         return plan.cells
 
-    @staticmethod
-    def _chain_length(grid: CellGrid, cells: list[Cell]) -> float:
-        return math.fsum(euclid(grid, cells[i], cells[i + 1]) for i in range(len(cells) - 1))
-
     # -- phases ---------------------------------------------------------------
 
     def _run(self):
         while True:
-            terminal = yield from self._coverage_phase()
-            if terminal == "done":
-                yield from self._retreat_moves()
-                self._close_trajectory()
-                self._finalize()
-                yield MissionEvent.COMPLETED
-                return
-            yield from self._retreat_moves()
-            self._close_trajectory()
-            self.energy.charge_full()
-            yield MissionEvent.RECHARGED
-            resumed = yield from self._advance_phase()
-            if not resumed:
+            done = (yield from self._coverage_phase()) == "done"
+            yield from self._return_home(recharge=not done)
+            if done or not (yield from self._advance_phase()):
                 self._finalize()
                 yield MissionEvent.COMPLETED
                 return
@@ -410,7 +383,7 @@ class Mission:
             if wp is None:
                 return "done"
             route = self._route_for(wp.cell)
-            l_rest = self._chain_length(grid, route)
+            l_rest = path_length(grid, route)
             step_cost = energy.coverage_rate * l_rest
             if len(route) == 2:
                 est = self.dfield.neighbor_estimate(wp.cell)
@@ -426,16 +399,20 @@ class Mission:
             self._coverage_move(nxt)
             yield MissionEvent.MOVED
 
-    def _retreat_moves(self):
+    def _return_home(self, recharge: bool):
+        """Retreat to the station, close the trajectory, then recharge if asked."""
         station = self.grid.station
         self._begin_segment(SegmentKind.RETREAT, self.pos)
-        if self.pos == station:
-            return
-        yield MissionEvent.RETREAT_STARTED
-        plan = self._plan_retreat(self.pos)
-        status = yield from self._execute_polyline(plan.cells, SegmentKind.RETREAT)
-        if status != "arrived" or self.pos != station:
-            raise PlanningError("retreat did not reach the station")
+        if self.pos != station:
+            yield MissionEvent.RETREAT_STARTED
+            plan = self._plan_retreat(self.pos)
+            status = yield from self._execute_polyline(plan.cells, SegmentKind.RETREAT)
+            if status != "arrived" or self.pos != station:
+                raise PlanningError("retreat did not reach the station")
+        self._close_trajectory()
+        if recharge:
+            self.energy.charge_full()
+            yield MissionEvent.RECHARGED
 
     def _advance_phase(self):
         grid = self.grid
@@ -469,10 +446,7 @@ class Mission:
                 return True
             # advance abandoned: return home, recharge and reselect
             self._coverage_enter(self.pos)
-            yield from self._retreat_moves()
-            self._close_trajectory()
-            self.energy.charge_full()
-            yield MissionEvent.RECHARGED
+            yield from self._return_home(recharge=True)
             skipped = set()
 
     def _advance_exec(self, target: Cell, plan: PathResult):

@@ -9,6 +9,12 @@ cell the segment touches must be traversable, and a segment passing exactly
 through a lattice corner counts both flanking cells, so squeezing between
 two diagonally adjacent blocked cells is not a valid sight line.
 
+Both shortest-path planners, visibility-graph A* and grid A*, take the same
+inputs: the start must pass the predicate (else ``ValueError``), and the
+goal is admitted whatever its state. Consecutive cells of a supercover line
+are 8-adjacent, so every sight-line path is also a grid walk over admitted
+cells: when grid A* finds no path, neither does the visibility graph.
+
 Visibility graphs are assembled per query from a cached core: the obstacle
 vertices, the sight-line edges among them, and for each vertex pair blocked
 by a single cell, that cell. The belief grid holds at most one core per
@@ -132,7 +138,7 @@ def obstacle_vertices(grid: CellGrid, traversable: StatePredicate) -> list[Cell]
     same pattern.
     """
     flat = grid.flat
-    ok = _passability(grid, traversable, frozenset())
+    ok = _passability(grid, traversable)
     obstacle = int(CellState.OBSTACLE)
     off = {move: o for move, (o, _) in zip(NEIGHBORS_8, grid.steps)}
     # per diagonal: (diagonal, its column step, its row step) as flat offsets
@@ -181,9 +187,9 @@ class _Core:
 
     __slots__ = ("adjacency", "blocked_by")
 
-    def __init__(self, grid: CellGrid, traversable: StatePredicate, admit: frozenset[Cell]):
+    def __init__(self, grid: CellGrid, traversable: StatePredicate):
         vertices = obstacle_vertices(grid, traversable)
-        ok = _passability(grid, traversable, admit)
+        ok = _passability(grid, traversable)
         index = grid.index
         adjacency: dict[Cell, list[tuple[Cell, float]]] = {v: [] for v in vertices}
         blocked_by: dict[Cell, list[tuple[Cell, Cell, float]]] = {}
@@ -222,7 +228,7 @@ def _cached_core(grid: CellGrid, traversable: StatePredicate) -> _Core:
     stamp = (flat.count(CellState.OBSTACLE), explored)
     cached = grid._vis_cores.get(key)
     if cached is None or cached[0] != stamp:
-        cached = grid._vis_cores[key] = (stamp, _Core(grid, traversable, frozenset()))
+        cached = grid._vis_cores[key] = (stamp, _Core(grid, traversable))
     return cached[1]
 
 
@@ -234,24 +240,18 @@ def build_visibility_graph(
 ) -> VisibilityGraph:
     """Pairwise-visibility graph over the start, the goal and obstacle vertices.
 
-    The start and goal cells are admitted as nodes regardless of their own
-    state, and sight lines may cross them; all other cells a sight line
-    touches must pass the predicate.
+    The start must pass the predicate (``ValueError`` otherwise); the goal
+    is admitted as a node whatever its state, and sight lines may cross it.
+    All other cells a sight line touches must pass the predicate.
 
     Edges among obstacle vertices come from the grid's cached core, so a
     query adds only the start and goal edges, plus the vertex pairs blocked
-    by nothing but an endpoint that fails the predicate. When both endpoints
-    fail it, a core that admits them is built for this query alone.
+    by nothing but a goal that fails the predicate.
     """
+    _require_passing_start(grid, start, traversable)
     exempt = frozenset((start, goal))
-    failing = [e for e in sorted(exempt) if not traversable(grid.state(e))]
-    if len(failing) == 2:
-        # pairs blocked by both endpoints together are in no cached core
-        core = _Core(grid, traversable, exempt)
-        edges = []
-    else:
-        core = _cached_core(grid, traversable)
-        edges = [pair for e in failing for pair in core.blocked_by.get(e, ())]
+    core = _cached_core(grid, traversable)
+    edges = list(core.blocked_by.get(goal, ()))  # only failing cells block pairs
     shared = core.adjacency
     targets = list(shared)
     adjacency = dict(shared)
@@ -310,22 +310,27 @@ def _reconstruct(grid: CellGrid, parent: dict[Cell, Cell | None], goal: Cell) ->
     return _path_result(grid, cells)
 
 
+def path_length(grid: CellGrid, cells: list[Cell]) -> float:
+    """Length in meters of the polyline through the cell centers."""
+    return math.fsum(euclid(grid, cells[i], cells[i + 1]) for i in range(len(cells) - 1))
+
+
 def _path_result(grid: CellGrid, cells: list[Cell]) -> PathResult:
-    length = math.fsum(euclid(grid, cells[i], cells[i + 1]) for i in range(len(cells) - 1))
-    return PathResult(cells, length)
+    return PathResult(cells, path_length(grid, cells))
 
 
-def _passability(grid: CellGrid, traversable: StatePredicate, extra: frozenset[Cell]) -> bytearray:
-    """1 for every cell that passes the predicate or is in ``extra``, else 0.
+def _require_passing_start(grid: CellGrid, start: Cell, traversable: StatePredicate) -> None:
+    if not (grid.in_bounds(start) and traversable(grid.state(start))):
+        raise ValueError(f"start {start} must be an in-bounds cell that passes the predicate")
+
+
+def _passability(grid: CellGrid, traversable: StatePredicate) -> bytearray:
+    """1 for every cell that passes the predicate, else 0.
 
     The mask is indexed like ``grid.flat``; its border is 0, since the
     translation table maps every byte but the passing states to 0.
     """
-    ok = grid.flat.translate(bytes(bool(traversable(s)) for s in CellState).ljust(256, b"\0"))
-    for cell in extra:
-        if grid.in_bounds(cell):
-            ok[grid.index(cell)] = 1
-    return ok
+    return grid.flat.translate(bytes(bool(traversable(s)) for s in CellState).ljust(256, b"\0"))
 
 
 def _grid_neighbors(
@@ -356,22 +361,22 @@ def grid_astar(
     start: Cell,
     goal: Cell,
     traversable: StatePredicate,
-    extra: frozenset[Cell] = frozenset(),
 ) -> PathResult | None:
     """Shortest 8-connected cell path; diagonal squeezes between blocked cells allowed.
 
-    ``extra`` admits specific cells (typically an unexplored goal) regardless
-    of their state. Cells are searched as flat grid indices over one
-    passability mask built per call; since those indices order like
-    ``(col, row)`` tuples, heap ties break as they would on cells.
+    The start must pass the predicate (``ValueError`` otherwise); the goal
+    is admitted whatever its state (typically an unexplored waypoint), and
+    an out-of-bounds goal has no path. Cells are searched as flat grid
+    indices over one passability mask built per call; since those indices
+    order like ``(col, row)`` tuples, heap ties break as they would on cells.
     """
-    if not (grid.in_bounds(start) and grid.in_bounds(goal)):
+    _require_passing_start(grid, start, traversable)
+    if not grid.in_bounds(goal):
         return None
-    ok = _passability(grid, traversable, extra)
+    ok = _passability(grid, traversable)
     s_idx = grid.index(start)
     g_idx = grid.index(goal)
-    if not (ok[s_idx] and ok[g_idx]):
-        return None
+    ok[g_idx] = 1
     if start == goal:
         return PathResult([start], 0.0)
     steps = grid.steps

@@ -144,3 +144,16 @@ def explored_grid(width, height, obstacles, station):
             if (c, r) not in obstacles:
                 grid.mark_traversed((c, r))
     return grid
+
+
+def random_belief_grid(rng, w, h):
+    """Belief grid with random obstacles and a random mix of explored cells."""
+    grid = CellGrid(w, h, 1.0, (0, 0))
+    obstacles = random_rect_obstacles(rng, w, h, (0, 0), rng.uniform(0.05, 0.35))
+    if obstacles:
+        grid.apply_sensor_update(obstacles)
+    explored_share = rng.uniform(0.3, 1.0)
+    for c in grid.cells():
+        if c not in obstacles and (c == (0, 0) or rng.random() < explored_share):
+            grid.mark_traversed(c)
+    return grid

@@ -1,16 +1,19 @@
+import heapq
 import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from epsplus.config import MissionConfig
 from epsplus.energy import SegmentKind
-from epsplus.grid import parse_map_text
+from epsplus.grid import CellState, parse_map_text
 from epsplus.mission import Mission, MissionEvent, log_to_csv, run_mission
+from epsplus.pathfind import astar, build_visibility_graph, explored_only, grid_astar, non_obstacle
 from epsplus.sim import GroundTruth
 
-from helpers import flood_reachable, map_text, random_rect_obstacles
+from helpers import flood_reachable, map_text, random_belief_grid, random_rect_obstacles
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -259,3 +262,69 @@ def test_retreat_estimate_bounds_every_flown_retreat(monkeypatch):
             assert length <= estimate + 1e-9, (name, start, length, estimate)
         assert flown, name
         assert all(home and left >= 0.0 for home, left in at_station), name
+
+
+def test_shortest_is_the_shorter_of_both_planners():
+    rng = random.Random(53)
+    compared = 0
+    for _ in range(80):
+        grid = random_belief_grid(rng, rng.randint(4, 14), rng.randint(4, 14))
+        cells = list(grid.cells())
+        for pred in (explored_only, non_obstacle):
+            start = rng.choice([c for c in cells if pred(grid.state(c))])
+            goal = rng.choice(cells)
+            vis = astar(build_visibility_graph(grid, start, goal, pred), start, goal)
+            walk = grid_astar(grid, start, goal, pred)
+            if vis is not None:
+                # a sight-line path is a chain of 8-adjacent admitted cells
+                assert walk is not None, (start, goal)
+                compared += 1
+            found = [p for p in (vis, walk) if p is not None]
+            expected = min(found, key=lambda p: (p.length, p.cells), default=None)
+            got = Mission._shortest(SimpleNamespace(grid=grid), start, goal, pred)
+            if expected is None:
+                assert got is None
+            else:
+                assert (got.cells, got.length) == (expected.cells, expected.length)
+    assert compared
+
+
+def true_distances(gt):
+    """8-connected Dijkstra over the ground truth's free cells, from the station."""
+    dist = {gt.station: 0.0}
+    heap = [(0.0, gt.station)]
+    while heap:
+        d, (c, r) = heapq.heappop(heap)
+        if d > dist[(c, r)]:
+            continue
+        for dc in (-1, 0, 1):
+            for dr in (-1, 0, 1):
+                n = (c + dc, r + dr)
+                if n in gt.obstacles or not (0 <= n[0] < gt.width and 0 <= n[1] < gt.height):
+                    continue
+                nd = d + gt.cell_size * math.hypot(dc, dr)
+                if nd < dist.get(n, math.inf):
+                    dist[n] = nd
+                    heapq.heappush(heap, (nd, n))
+    return dist
+
+
+def test_tight_budget_leaves_only_infeasible_cells_uncovered():
+    # a reachable cell may stay uncovered only if no charge pays for flying
+    # there and back along the true shortest path plus one coverage step
+    rng = random.Random(61)
+    skipped = 0
+    for i in range(40):
+        w, h = rng.randint(12, 20), rng.randint(12, 20)
+        obstacles = random_rect_obstacles(rng, w, h, (0, 0), rng.uniform(0.05, 0.3))
+        gt = GroundTruth(w, h, 1.0, frozenset(obstacles), (0, 0))
+        dist = true_distances(gt)
+        cfg = MissionConfig(capacity_e0=rng.uniform(0.6, 1.1) * max(dist.values()), sensor_range=3.0)
+        mission = Mission(gt, cfg)
+        mission.run()
+        min_step = cfg.coverage_rate * math.sqrt(2.0) * gt.cell_size
+        for cell, d in dist.items():
+            if mission.grid.state(cell) is not CellState.EXPLORED:
+                skipped += 1
+                assert 2.0 * cfg.travel_rate * d + min_step > cfg.capacity_e0, (i, cell, d)
+    assert skipped
