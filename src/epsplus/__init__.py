@@ -30,7 +30,6 @@ from .pathfind import (
     euclid,
     explored_only,
     grid_astar,
-    los_clear,
     non_obstacle,
     obstacle_vertices,
     supercover_line,
@@ -71,7 +70,6 @@ __all__ = [
     "explored_only",
     "grid_astar",
     "log_to_csv",
-    "los_clear",
     "next_waypoint",
     "non_obstacle",
     "obstacle_vertices",

@@ -78,6 +78,7 @@ class CellGrid:
         self.b_max = width
         self._reachable: set[Cell] | None = None  # flood-fill cache, see reachable_unexplored
         self._vis_cores: dict = {}  # visibility-graph cores, kept by pathfind
+        self._sight_lines: dict = {}  # flat sight-line offsets per cell delta, kept by pathfind
 
     # -- indexing -----------------------------------------------------------
 

@@ -10,9 +10,11 @@ sight-line path may exist yet); advances may cross unexplored free space
 only when no explored corridor to the restart point exists. Both planners
 take a start that passes the predicate and admit the goal whatever its
 state, so a sight-line path is always also a grid walk: grid A* runs first,
-and the visibility graph is built only when it found a path. The unexplored
-cells still reachable from the station come from the belief grid's cached
-flood fill.
+and the visibility graph is built only when it found a path. An
+explored-only query from the station's explored component that has no path
+is answered from the distance field below, so grid A* runs only when a path
+may exist. The unexplored cells still reachable from the station come from
+the belief grid's cached flood fill.
 
 Reachability and path planning read caches owned by the belief grid. The flood fill is
 dropped when a sensor update adds an obstacle. The visibility-graph core
@@ -180,9 +182,14 @@ class Mission:
     def step(self) -> MissionEvent:
         """Advance the mission by one event; raises once completed."""
         try:
-            return next(self._events)
+            event = next(self._events)
         except StopIteration:
             raise RuntimeError("mission already completed") from None
+        if event is MissionEvent.COMPLETED:
+            # the suspended generator refers to this mission; closing it lets
+            # a completed mission (grid, caches) be freed without the cyclic GC
+            self._events.close()
+        return event
 
     def run(self) -> MissionReport:
         """Run the mission to completion and return the report."""
@@ -322,9 +329,14 @@ class Mission:
     def _shortest(self, start: Cell, goal: Cell, traversable: StatePredicate) -> PathResult | None:
         """The shorter of visibility-graph A* and grid A* (ties: lower cell list).
 
-        Every sight-line path is also a grid walk, so the visibility graph
-        is built only when grid A* found a path.
+        Under ``explored_only``, the distance field answers the misses from
+        a start in the station's explored component without a search, so
+        grid A* runs only where a path may exist. Every sight-line path is
+        also a grid walk, so the visibility graph is built only when grid
+        A* found a path.
         """
+        if traversable is explored_only and self.dfield.no_explored_path(start, goal):
+            return None
         walk = grid_astar(self.grid, start, goal, traversable)
         if walk is None:
             return None

@@ -11,9 +11,10 @@ two diagonally adjacent blocked cells is not a valid sight line.
 
 Both shortest-path planners, visibility-graph A* and grid A*, take the same
 inputs: the start must pass the predicate (else ``ValueError``), and the
-goal is admitted whatever its state. Consecutive cells of a supercover line
-are 8-adjacent, so every sight-line path is also a grid walk over admitted
-cells: when grid A* finds no path, neither does the visibility graph.
+goal is admitted whatever its state; an out-of-bounds goal has no path.
+Consecutive cells of a supercover line are 8-adjacent, so every sight-line
+path is also a grid walk over admitted cells: when grid A* finds no path,
+neither does the visibility graph.
 
 Visibility graphs are assembled per query from a cached core: the obstacle
 vertices, the sight-line edges among them, and for each vertex pair blocked
@@ -26,12 +27,18 @@ rebuilt on its next use. A query then adds only the start and goal edges.
 
 Grid walks (obstacle vertices, grid A*, the distance field) index the
 grid's bordered flat state bytes; a passability mask is one translation.
+Sight lines are checked on such a mask too: a supercover line is
+translation-invariant, so each cell delta maps to one list of flat offsets,
+memoized per grid. A sight line touches the same cells in both directions,
+so lines are walked from their lower endpoint and one offset list serves
+both.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -109,23 +116,21 @@ def supercover_line(a: Cell, b: Cell) -> list[Cell]:
     return cells
 
 
-def los_clear(
-    grid: CellGrid,
-    a: Cell,
-    b: Cell,
-    traversable: StatePredicate,
-    exempt: frozenset[Cell] = frozenset(),
-) -> bool:
-    """True iff every cell touched by the segment a->b passes the predicate.
+def _line_offsets(grid: CellGrid, dc: int, dr: int) -> array:
+    """Flat-index offsets of ``supercover_line((0, 0), (dc, dr))``, in order.
 
-    Cells in ``exempt`` are admitted regardless of state (used for a goal
-    waypoint that is about to be explored).
+    A supercover line is translation-invariant and ``grid.flat`` is
+    column-major, so cell ``(c, r)`` of the line lies ``c * stride + r``
+    bytes from its first cell. The offsets are memoized per grid, as
+    compact arrays: a memo of tuples of ints costs several times the memory.
     """
-    state = grid.state
-    for cell in supercover_line(a, b):
-        if not traversable(state(cell)) and cell not in exempt:
-            return False
-    return True
+    lines = grid._sight_lines
+    offsets = lines.get((dc, dr))
+    if offsets is None:
+        stride = grid.stride
+        cells = supercover_line((0, 0), (dc, dr))
+        offsets = lines[dc, dr] = array("i", [c * stride + r for c, r in cells])
+    return offsets
 
 
 def obstacle_vertices(grid: CellGrid, traversable: StatePredicate) -> list[Cell]:
@@ -190,24 +195,25 @@ class _Core:
     def __init__(self, grid: CellGrid, traversable: StatePredicate):
         vertices = obstacle_vertices(grid, traversable)
         ok = _passability(grid, traversable)
-        index = grid.index
         adjacency: dict[Cell, list[tuple[Cell, float]]] = {v: [] for v in vertices}
         blocked_by: dict[Cell, list[tuple[Cell, Cell, float]]] = {}
         for i, u in enumerate(vertices):
+            uc, ur = u
+            base = grid.index(u)
             for v in vertices[i + 1 :]:
-                blocker = None
-                for cell in supercover_line(u, v):
-                    if not ok[index(cell)]:
-                        if blocker is not None:
+                blocker = -1
+                for o in _line_offsets(grid, v[0] - uc, v[1] - ur):
+                    if not ok[base + o]:
+                        if blocker >= 0:
                             break
-                        blocker = cell
+                        blocker = base + o
                 else:
                     w = euclid(grid, u, v)
-                    if blocker is None:
+                    if blocker < 0:
                         adjacency[u].append((v, w))
                         adjacency[v].append((u, w))
                     else:
-                        blocked_by.setdefault(blocker, []).append((u, v, w))
+                        blocked_by.setdefault(grid.cell_at(blocker), []).append((u, v, w))
         self.adjacency = adjacency
         self.blocked_by = blocked_by
 
@@ -242,24 +248,41 @@ def build_visibility_graph(
 
     The start must pass the predicate (``ValueError`` otherwise); the goal
     is admitted as a node whatever its state, and sight lines may cross it.
-    All other cells a sight line touches must pass the predicate.
+    All other cells a sight line touches must pass the predicate. An
+    out-of-bounds goal is a node without edges, so it has no path.
 
     Edges among obstacle vertices come from the grid's cached core, so a
     query adds only the start and goal edges, plus the vertex pairs blocked
     by nothing but a goal that fails the predicate.
     """
     _require_passing_start(grid, start, traversable)
-    exempt = frozenset((start, goal))
     core = _cached_core(grid, traversable)
-    edges = list(core.blocked_by.get(goal, ()))  # only failing cells block pairs
     shared = core.adjacency
     targets = list(shared)
     adjacency = dict(shared)
-    for e in sorted(exempt):
+    ok = _passability(grid, traversable)  # the start passes already
+    if grid.in_bounds(goal):
+        ok[grid.index(goal)] = 1
+        ends = sorted({start, goal})
+    else:
+        ends = [start]
+        adjacency[goal] = []
+    edges = list(core.blocked_by.get(goal, ()))  # only failing cells block pairs
+    stride = grid.stride
+    for e in ends:
         if e in shared:
             continue
+        ec, er = e
+        base = grid.index(e)
         for v in targets:
-            if los_clear(grid, e, v, traversable, exempt):
+            dc, dr = v[0] - ec, v[1] - er
+            at = base
+            if v < e:  # walk the line from v, as the core does: same cells, one memo entry
+                at, dc, dr = base + dc * stride + dr, -dc, -dr
+            for o in _line_offsets(grid, dc, dr):
+                if not ok[at + o]:
+                    break
+            else:
                 edges.append((e, v, euclid(grid, e, v)))
         targets.append(e)
         adjacency[e] = []
@@ -483,6 +506,23 @@ class DistanceField:
                 if nd < dist[v]:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
+
+    def no_explored_path(self, start: Cell, goal: Cell) -> bool:
+        """True when no explored-only walk leads from the start to the goal.
+
+        The field reaches exactly the station's explored component, over the
+        steps grid A* takes. From a start in that component, a walk that
+        admits the goal reaches the goal exactly when it is the start, lies
+        in the component or borders it. False means a path exists, or that
+        the start lies outside the component, where the field cannot tell.
+        Both cells must be in bounds.
+        """
+        return (
+            start != goal
+            and self.distance(start) < math.inf
+            and self.distance(goal) == math.inf
+            and self.neighbor_estimate(goal) == math.inf
+        )
 
     def neighbor_estimate(self, cell: Cell) -> float:
         """Upper bound on the retreat length from a not-yet-explored cell."""

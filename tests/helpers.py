@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 
 from epsplus.grid import CellGrid
+from epsplus.pathfind import supercover_line
 
 
 def flood_reachable(width, height, obstacles, station):
@@ -28,6 +29,13 @@ def flood_reachable(width, height, obstacles, station):
         reached |= nxt
         frontier = nxt
     return reached
+
+
+def los_clear(grid, a, b, traversable, exempt=frozenset()):
+    """Tuple reference sight line: every cell the segment a->b touches passes
+    the predicate or is in ``exempt`` (a goal admitted whatever its state)."""
+    state = grid.state
+    return all(traversable(state(c)) or c in exempt for c in supercover_line(a, b))
 
 
 def supercover_oracle(a, b):

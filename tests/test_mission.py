@@ -1,6 +1,8 @@
+import gc
 import heapq
 import math
 import random
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -10,7 +12,14 @@ from epsplus.config import MissionConfig
 from epsplus.energy import SegmentKind
 from epsplus.grid import CellState, parse_map_text
 from epsplus.mission import Mission, MissionEvent, log_to_csv, run_mission
-from epsplus.pathfind import astar, build_visibility_graph, explored_only, grid_astar, non_obstacle
+from epsplus.pathfind import (
+    DistanceField,
+    astar,
+    build_visibility_graph,
+    explored_only,
+    grid_astar,
+    non_obstacle,
+)
 from epsplus.sim import GroundTruth
 
 from helpers import flood_reachable, map_text, random_belief_grid, random_rect_obstacles
@@ -48,6 +57,21 @@ def test_first_event_is_sensed_and_completed_is_last():
     assert events[-1] is MissionEvent.COMPLETED
     with pytest.raises(RuntimeError):
         m.step()
+
+
+def test_completed_mission_is_freed_without_cyclic_gc():
+    m = Mission(gt_from_text(EMPTY_3X3), MissionConfig(capacity_e0=1e6))
+    while m.step() is not MissionEvent.COMPLETED:
+        pass
+    ref = weakref.ref(m)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del m
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_step_replay_matches_run():
@@ -270,6 +294,10 @@ def test_shortest_is_the_shorter_of_both_planners():
     for _ in range(80):
         grid = random_belief_grid(rng, rng.randint(4, 14), rng.randint(4, 14))
         cells = list(grid.cells())
+        dfield = DistanceField(grid)
+        for c in cells:
+            if grid.state(c) is CellState.EXPLORED:
+                dfield.insert(c)
         for pred in (explored_only, non_obstacle):
             start = rng.choice([c for c in cells if pred(grid.state(c))])
             goal = rng.choice(cells)
@@ -281,7 +309,7 @@ def test_shortest_is_the_shorter_of_both_planners():
                 compared += 1
             found = [p for p in (vis, walk) if p is not None]
             expected = min(found, key=lambda p: (p.length, p.cells), default=None)
-            got = Mission._shortest(SimpleNamespace(grid=grid), start, goal, pred)
+            got = Mission._shortest(SimpleNamespace(grid=grid, dfield=dfield), start, goal, pred)
             if expected is None:
                 assert got is None
             else:

@@ -9,13 +9,13 @@ from epsplus.grid import CellGrid, CellState
 from epsplus.pathfind import (
     DistanceField,
     _cached_core,
+    _line_offsets,
     _passability,
     astar,
     build_visibility_graph,
     explored_only,
     grid_astar,
     grid_dijkstra,
-    los_clear,
     non_obstacle,
     obstacle_vertices,
     supercover_line,
@@ -24,6 +24,7 @@ from epsplus.pathfind import (
 from helpers import (
     dijkstra_on_graph,
     explored_grid,
+    los_clear,
     random_belief_grid,
     random_rect_obstacles,
     supercover_oracle,
@@ -54,6 +55,20 @@ def test_supercover_matches_rational_oracle(ax, ay, bx, by):
     # consecutive cells stay 8-connected so the walk is executable
     for u, v in zip(got, got[1:]):
         assert max(abs(u[0] - v[0]), abs(u[1] - v[1])) == 1
+
+
+def test_line_offsets_map_back_to_supercover_lines():
+    grid = CellGrid(7, 4, 1.0, (0, 0))  # stride 6, not width + 2
+    assert list(_line_offsets(grid, 1, 1)) == [0, grid.stride, 1, grid.stride + 1]  # corner tie
+    for dc in range(1 - grid.width, grid.width):
+        for dr in range(1 - grid.height, grid.height):
+            a = (max(0, -dc), max(0, -dr))
+            b = (a[0] + dc, a[1] + dr)
+            base = grid.index(a)
+            cells = [grid.cell_at(base + o) for o in _line_offsets(grid, dc, dr)]
+            assert cells == supercover_line(a, b), (dc, dr)
+            # callers walk a line from its lower endpoint: the same cells
+            assert set(supercover_line(b, a)) == set(cells), (dc, dr)
 
 
 # -- line of sight -------------------------------------------------------------
@@ -238,6 +253,41 @@ def test_distance_field_matches_dijkstra_after_growth():
         for cell in grid.cells():
             if grid.state(cell) is CellState.EXPLORED:
                 assert field.distance(cell) == pytest.approx(oracle[cell], abs=1e-9)
+
+
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["sense", "traverse"]), st.integers(0, 24)),
+        max_size=30,
+    )
+)
+@settings(deadline=None)
+def test_distance_field_predicts_explored_only_misses(ops):
+    grid = CellGrid(5, 5, 1.0, (0, 0))
+    field = DistanceField(grid)
+    grid.mark_traversed(grid.station)
+    field.insert(grid.station)
+    for kind, raw in ops:
+        cell = (raw % 5, raw // 5)
+        if kind == "sense":
+            if grid.state(cell) is CellState.UNEXPLORED and cell != grid.station:
+                grid.apply_sensor_update({cell})
+        elif grid.state(cell) is not CellState.OBSTACLE:
+            grid.mark_traversed(cell)
+            field.insert(cell)
+        explored = [c for c in grid.cells() if grid.state(c) is CellState.EXPLORED]
+        inside = [c for c in explored if field.distance(c) < math.inf]
+        outside = [c for c in explored if field.distance(c) == math.inf]
+        starts = {grid.station, inside[raw % len(inside)]}
+        if outside:
+            starts.add(outside[raw % len(outside)])
+        for start in starts:
+            for goal in grid.cells():
+                rule = field.no_explored_path(start, goal)
+                if start in outside:
+                    assert not rule, (start, goal)  # the field cannot tell there
+                else:
+                    assert rule == (grid_astar(grid, start, goal, explored_only) is None), (start, goal)
 
 
 # -- visibility-graph cache ------------------------------------------------------
@@ -480,3 +530,23 @@ def test_failing_start_raises():
             build_visibility_graph(grid, start, (0, 0), pred)
         with pytest.raises(ValueError):
             grid_astar(grid, start, (0, 0), pred)
+
+
+def test_out_of_bounds_goal_has_no_path():
+    # (0, h + 2) has the flat index of (1, 0), an unexplored cell on the
+    # sight lines from the station to the vertices around the obstacle
+    w, h = 6, 4
+    grid = CellGrid(w, h, 1.0, (0, 0))
+    grid.apply_sensor_update([(3, 2)])
+    for c in grid.cells():
+        if c not in ((3, 2), (1, 0)):
+            grid.mark_traversed(c)
+    start = (0, 0)
+    for goal in ((-1, 0), (w, 0), (0, h + 2)):
+        for pred in (explored_only, non_obstacle):
+            assert grid_astar(grid, start, goal, pred) is None
+            graph = build_visibility_graph(grid, start, goal, pred)
+            assert astar(graph, start, goal) is None
+            nodes, edges = pairwise_visibility(grid, start, start, pred)
+            assert graph.nodes == sorted(nodes + [goal])
+            assert graph_edges(graph) == edges
