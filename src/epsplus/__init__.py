@@ -27,7 +27,6 @@ from .pathfind import (
     VisibilityGraph,
     astar,
     build_visibility_graph,
-    euclid,
     explored_only,
     grid_astar,
     non_obstacle,
@@ -66,7 +65,6 @@ __all__ = [
     "astar",
     "build_visibility_graph",
     "default_level_count",
-    "euclid",
     "explored_only",
     "grid_astar",
     "log_to_csv",

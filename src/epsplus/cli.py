@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import MissionConfig, parse_config
+from .energy import SegmentKind
 from .errors import MapFormatError
 from .grid import parse_map_text
 from .mission import LOG_HEADER, LogRow, Mission, log_to_csv, report_to_text
@@ -59,12 +60,15 @@ def read_log_csv(text: str) -> list[LogRow]:
         raise ValueError("log file is empty")
     if ",".join(header) != LOG_HEADER:
         raise ValueError(f"unexpected log header: {','.join(header)!r}")
+    kinds = {k.value for k in SegmentKind}
     rows: list[LogRow] = []
     for rec in reader:
         if not rec:
             continue
         if len(rec) != 6:
             raise ValueError(f"log row has {len(rec)} fields, expected 6: {rec!r}")
+        if rec[1] not in kinds:
+            raise ValueError(f"log line {reader.line_num}: unknown segment kind {rec[1]!r}")
         rows.append((int(rec[0]), rec[1], int(rec[2]), int(rec[3]), float(rec[4]), float(rec[5])))
     return rows
 

@@ -40,6 +40,7 @@ class MissionConfig:
 def parse_config(text: str) -> MissionConfig:
     """Parse the flat ``key = value`` format ('#' starts a comment)."""
     values: dict[str, object] = {}
+    seen_at: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -49,6 +50,8 @@ def parse_config(text: str) -> MissionConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
+        if key in seen_at:
+            raise ValueError(f"config line {lineno}: {key} already set on line {seen_at[key]}")
         if key in _FLOAT_KEYS:
             try:
                 values[key] = float(value)
@@ -66,4 +69,5 @@ def parse_config(text: str) -> MissionConfig:
                     )
         else:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        seen_at[key] = lineno
     return MissionConfig(**values)  # type: ignore[arg-type]

@@ -1,7 +1,9 @@
 """Belief map: the finest tiling, per-cell symbolic state and the static sweep field.
 
-Cells are addressed as ``(col, row)`` tuples with column 0 at the left and
-row 0 at the bottom. Each cell carries one of three symbolic states:
+One cell is a 1 m square, the vehicle's footprint, so distances between
+cell centers are in meters. Cells are addressed as ``(col, row)`` tuples
+with column 0 at the left and row 0 at the bottom. Each cell carries one of
+three symbolic states:
 
 * ``UNEXPLORED`` -- nothing known yet (initial state of every cell),
 * ``EXPLORED``   -- the vehicle has traversed the cell,
@@ -54,28 +56,20 @@ _STATE_OF = tuple(CellState)  # byte value -> CellState
 class CellGrid:
     """Dense belief grid plus the static column-potential field."""
 
-    def __init__(self, width: int, height: int, cell_size: float, station: Cell):
+    def __init__(self, width: int, height: int, station: Cell):
         if width < 1 or height < 1:
             raise ValueError(f"grid dimensions must be >= 1, got {width}x{height}")
-        if cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {cell_size}")
         col, row = station
         if not (0 <= col < width and 0 <= row < height):
             raise ValueError(f"station {station} outside {width}x{height} grid")
         self.width = width
         self.height = height
-        self.cell_size = float(cell_size)
         self.station = (int(col), int(row))
         self.stride = stride = height + 2
         edge = bytes([BORDER])
         self.flat = bytearray(edge * stride + (edge + bytes(height) + edge) * width + edge * stride)
         # (flat index offset, step length in meters) per move, in NEIGHBORS_8 order
-        self.steps = tuple(
-            (dc * stride + dr, self.cell_size * math.hypot(dc, dr)) for dc, dr in NEIGHBORS_8
-        )
-        # column plateaus, strictly decreasing left to right
-        self._b_by_col = [width - c for c in range(width)]
-        self.b_max = width
+        self.steps = tuple((dc * stride + dr, math.hypot(dc, dr)) for dc, dr in NEIGHBORS_8)
         self._reachable: set[Cell] | None = None  # flood-fill cache, see reachable_unexplored
         self._vis_cores: dict = {}  # visibility-graph cores, kept by pathfind
         self._sight_lines: dict = {}  # flat sight-line offsets per cell delta, kept by pathfind
@@ -101,7 +95,7 @@ class CellGrid:
 
     def b_field(self, cell: Cell) -> int:
         """Static potential of the cell's column."""
-        return self._b_by_col[cell[0]]
+        return self.width - cell[0]
 
     def cells(self) -> Iterator[Cell]:
         for row in range(self.height):
@@ -235,19 +229,3 @@ def parse_map_text(text: str) -> ParsedMap:
         raise MapFormatError("map has no station cell 'C'")
     return ParsedMap(width, height, frozenset(obstacles), station)
 
-
-def grid_to_ascii(grid: CellGrid) -> str:
-    """Snapshot the belief grid in the ASCII map format (top row first)."""
-    lines = []
-    for row in range(grid.height - 1, -1, -1):
-        chars = []
-        for col in range(grid.width):
-            cell = (col, row)
-            if cell == grid.station:
-                chars.append("C")
-            elif grid.state(cell) is CellState.OBSTACLE:
-                chars.append("#")
-            else:
-                chars.append(".")
-        lines.append("".join(chars))
-    return "\n".join(lines) + "\n"

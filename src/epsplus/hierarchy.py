@@ -16,16 +16,6 @@ import math
 from .grid import Cell, CellGrid, CellState
 
 
-def potential_level0(grid: CellGrid, cell: Cell) -> float:
-    """Discrete potential of a single finest-level cell."""
-    st = grid.state(cell)
-    if st is CellState.OBSTACLE:
-        return -1.0
-    if st is CellState.EXPLORED:
-        return 0.0
-    return float(grid.b_field(cell))
-
-
 def default_level_count(width: int, height: int) -> int:
     """Smallest K such that the top level collapses to a single cell."""
     return max(1, math.ceil(math.log2(max(width, height))))

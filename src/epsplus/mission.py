@@ -51,13 +51,11 @@ from .errors import PlanningError
 from .grid import Cell, CellGrid, CellState
 from .hierarchy import MapsHierarchy
 from .pathfind import (
-    SQRT2,
     DistanceField,
     PathResult,
     StatePredicate,
     astar,
     build_visibility_graph,
-    euclid,
     explored_only,
     grid_astar,
     non_obstacle,
@@ -66,6 +64,8 @@ from .pathfind import (
 )
 from .planner import next_waypoint, restart_point
 from .sim import GroundTruth, SensorModel
+
+SQRT2 = math.sqrt(2.0)  # the longest single step, a diagonal between 1 m cells
 
 
 class MissionEvent(Enum):
@@ -153,7 +153,7 @@ class Mission:
     def __init__(self, gt: GroundTruth, config: MissionConfig | None = None):
         self.gt = gt
         self.config = config or MissionConfig()
-        self.grid = CellGrid(gt.width, gt.height, gt.cell_size, gt.station)
+        self.grid = CellGrid(gt.width, gt.height, gt.station)
         self.hier = MapsHierarchy(self.grid, self.config.levels)
         self.energy = EnergyState(
             capacity=self.config.capacity_e0,
@@ -262,7 +262,7 @@ class Mission:
         The energy is consumed first, so an exhausted budget raises before
         this method changes anything.
         """
-        d = euclid(self.grid, frm, to)
+        d = math.dist(frm, to)
         cost = self.energy.consume(d, kind)
         self.pos = to
         seg = self._segments[-1]
@@ -395,7 +395,7 @@ class Mission:
             if wp is None:
                 return "done"
             route = self._route_for(wp.cell)
-            l_rest = path_length(grid, route)
+            l_rest = path_length(route)
             step_cost = energy.coverage_rate * l_rest
             if len(route) == 2:
                 est = self.dfield.neighbor_estimate(wp.cell)
@@ -429,7 +429,7 @@ class Mission:
     def _advance_phase(self):
         grid = self.grid
         station = grid.station
-        min_step = SQRT2 * grid.cell_size
+        min_step = SQRT2
         cov = self.energy.coverage_rate
         travel = self.energy.travel_rate
         skipped: set[Cell] = set()
@@ -441,7 +441,7 @@ class Mission:
             if wp is None:
                 return False
             target = wp.cell
-            d_opt = euclid(grid, station, target)
+            d_opt = math.dist(station, target)
             if self.energy.capacity < 2.0 * travel * d_opt + cov * min_step:
                 self.infeasible.add(target)
                 continue

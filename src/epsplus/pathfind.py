@@ -1,5 +1,8 @@
 """Line-of-sight tests, visibility graphs and shortest-path search.
 
+Path lengths are Euclidean distances between cell centers in meters (a cell
+is a 1 m square, see ``grid``), so ``math.dist`` measures every edge.
+
 The traversability rules are parameterized by a predicate on cell states:
 retreat and advance paths may only cross explored cells, while routing to a
 distant coverage waypoint may also cross unexplored (non-obstacle) cells.
@@ -46,8 +49,6 @@ from .grid import Cell, CellGrid, CellState, NEIGHBORS_8
 
 StatePredicate = Callable[[CellState], bool]
 
-SQRT2 = math.sqrt(2.0)
-
 
 def explored_only(state: CellState) -> bool:
     return state is CellState.EXPLORED
@@ -55,11 +56,6 @@ def explored_only(state: CellState) -> bool:
 
 def non_obstacle(state: CellState) -> bool:
     return state is not CellState.OBSTACLE
-
-
-def euclid(grid: CellGrid, a: Cell, b: Cell) -> float:
-    """Center-to-center distance in meters."""
-    return grid.cell_size * math.hypot(b[0] - a[0], b[1] - a[1])
 
 
 def supercover_line(a: Cell, b: Cell) -> list[Cell]:
@@ -176,8 +172,7 @@ class VisibilityGraph:
     core; callers must not modify them.
     """
 
-    def __init__(self, grid: CellGrid, nodes: list[Cell], adjacency: dict[Cell, list[tuple[Cell, float]]]):
-        self.grid = grid
+    def __init__(self, nodes: list[Cell], adjacency: dict[Cell, list[tuple[Cell, float]]]):
         self.nodes = nodes
         self.adjacency = adjacency
 
@@ -208,7 +203,7 @@ class _Core:
                             break
                         blocker = base + o
                 else:
-                    w = euclid(grid, u, v)
+                    w = math.dist(u, v)
                     if blocker < 0:
                         adjacency[u].append((v, w))
                         adjacency[v].append((u, w))
@@ -283,7 +278,7 @@ def build_visibility_graph(
                 if not ok[at + o]:
                     break
             else:
-                edges.append((e, v, euclid(grid, e, v)))
+                edges.append((e, v, math.dist(e, v)))
         targets.append(e)
         adjacency[e] = []
     for u, v, w in edges:
@@ -292,7 +287,7 @@ def build_visibility_graph(
                 adjacency[a] = adjacency[a] + [(b, w)]  # copy, so the core stays intact
             else:
                 adjacency[a].append((b, w))
-    return VisibilityGraph(grid, sorted(adjacency), adjacency)
+    return VisibilityGraph(sorted(adjacency), adjacency)
 
 
 def astar(graph: VisibilityGraph, start: Cell, goal: Cell) -> PathResult | None:
@@ -301,10 +296,9 @@ def astar(graph: VisibilityGraph, start: Cell, goal: Cell) -> PathResult | None:
         raise ValueError("start and goal must be graph nodes")
     if start == goal:
         return PathResult([start], 0.0)
-    grid = graph.grid
     g = {start: 0.0}
     parent: dict[Cell, Cell | None] = {start: None}
-    heap = [(euclid(grid, start, goal), start)]
+    heap = [(math.dist(start, goal), start)]
     closed: set[Cell] = set()
     while heap:
         _, u = heapq.heappop(heap)
@@ -312,7 +306,7 @@ def astar(graph: VisibilityGraph, start: Cell, goal: Cell) -> PathResult | None:
             continue
         closed.add(u)
         if u == goal:
-            return _reconstruct(grid, parent, goal)
+            return _reconstruct(parent, goal)
         gu = g[u]
         for v, w in graph.adjacency[u]:
             if v in closed:
@@ -321,25 +315,21 @@ def astar(graph: VisibilityGraph, start: Cell, goal: Cell) -> PathResult | None:
             if ng < g.get(v, math.inf):
                 g[v] = ng
                 parent[v] = u
-                heapq.heappush(heap, (ng + euclid(grid, v, goal), v))
+                heapq.heappush(heap, (ng + math.dist(v, goal), v))
     return None
 
 
-def _reconstruct(grid: CellGrid, parent: dict[Cell, Cell | None], goal: Cell) -> PathResult:
+def _reconstruct(parent: dict[Cell, Cell | None], goal: Cell) -> PathResult:
     cells = [goal]
     while parent[cells[-1]] is not None:
         cells.append(parent[cells[-1]])  # type: ignore[arg-type]
     cells.reverse()
-    return _path_result(grid, cells)
+    return PathResult(cells, path_length(cells))
 
 
-def path_length(grid: CellGrid, cells: list[Cell]) -> float:
+def path_length(cells: list[Cell]) -> float:
     """Length in meters of the polyline through the cell centers."""
-    return math.fsum(euclid(grid, cells[i], cells[i + 1]) for i in range(len(cells) - 1))
-
-
-def _path_result(grid: CellGrid, cells: list[Cell]) -> PathResult:
-    return PathResult(cells, path_length(grid, cells))
+    return math.fsum(math.dist(cells[i], cells[i + 1]) for i in range(len(cells) - 1))
 
 
 def _require_passing_start(grid: CellGrid, start: Cell, traversable: StatePredicate) -> None:
@@ -354,29 +344,6 @@ def _passability(grid: CellGrid, traversable: StatePredicate) -> bytearray:
     translation table maps every byte but the passing states to 0.
     """
     return grid.flat.translate(bytes(bool(traversable(s)) for s in CellState).ljust(256, b"\0"))
-
-
-def _grid_neighbors(
-    grid: CellGrid,
-    cell: Cell,
-    passable: Callable[[Cell], bool],
-    cut_corners: bool,
-) -> list[tuple[Cell, float]]:
-    col, row = cell
-    step = grid.cell_size
-    diag = SQRT2 * grid.cell_size
-    out = []
-    for dc, dr in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
-        n = (col + dc, row + dr)
-        if not grid.in_bounds(n) or not passable(n):
-            continue
-        if dc != 0 and dr != 0:
-            if not cut_corners and not (passable((col + dc, row)) and passable((col, row + dr))):
-                continue
-            out.append((n, diag))
-        else:
-            out.append((n, step))
-    return out
 
 
 def grid_astar(
@@ -404,13 +371,12 @@ def grid_astar(
         return PathResult([start], 0.0)
     steps = grid.steps
     cell_at = grid.cell_at
-    size = grid.cell_size
     hypot = math.hypot
     heappush, heappop = heapq.heappush, heapq.heappop
     gc, gr = goal
     g = {s_idx: 0.0}
     parent = {s_idx: -1}
-    heap = [(euclid(grid, start, goal), s_idx)]
+    heap = [(math.dist(start, goal), s_idx)]
     closed = bytearray(len(ok))
     while heap:
         _, u = heappop(heap)
@@ -423,7 +389,7 @@ def grid_astar(
                 cells.append(cell_at(u))
                 u = parent[u]
             cells.reverse()
-            return _path_result(grid, cells)
+            return PathResult(cells, path_length(cells))
         gu = g[u]
         for off, w in steps:
             v = u + off
@@ -434,36 +400,8 @@ def grid_astar(
                 g[v] = ng
                 parent[v] = u
                 vc, vr = cell_at(v)
-                heappush(heap, (ng + size * hypot(gc - vc, gr - vr), v))
+                heappush(heap, (ng + hypot(gc - vc, gr - vr), v))
     return None
-
-
-def grid_dijkstra(
-    grid: CellGrid,
-    source: Cell,
-    traversable: StatePredicate,
-    extra: frozenset[Cell] = frozenset(),
-    cut_corners: bool = True,
-) -> dict[Cell, float]:
-    """Shortest-path lengths from the source to every passable cell."""
-
-    def passable(c: Cell) -> bool:
-        return traversable(grid.state(c)) or c in extra
-
-    if not passable(source):
-        return {}
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in _grid_neighbors(grid, u, passable, cut_corners):
-            nd = d + w
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
 
 
 class DistanceField:

@@ -18,11 +18,11 @@ Reachability is the grid's own cached flood fill
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .grid import Cell, CellGrid, CellState
 from .hierarchy import MapsHierarchy
-from .pathfind import euclid
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def next_waypoint(
     for n in grid.neighbors8(current):
         if grid.state(n) is not CellState.UNEXPLORED or n in excluded:
             continue
-        key = (-grid.b_field(n), euclid(grid, current, n), n)
+        key = (-grid.b_field(n), math.dist(current, n), n)
         if best is None or key < best:
             best = key
     if best is not None:

@@ -6,6 +6,10 @@ between the two centers is not blocked by a nearer obstacle cell. Rays are
 traced over the supercover cells of the segment, so obstacles hiding behind
 other obstacles (including diagonal corner contacts) stay undetected until
 seen from a better vantage point.
+
+Ranges are in meters and cells are 1 m squares, so the cell offsets inside
+the disk depend on the range alone: each :class:`SensorModel` computes them
+once.
 """
 
 from __future__ import annotations
@@ -20,9 +24,18 @@ class SensorModel:
     """Disk field-of-view sonar with a fixed range in meters."""
 
     def __init__(self, range_m: float):
-        if range_m <= 0:
-            raise ValueError(f"sensor range must be positive, got {range_m}")
-        self.range_m = float(range_m)
+        if not 0 < range_m < math.inf:
+            raise ValueError(f"sensor range must be a positive finite number, got {range_m}")
+        self.range_m = range_m = float(range_m)
+        # cell offsets whose centers lie within range, in (dc, dr) order
+        r_int = int(math.floor(range_m))
+        limit = range_m * range_m + 1e-12
+        self.offsets = sorted(
+            (dc, dr)
+            for dr in range(-r_int, r_int + 1)
+            for dc in range(-r_int, r_int + 1)
+            if (dc or dr) and dc * dc + dr * dr <= limit
+        )
 
 
 class GroundTruth:
@@ -32,7 +45,6 @@ class GroundTruth:
         self,
         width: int,
         height: int,
-        cell_size: float,
         obstacles: frozenset[Cell],
         station: Cell,
     ):
@@ -47,44 +59,16 @@ class GroundTruth:
             raise ValueError(f"station {station} out of bounds")
         self.width = width
         self.height = height
-        self.cell_size = float(cell_size)
         self.obstacles = frozenset(obstacles)
         self.station = station
         self._sense_cache: dict[tuple[float, Cell], frozenset[Cell]] = {}
-        self._offsets: list[Cell] | None = None
-        self._offsets_range: float | None = None
 
     @classmethod
-    def from_parsed(cls, parsed: ParsedMap, cell_size: float = 1.0) -> "GroundTruth":
-        return cls(parsed.width, parsed.height, cell_size, parsed.obstacles, parsed.station)
+    def from_parsed(cls, parsed: ParsedMap) -> "GroundTruth":
+        return cls(parsed.width, parsed.height, parsed.obstacles, parsed.station)
 
     def is_obstacle(self, cell: Cell) -> bool:
         return cell in self.obstacles
-
-    def free_cells(self) -> set[Cell]:
-        return {
-            (col, row)
-            for row in range(self.height)
-            for col in range(self.width)
-            if (col, row) not in self.obstacles
-        }
-
-    def _disk_offsets(self, range_m: float) -> list[Cell]:
-        if self._offsets is None or self._offsets_range != range_m:
-            r_cells = range_m / self.cell_size
-            r_int = int(math.floor(r_cells))
-            limit = r_cells * r_cells
-            offsets = []
-            for dr in range(-r_int, r_int + 1):
-                for dc in range(-r_int, r_int + 1):
-                    if dc == 0 and dr == 0:
-                        continue
-                    if dc * dc + dr * dr <= limit + 1e-12:
-                        offsets.append((dc, dr))
-            offsets.sort()
-            self._offsets = offsets
-            self._offsets_range = range_m
-        return self._offsets
 
     def sense(self, sensor: SensorModel, pose: Cell) -> frozenset[Cell]:
         """Obstacle cells visible from the pose cell (in range, not occluded)."""
@@ -95,7 +79,7 @@ class GroundTruth:
         if cached is not None:
             return cached
         detected = set()
-        for dc, dr in self._disk_offsets(sensor.range_m):
+        for dc, dr in sensor.offsets:
             target = (pose[0] + dc, pose[1] + dr)
             if not (0 <= target[0] < self.width and 0 <= target[1] < self.height):
                 continue

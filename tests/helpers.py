@@ -6,7 +6,7 @@ import heapq
 import math
 from fractions import Fraction
 
-from epsplus.grid import CellGrid
+from epsplus.grid import CellGrid, CellState
 from epsplus.pathfind import supercover_line
 
 
@@ -103,10 +103,48 @@ def dijkstra_on_graph(graph, start, goal):
     while parent[cells[-1]] is not None:
         cells.append(parent[cells[-1]])
     cells.reverse()
-    return math.fsum(
-        math.hypot(cells[i + 1][0] - cells[i][0], cells[i + 1][1] - cells[i][1]) * graph.grid.cell_size
-        for i in range(len(cells) - 1)
-    )
+    return math.fsum(math.dist(cells[i], cells[i + 1]) for i in range(len(cells) - 1))
+
+
+def grid_dijkstra(grid, source, traversable, extra=frozenset(), cut_corners=True):
+    """Reference shortest 8-connected walk lengths from the source to every
+    cell that passes the predicate or is in ``extra``; a diagonal step past a
+    blocked flank is taken only when ``cut_corners`` is set."""
+
+    def passable(c):
+        return grid.in_bounds(c) and (traversable(grid.state(c)) or c in extra)
+
+    if not passable(source):
+        return {}
+    dist = {source: 0.0}
+    heap = [(0.0, source)]
+    while heap:
+        d, (col, row) = heapq.heappop(heap)
+        if d > dist[(col, row)]:
+            continue
+        for dc, dr in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)):
+            v = (col + dc, row + dr)
+            if not passable(v):
+                continue
+            if dc and dr and not cut_corners:
+                if not (passable((col + dc, row)) and passable((col, row + dr))):
+                    continue
+            nd = d + (math.sqrt(2.0) if dc and dr else 1.0)
+            if nd < dist.get(v, math.inf):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def potential_level0(grid, cell):
+    """Reference potential of a finest-level cell: -1 obstacle, 0 explored,
+    the column's static field value when unexplored."""
+    st = grid.state(cell)
+    if st is CellState.OBSTACLE:
+        return -1.0
+    if st is CellState.EXPLORED:
+        return 0.0
+    return float(grid.b_field(cell))
 
 
 def random_rect_obstacles(rng, width, height, station, density):
@@ -144,7 +182,7 @@ def map_text(width, height, obstacles, station):
 
 def explored_grid(width, height, obstacles, station):
     """Belief grid with every free cell explored (obstacles all discovered)."""
-    grid = CellGrid(width, height, 1.0, station)
+    grid = CellGrid(width, height, station)
     if obstacles:
         grid.apply_sensor_update(obstacles)
     for r in range(height):
@@ -156,7 +194,7 @@ def explored_grid(width, height, obstacles, station):
 
 def random_belief_grid(rng, w, h):
     """Belief grid with random obstacles and a random mix of explored cells."""
-    grid = CellGrid(w, h, 1.0, (0, 0))
+    grid = CellGrid(w, h, (0, 0))
     obstacles = random_rect_obstacles(rng, w, h, (0, 0), rng.uniform(0.05, 0.35))
     if obstacles:
         grid.apply_sensor_update(obstacles)

@@ -10,15 +10,16 @@ from pathlib import Path
 
 from epsplus.config import MissionConfig
 from epsplus.grid import CellGrid, CellState, parse_map_text
-from epsplus.hierarchy import potential_level0
 from epsplus.mission import Mission, log_to_csv, report_to_text, run_mission
-from epsplus.pathfind import astar, build_visibility_graph, explored_only, grid_dijkstra
+from epsplus.pathfind import astar, build_visibility_graph, explored_only
 from epsplus.sim import GroundTruth
 
 from helpers import (
     dijkstra_on_graph,
     explored_grid,
     flood_reachable,
+    grid_dijkstra,
+    potential_level0,
     random_rect_obstacles,
 )
 
@@ -99,7 +100,7 @@ def test_criterion_3_budget_safety_200_maps():
         h = rng.randint(10, 40)
         station = (0, 0)
         obstacles = random_rect_obstacles(rng, w, h, station, rng.uniform(0.0, 0.3))
-        gt = GroundTruth(w, h, 1.0, frozenset(obstacles), station)
+        gt = GroundTruth(w, h, frozenset(obstacles), station)
         # sampled above the feasibility guard: every cell's optimistic round
         # trip costs at most travel * 2 * diag, with margin for detours
         e0 = 3.0 * math.hypot(w, h) + 40.0
@@ -154,7 +155,7 @@ def test_criterion_5_potential_conformance():
     for _ in range(40):
         w = rng.randint(3, 30)
         h = rng.randint(3, 30)
-        grid = CellGrid(w, h, 1.0, (0, 0))
+        grid = CellGrid(w, h, (0, 0))
         for cell in list(grid.cells()):
             r = rng.random()
             if r < 0.3 and cell != grid.station:
@@ -188,7 +189,7 @@ def test_criterion_6_completeness_vs_flood_fill():
         h = rng.randint(8, 22)
         station = (0, 0)
         obstacles = random_rect_obstacles(rng, w, h, station, rng.uniform(0.0, 0.25))
-        gt = GroundTruth(w, h, 1.0, frozenset(obstacles), station)
+        gt = GroundTruth(w, h, frozenset(obstacles), station)
         e0 = 3.0 * math.hypot(w, h) + 40.0
         cfg = MissionConfig(capacity_e0=e0, travel_rate=0.5, sensor_range=3.5)
         mission = Mission(gt, cfg)

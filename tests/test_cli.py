@@ -163,6 +163,21 @@ def test_render_out_of_bounds_cell_errors(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+def test_render_unknown_segment_kind_exit_1(tmp_path, capsys):
+    map_path = write(tmp_path, "m.txt", SMALL_MAP)
+    log_path = write(
+        tmp_path, "bad.csv",
+        "trajectory_index,segment_kind,col,row,remaining_energy,cumulative_length\n"
+        "1,coverage,0,0,5.0,0.0\n"
+        "1,bogus,1,0,4.0,1.0\n",
+    )
+    rc = main(["render", log_path, map_path])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 3" in err and "'bogus'" in err
+    assert not (tmp_path / "bad.svg").exists()
+
+
 def test_render_single_step_log(tmp_path):
     parsed = parse_map_text(SMALL_MAP)
     rows = [(1, "coverage", 0, 0, 5.0, 0.0), (1, "coverage", 1, 0, 4.0, 1.0)]
@@ -213,8 +228,14 @@ def test_config_defaults_and_overrides():
         "travel_rate = inf",
         "coverage_rate = -inf",
         "sensor_range = inf",
+        "capacity_e0 = 3\n# later\ncapacity_e0 = 500",
     ],
 )
 def test_config_rejects_bad_input(text):
     with pytest.raises(ValueError):
         parse_config(text)
+
+
+def test_config_repeated_key_names_both_lines():
+    with pytest.raises(ValueError, match="line 3: capacity_e0 already set on line 1"):
+        parse_config("capacity_e0 = 3\n# later\ncapacity_e0 = 500")

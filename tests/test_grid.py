@@ -2,57 +2,56 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epsplus.errors import MapConflictError, MapFormatError
-from epsplus.grid import BORDER, NEIGHBORS_8, CellGrid, CellState, grid_to_ascii, parse_map_text
+from epsplus.grid import BORDER, NEIGHBORS_8, CellGrid, CellState, parse_map_text
 
-from helpers import flood_reachable
+from helpers import flood_reachable, map_text
 
 
 def test_new_grid_50x50():
-    grid = CellGrid(50, 50, 1.0, (0, 0))
+    grid = CellGrid(50, 50, (0, 0))
     assert all(grid.state(c) is CellState.UNEXPLORED for c in grid.cells())
     assert grid.b_field((0, 0)) == 50
     assert grid.b_field((49, 17)) == 1
-    assert grid.b_max == 50
 
 
 def test_new_grid_degenerate():
-    grid = CellGrid(1, 1, 1.0, (0, 0))
+    grid = CellGrid(1, 1, (0, 0))
     assert grid.state((0, 0)) is CellState.UNEXPLORED
     assert grid.b_field((0, 0)) == 1
 
 
 def test_new_grid_column_plateaus():
-    grid = CellGrid(3, 2, 1.0, (0, 0))
+    grid = CellGrid(3, 2, (0, 0))
     assert [grid.b_field((c, 0)) for c in range(3)] == [3, 2, 1]
     assert [grid.b_field((c, 1)) for c in range(3)] == [3, 2, 1]
 
 
 def test_new_grid_station_out_of_bounds():
     with pytest.raises(ValueError):
-        CellGrid(5, 5, 1.0, (5, 0))
+        CellGrid(5, 5, (5, 0))
     with pytest.raises(ValueError):
-        CellGrid(0, 5, 1.0, (0, 0))
+        CellGrid(0, 5, (0, 0))
 
 
 def test_sensor_update_single():
-    grid = CellGrid(5, 5, 1.0, (0, 0))
+    grid = CellGrid(5, 5, (0, 0))
     assert grid.apply_sensor_update({(2, 3)}) == 1
     assert grid.state((2, 3)) is CellState.OBSTACLE
 
 
 def test_sensor_update_empty():
-    grid = CellGrid(5, 5, 1.0, (0, 0))
+    grid = CellGrid(5, 5, (0, 0))
     assert grid.apply_sensor_update(set()) == 0
 
 
 def test_sensor_update_absorbing():
-    grid = CellGrid(5, 5, 1.0, (0, 0))
+    grid = CellGrid(5, 5, (0, 0))
     assert grid.apply_sensor_update({(2, 3)}) == 1
     assert grid.apply_sensor_update({(2, 3)}) == 0
 
 
 def test_sensor_update_conflicts():
-    grid = CellGrid(5, 5, 1.0, (0, 0))
+    grid = CellGrid(5, 5, (0, 0))
     grid.mark_traversed((1, 1))
     with pytest.raises(MapConflictError):
         grid.apply_sensor_update({(1, 1)})
@@ -63,7 +62,7 @@ def test_sensor_update_conflicts():
 
 
 def test_flat_index_round_trip():
-    grid = CellGrid(5, 3, 1.0, (0, 0))
+    grid = CellGrid(5, 3, (0, 0))
     indices = [grid.index(c) for c in grid.cells()]
     assert [grid.cell_at(i) for i in indices] == list(grid.cells())
     # flat indices order like (col, row) tuples
@@ -80,7 +79,7 @@ def test_flat_index_round_trip():
 
 
 def test_mark_traversed():
-    grid = CellGrid(4, 4, 1.0, (0, 0))
+    grid = CellGrid(4, 4, (0, 0))
     grid.mark_traversed((2, 2))
     assert grid.state((2, 2)) is CellState.EXPLORED
     grid.mark_traversed((2, 2))  # explored is absorbing
@@ -91,19 +90,19 @@ def test_mark_traversed():
 
 
 def test_reachable_unexplored_open_grid():
-    grid = CellGrid(3, 3, 1.0, (0, 0))
+    grid = CellGrid(3, 3, (0, 0))
     assert grid.reachable_unexplored() == {(c, r) for c in range(3) for r in range(3)}
 
 
 def test_reachable_unexplored_sealed_cell():
-    grid = CellGrid(5, 5, 1.0, (0, 0))
+    grid = CellGrid(5, 5, (0, 0))
     ring = {(1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (1, 3), (2, 3), (3, 3)}
     grid.apply_sensor_update(ring)
     assert (2, 2) not in grid.reachable_unexplored()
 
 
 def test_reachable_unexplored_wall_vs_oracle():
-    grid = CellGrid(5, 5, 1.0, (0, 0))
+    grid = CellGrid(5, 5, (0, 0))
     wall = {(2, r) for r in range(5)}
     grid.apply_sensor_update(wall)
     expected = {
@@ -119,9 +118,7 @@ def test_parse_map_round_trip():
     assert parsed.width == 4 and parsed.height == 3
     assert parsed.station == (0, 0)
     assert parsed.obstacles == {(3, 2), (1, 1), (3, 0)}
-    grid = CellGrid(parsed.width, parsed.height, 1.0, parsed.station)
-    grid.apply_sensor_update(parsed.obstacles)
-    assert grid_to_ascii(grid) == text
+    assert map_text(parsed.width, parsed.height, parsed.obstacles, parsed.station) == text
 
 
 @pytest.mark.parametrize(
@@ -141,12 +138,12 @@ def test_parse_map_errors(text, fragment):
 
 
 def test_b_field_invariants_direct_scan():
-    grid = CellGrid(17, 9, 1.0, (0, 0))
+    grid = CellGrid(17, 9, (0, 0))
     for col in range(17):
         plateau = {grid.b_field((col, row)) for row in range(9)}
         assert len(plateau) == 1
         b = plateau.pop()
-        assert 1 <= b <= grid.b_max
+        assert 1 <= b <= grid.width
         if col > 0:
             assert grid.b_field((col - 1, 0)) > b
 
@@ -158,7 +155,7 @@ def test_b_field_invariants_direct_scan():
     )
 )
 def test_state_transitions_monotone(ops):
-    grid = CellGrid(6, 6, 1.0, (0, 0))
+    grid = CellGrid(6, 6, (0, 0))
     history = {c: [grid.state(c)] for c in grid.cells()}
     for kind, raw in ops:
         cell = (raw % 6, raw // 6)

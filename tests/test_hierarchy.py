@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from epsplus.grid import CellGrid, CellState
-from epsplus.hierarchy import MapsHierarchy, default_level_count, potential_level0
+from epsplus.hierarchy import MapsHierarchy, default_level_count
+
+from helpers import potential_level0
 
 
 def brute_counts(grid, level):
@@ -24,7 +26,7 @@ def brute_counts(grid, level):
 
 
 def test_potential_level0_cases():
-    grid = CellGrid(50, 50, 1.0, (0, 0))
+    grid = CellGrid(50, 50, (0, 0))
     grid.apply_sensor_update({(3, 3)})
     grid.mark_traversed((4, 4))
     assert potential_level0(grid, (3, 3)) == -1.0
@@ -33,7 +35,7 @@ def test_potential_level0_cases():
 
 
 def test_potential_case_totality():
-    grid = CellGrid(8, 8, 1.0, (0, 0))
+    grid = CellGrid(8, 8, (0, 0))
     grid.apply_sensor_update({(1, 1)})
     grid.mark_traversed((2, 2))
     for cell in grid.cells():
@@ -51,13 +53,13 @@ def test_default_level_count_single_top_cell():
     for w, h in [(1, 1), (3, 2), (50, 50), (40, 17)]:
         k = default_level_count(w, h)
         assert (1 << k) >= max(w, h)
-        grid = CellGrid(w, h, 1.0, (0, 0))
+        grid = CellGrid(w, h, (0, 0))
         top = MapsHierarchy(grid).level(k)
         assert top.ncols == 1 and top.nrows == 1
 
 
 def test_coarse_potential_extremes():
-    grid = CellGrid(8, 8, 1.0, (0, 0))
+    grid = CellGrid(8, 8, (0, 0))
     h = MapsHierarchy(grid)
     assert h.level(1).potential(0, 0) == 1.0
     for c in range(2):
@@ -69,7 +71,7 @@ def test_coarse_potential_extremes():
 
 def test_coarse_potential_fraction_vs_recount():
     # 10x10 grid: the top level is a single cell clipped to the whole map
-    grid = CellGrid(10, 10, 1.0, (0, 0))
+    grid = CellGrid(10, 10, (0, 0))
     h = MapsHierarchy(grid)
     rng = random.Random(7)
     explored = rng.sample([c for c in grid.cells()], 63)
@@ -83,7 +85,7 @@ def test_coarse_potential_fraction_vs_recount():
 
 
 def test_rebuild_counts_matches_incremental():
-    grid = CellGrid(9, 7, 1.0, (0, 0))
+    grid = CellGrid(9, 7, (0, 0))
     h = MapsHierarchy(grid)
     grid.mark_traversed((4, 4))
     h.on_state_change((4, 4), CellState.UNEXPLORED, CellState.EXPLORED)
@@ -100,7 +102,7 @@ def test_rebuild_counts_matches_incremental():
 
 @given(st.lists(st.tuples(st.integers(0, 62), st.booleans()), max_size=50))
 def test_counters_match_brute_force(flips):
-    grid = CellGrid(9, 7, 1.0, (0, 0))
+    grid = CellGrid(9, 7, (0, 0))
     h = MapsHierarchy(grid)
     for raw, as_obstacle in flips:
         cell = (raw % 9, raw // 9)
@@ -121,7 +123,7 @@ def test_counters_match_brute_force(flips):
 
 
 def test_levels_validation():
-    grid = CellGrid(4, 4, 1.0, (0, 0))
+    grid = CellGrid(4, 4, (0, 0))
     with pytest.raises(ValueError):
         MapsHierarchy(grid, levels=0)
     h = MapsHierarchy(grid, levels=3)

@@ -1,5 +1,4 @@
 import gc
-import heapq
 import math
 import random
 import weakref
@@ -22,7 +21,14 @@ from epsplus.pathfind import (
 )
 from epsplus.sim import GroundTruth
 
-from helpers import flood_reachable, map_text, random_belief_grid, random_rect_obstacles
+from helpers import (
+    explored_grid,
+    flood_reachable,
+    grid_dijkstra,
+    map_text,
+    random_belief_grid,
+    random_rect_obstacles,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -176,7 +182,7 @@ def test_safety_and_completeness_on_random_maps():
         h = rng.randint(8, 16)
         station = (0, 0)
         obstacles = random_rect_obstacles(rng, w, h, station, rng.uniform(0.0, 0.3))
-        gt = GroundTruth(w, h, 1.0, frozenset(obstacles), station)
+        gt = GroundTruth(w, h, frozenset(obstacles), station)
         e0 = 3.0 * math.hypot(w, h) + 40.0
         cfg = MissionConfig(capacity_e0=e0, travel_rate=0.5, sensor_range=3.0)
         report = run_mission(gt, cfg)
@@ -317,26 +323,6 @@ def test_shortest_is_the_shorter_of_both_planners():
     assert compared
 
 
-def true_distances(gt):
-    """8-connected Dijkstra over the ground truth's free cells, from the station."""
-    dist = {gt.station: 0.0}
-    heap = [(0.0, gt.station)]
-    while heap:
-        d, (c, r) = heapq.heappop(heap)
-        if d > dist[(c, r)]:
-            continue
-        for dc in (-1, 0, 1):
-            for dr in (-1, 0, 1):
-                n = (c + dc, r + dr)
-                if n in gt.obstacles or not (0 <= n[0] < gt.width and 0 <= n[1] < gt.height):
-                    continue
-                nd = d + gt.cell_size * math.hypot(dc, dr)
-                if nd < dist.get(n, math.inf):
-                    dist[n] = nd
-                    heapq.heappush(heap, (nd, n))
-    return dist
-
-
 def test_tight_budget_leaves_only_infeasible_cells_uncovered():
     # a reachable cell may stay uncovered only if no charge pays for flying
     # there and back along the true shortest path plus one coverage step
@@ -345,12 +331,13 @@ def test_tight_budget_leaves_only_infeasible_cells_uncovered():
     for i in range(40):
         w, h = rng.randint(12, 20), rng.randint(12, 20)
         obstacles = random_rect_obstacles(rng, w, h, (0, 0), rng.uniform(0.05, 0.3))
-        gt = GroundTruth(w, h, 1.0, frozenset(obstacles), (0, 0))
-        dist = true_distances(gt)
+        gt = GroundTruth(w, h, frozenset(obstacles), (0, 0))
+        # with every free cell explored, explored-only distances are the true ones
+        dist = grid_dijkstra(explored_grid(w, h, obstacles, (0, 0)), (0, 0), explored_only)
         cfg = MissionConfig(capacity_e0=rng.uniform(0.6, 1.1) * max(dist.values()), sensor_range=3.0)
         mission = Mission(gt, cfg)
         mission.run()
-        min_step = cfg.coverage_rate * math.sqrt(2.0) * gt.cell_size
+        min_step = cfg.coverage_rate * math.sqrt(2.0)
         for cell, d in dist.items():
             if mission.grid.state(cell) is not CellState.EXPLORED:
                 skipped += 1

@@ -15,7 +15,6 @@ from epsplus.pathfind import (
     build_visibility_graph,
     explored_only,
     grid_astar,
-    grid_dijkstra,
     non_obstacle,
     obstacle_vertices,
     supercover_line,
@@ -24,6 +23,7 @@ from epsplus.pathfind import (
 from helpers import (
     dijkstra_on_graph,
     explored_grid,
+    grid_dijkstra,
     los_clear,
     random_belief_grid,
     random_rect_obstacles,
@@ -58,7 +58,7 @@ def test_supercover_matches_rational_oracle(ax, ay, bx, by):
 
 
 def test_line_offsets_map_back_to_supercover_lines():
-    grid = CellGrid(7, 4, 1.0, (0, 0))  # stride 6, not width + 2
+    grid = CellGrid(7, 4, (0, 0))  # stride 6, not width + 2
     assert list(_line_offsets(grid, 1, 1)) == [0, grid.stride, 1, grid.stride + 1]  # corner tie
     for dc in range(1 - grid.width, grid.width):
         for dr in range(1 - grid.height, grid.height):
@@ -93,7 +93,7 @@ def test_los_corner_graze_blocked():
 
 
 def test_los_unknown_blocks_explored_predicate_only():
-    grid = CellGrid(4, 1, 1.0, (0, 0))
+    grid = CellGrid(4, 1, (0, 0))
     for c in range(4):
         if c != 2:
             grid.mark_traversed((c, 0))
@@ -134,7 +134,7 @@ def test_visibility_goal_equals_start():
 
 
 def test_unexplored_goal_is_admitted():
-    grid = CellGrid(3, 1, 1.0, (0, 0))
+    grid = CellGrid(3, 1, (0, 0))
     grid.mark_traversed((0, 0))
     grid.mark_traversed((1, 0))
     g = build_visibility_graph(grid, (0, 0), (2, 0), explored_only)
@@ -154,11 +154,8 @@ def test_astar_direct_edge():
 
 def test_astar_prefers_cheaper_total():
     # direct edge of 10 beats a 6+5 two-hop route
-    grid = explored_grid(2, 1, set(), (0, 0))
-
     class FakeGraph:
         def __init__(self):
-            self.grid = grid
             self.nodes = ["s", "m", "g"]
             self.adjacency = {
                 (0, 0): [((1, 0), 10.0), ((5, 5), 6.0)],
@@ -230,7 +227,7 @@ def test_distance_field_matches_dijkstra_after_growth():
         w, h = rng.randint(6, 12), rng.randint(6, 12)
         station = (0, 0)
         obstacles = random_rect_obstacles(rng, w, h, station, 0.15)
-        grid = CellGrid(w, h, 1.0, station)
+        grid = CellGrid(w, h, station)
         if obstacles:
             grid.apply_sensor_update(obstacles)
         field = DistanceField(grid)
@@ -263,7 +260,7 @@ def test_distance_field_matches_dijkstra_after_growth():
 )
 @settings(deadline=None)
 def test_distance_field_predicts_explored_only_misses(ops):
-    grid = CellGrid(5, 5, 1.0, (0, 0))
+    grid = CellGrid(5, 5, (0, 0))
     field = DistanceField(grid)
     grid.mark_traversed(grid.station)
     field.insert(grid.station)
@@ -300,7 +297,7 @@ def pairwise_visibility(grid, start, goal, traversable):
     for i, u in enumerate(nodes):
         for v in nodes[i + 1 :]:
             if los_clear(grid, u, v, traversable, exempt):
-                w = math.hypot(v[0] - u[0], v[1] - u[1]) * grid.cell_size
+                w = math.hypot(v[0] - u[0], v[1] - u[1])
                 edges.add((u, v, w))
                 edges.add((v, u, w))
     return nodes, edges
@@ -321,7 +318,7 @@ QUERY_KINDS = ("any", "unexplored_goal", "vertex_goal", "failing_goal", "same")
 def test_visibility_cache_matches_pairwise_build(data):
     w = data.draw(st.integers(3, 9), label="width")
     h = data.draw(st.integers(3, 9), label="height")
-    grid = CellGrid(w, h, 1.0, (0, 0))
+    grid = CellGrid(w, h, (0, 0))
     grid.mark_traversed((0, 0))
     cells = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
 
@@ -377,7 +374,7 @@ def test_visibility_cache_matches_pairwise_build(data):
 def test_visibility_edges_through_a_failing_endpoint():
     # vertices around the single obstacle (3, 5): (2, 4)-(4, 4) is blocked
     # only by the unexplored goal (3, 4), (2, 4)-(4, 6) only by the obstacle
-    grid = CellGrid(7, 7, 1.0, (0, 0))
+    grid = CellGrid(7, 7, (0, 0))
     grid.apply_sensor_update([(3, 5)])
     for c in grid.cells():
         if c not in ((3, 5), (3, 4)):
@@ -393,7 +390,7 @@ def test_visibility_edges_through_a_failing_endpoint():
 
 
 def test_visibility_core_staleness_follows_state_counts():
-    grid = CellGrid(8, 8, 1.0, (0, 0))
+    grid = CellGrid(8, 8, (0, 0))
     grid.apply_sensor_update([(3, 3), (3, 4)])
     for c in grid.cells():
         if grid.state(c) is CellState.UNEXPLORED and c not in ((6, 7), (0, 7)):
@@ -461,7 +458,7 @@ def reference_grid_astar(grid, start, goal, traversable, extra):
         return grid.in_bounds(c) and (traversable(grid.state(c)) or c in extra)
 
     def h(c):
-        return grid.cell_size * math.hypot(goal[0] - c[0], goal[1] - c[1])
+        return math.hypot(goal[0] - c[0], goal[1] - c[1])
 
     if not (passable(start) and passable(goal)):
         return None
@@ -483,7 +480,7 @@ def reference_grid_astar(grid, start, goal, traversable, extra):
             v = (u[0] + dc, u[1] + dr)
             if not passable(v) or v in closed:
                 continue
-            ng = g[u] + (math.sqrt(2.0) * grid.cell_size if dc and dr else grid.cell_size)
+            ng = g[u] + (math.sqrt(2.0) if dc and dr else 1.0)
             if ng < g.get(v, math.inf):
                 g[v] = ng
                 parent[v] = u
@@ -522,7 +519,7 @@ def test_grid_astar_matches_dijkstra_with_unexplored_goal():
 # -- one planning contract ---------------------------------------------------------
 
 def test_failing_start_raises():
-    grid = CellGrid(4, 4, 1.0, (0, 0))
+    grid = CellGrid(4, 4, (0, 0))
     grid.mark_traversed((0, 0))
     grid.apply_sensor_update([(2, 2)])
     for start, pred in (((1, 1), explored_only), ((2, 2), non_obstacle), ((4, 0), non_obstacle)):
@@ -536,7 +533,7 @@ def test_out_of_bounds_goal_has_no_path():
     # (0, h + 2) has the flat index of (1, 0), an unexplored cell on the
     # sight lines from the station to the vertices around the obstacle
     w, h = 6, 4
-    grid = CellGrid(w, h, 1.0, (0, 0))
+    grid = CellGrid(w, h, (0, 0))
     grid.apply_sensor_update([(3, 2)])
     for c in grid.cells():
         if c not in ((3, 2), (1, 0)):

@@ -4,7 +4,6 @@ import pytest
 
 from epsplus.grid import CellGrid, CellState
 from epsplus.hierarchy import MapsHierarchy
-from epsplus.pathfind import euclid
 from epsplus.planner import next_waypoint, restart_point
 
 
@@ -26,16 +25,8 @@ def explore_all_but(grid, keep_unexplored, obstacles=()):
     return h
 
 
-def test_cost_to_reach():
-    # the neighbor tie-break cost is the center-to-center distance
-    grid = CellGrid(10, 10, 1.0, (0, 0))
-    assert euclid(grid, (3, 3), (4, 3)) == pytest.approx(1.0)
-    assert euclid(grid, (3, 3), (4, 4)) == pytest.approx(math.sqrt(2))
-    assert euclid(grid, (3, 3), (3, 3)) == 0.0
-
-
 def test_unique_positive_neighbor():
-    grid = CellGrid(50, 50, 1.0, (0, 0))
+    grid = CellGrid(50, 50, (0, 0))
     h = explore_all_but(grid, {(4, 5)})
     wp = next_waypoint(grid, h, (5, 5))
     assert wp.cell == (4, 5)
@@ -43,20 +34,20 @@ def test_unique_positive_neighbor():
 
 
 def test_neighbor_ties_prefer_cheaper_then_lex():
-    grid = CellGrid(6, 6, 1.0, (0, 0))
+    grid = CellGrid(6, 6, (0, 0))
     # same column (same potential): straight beats diagonal
     h = explore_all_but(grid, {(3, 2), (3, 3), (3, 4)})
     wp = next_waypoint(grid, h, (2, 3))
     assert wp.cell == (3, 3)
     # equal cost diagonals: lexicographic (col,row)
-    grid2 = CellGrid(6, 6, 1.0, (0, 0))
+    grid2 = CellGrid(6, 6, (0, 0))
     h2 = explore_all_but(grid2, {(3, 2), (3, 4)})
     wp2 = next_waypoint(grid2, h2, (2, 3))
     assert wp2.cell == (3, 2)
 
 
 def test_higher_field_wins_over_lower():
-    grid = CellGrid(6, 6, 1.0, (0, 0))
+    grid = CellGrid(6, 6, (0, 0))
     # left neighbor has a larger static field value than the right one
     h = explore_all_but(grid, {(1, 3), (3, 3)})
     wp = next_waypoint(grid, h, (2, 3))
@@ -64,7 +55,7 @@ def test_higher_field_wins_over_lower():
 
 
 def test_escape_to_distant_cell():
-    grid = CellGrid(30, 10, 1.0, (0, 0))
+    grid = CellGrid(30, 10, (0, 0))
     h = explore_all_but(grid, {(20, 7)})
     current = (5, 5)
     wp = next_waypoint(grid, h, current)
@@ -77,14 +68,14 @@ def test_escape_to_distant_cell():
 
 
 def test_done_when_nothing_unexplored():
-    grid = CellGrid(8, 8, 1.0, (0, 0))
+    grid = CellGrid(8, 8, (0, 0))
     h = explore_all_but(grid, set())
     assert next_waypoint(grid, h, (3, 3)) is None
     assert restart_point(grid, h, (0, 0)) is None
 
 
 def test_escape_skips_unreachable_pockets():
-    grid = CellGrid(7, 7, 1.0, (0, 0))
+    grid = CellGrid(7, 7, (0, 0))
     ring = {(2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (2, 4), (3, 4), (4, 4)}
     h = explore_all_but(grid, {(3, 3), (6, 6)}, obstacles=ring)
     wp = next_waypoint(grid, h, (0, 0))
@@ -93,14 +84,14 @@ def test_escape_skips_unreachable_pockets():
 
 
 def test_restart_unique_candidate():
-    grid = CellGrid(40, 10, 1.0, (0, 0))
+    grid = CellGrid(40, 10, (0, 0))
     h = explore_all_but(grid, {(30, 2)})
     wp = restart_point(grid, h, (0, 0))
     assert wp.cell == (30, 2)
 
 
 def test_restart_prefers_higher_potential_cell():
-    grid = CellGrid(8, 8, 1.0, (0, 0))
+    grid = CellGrid(8, 8, (0, 0))
     # level-1 block (1,0) keeps 3 unexplored cells (0.75), block (3,3) one (0.25)
     h = explore_all_but(grid, {(2, 0), (3, 0), (2, 1), (7, 7)})
     lv = h.level(1)
@@ -118,7 +109,7 @@ def test_restart_prefers_higher_potential_cell():
 
 
 def test_restart_distance_ties_measured_from_station():
-    grid = CellGrid(8, 8, 1.0, (0, 0))
+    grid = CellGrid(8, 8, (0, 0))
     # two fully unexplored level-1 blocks, one near the station, one far
     h = explore_all_but(grid, {(0, 2), (1, 2), (0, 3), (1, 3), (6, 6), (7, 6), (6, 7), (7, 7)})
     wp = restart_point(grid, h, (0, 0))
@@ -126,14 +117,14 @@ def test_restart_distance_ties_measured_from_station():
 
 
 def test_determinism():
-    grid = CellGrid(12, 12, 1.0, (0, 0))
+    grid = CellGrid(12, 12, (0, 0))
     h = explore_all_but(grid, {(3, 7), (9, 2), (10, 10)})
     results = {next_waypoint(grid, h, (5, 5)) for _ in range(5)}
     assert len(results) == 1
 
 
 def test_current_on_obstacle_rejected():
-    grid = CellGrid(5, 5, 1.0, (0, 0))
+    grid = CellGrid(5, 5, (0, 0))
     h = hierarchy_for(grid)
     grid.apply_sensor_update({(2, 2)})
     h.on_state_change((2, 2), CellState.UNEXPLORED, CellState.OBSTACLE)
@@ -142,7 +133,7 @@ def test_current_on_obstacle_rejected():
 
 
 def random_belief(rng, w, h):
-    grid = CellGrid(w, h, 1.0, (0, 0))
+    grid = CellGrid(w, h, (0, 0))
     hier = MapsHierarchy(grid)
     for cell in list(grid.cells()):
         r = rng.random()
@@ -174,7 +165,7 @@ def test_argmax_correctness_on_random_beliefs():
         b = grid.b_field(wp.cell)
         assert all(grid.b_field(n) <= b for n in positives)
         same = [n for n in positives if grid.b_field(n) == b]
-        assert all(euclid(grid, current, wp.cell) <= euclid(grid, current, n) for n in same)
+        assert all(math.dist(current, wp.cell) <= math.dist(current, n) for n in same)
 
 
 def test_done_iff_no_reachable_unexplored():

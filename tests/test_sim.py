@@ -13,7 +13,7 @@ def oracle_sense(gt, range_m, pose):
     """Ray-cast oracle using the rational supercover enumeration."""
     out = set()
     for target in sorted(gt.obstacles):
-        d = math.hypot(target[0] - pose[0], target[1] - pose[1]) * gt.cell_size
+        d = math.hypot(target[0] - pose[0], target[1] - pose[1])
         if d > range_m:
             continue
         ray = supercover_oracle(pose, target)
@@ -29,24 +29,25 @@ def test_from_parsed_and_validation():
     assert gt.station == (1, 0)
     assert gt.is_obstacle((0, 1))
     with pytest.raises(ValueError):
-        GroundTruth(3, 3, 1.0, frozenset({(1, 1)}), (1, 1))
-    with pytest.raises(ValueError):
-        SensorModel(0.0)
+        GroundTruth(3, 3, frozenset({(1, 1)}), (1, 1))
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SensorModel(bad)
 
 
 def test_sense_empty_world():
-    gt = GroundTruth(5, 5, 1.0, frozenset(), (0, 0))
+    gt = GroundTruth(5, 5, frozenset(), (0, 0))
     assert gt.sense(SensorModel(2.5), (2, 2)) == frozenset()
 
 
 def test_sense_single_obstacle_in_range():
-    gt = GroundTruth(5, 5, 1.0, frozenset({(3, 2)}), (0, 0))
+    gt = GroundTruth(5, 5, frozenset({(3, 2)}), (0, 0))
     assert gt.sense(SensorModel(1.5), (2, 2)) == frozenset({(3, 2)})
     assert gt.sense(SensorModel(0.5), (2, 2)) == frozenset()
 
 
 def test_sense_occlusion_behind_obstacle():
-    gt = GroundTruth(7, 3, 1.0, frozenset({(3, 1), (5, 1)}), (0, 0))
+    gt = GroundTruth(7, 3, frozenset({(3, 1), (5, 1)}), (0, 0))
     detected = gt.sense(SensorModel(6.0), (1, 1))
     assert detected == frozenset({(3, 1)})
     assert detected == oracle_sense(gt, 6.0, (1, 1))
@@ -54,7 +55,7 @@ def test_sense_occlusion_behind_obstacle():
 
 def test_sense_diagonal_squeeze_hides_cell():
     # flanking obstacles block the corner-grazing ray to the diagonal cell
-    gt = GroundTruth(4, 4, 1.0, frozenset({(1, 2), (2, 1), (2, 2)}), (0, 0))
+    gt = GroundTruth(4, 4, frozenset({(1, 2), (2, 1), (2, 2)}), (0, 0))
     detected = gt.sense(SensorModel(3.0), (1, 1))
     assert (2, 2) not in detected
     assert detected == oracle_sense(gt, 3.0, (1, 1))
@@ -65,8 +66,8 @@ def test_sense_matches_oracle_on_random_maps():
     for _ in range(25):
         w, h = rng.randint(5, 14), rng.randint(5, 14)
         obstacles = random_rect_obstacles(rng, w, h, (0, 0), rng.uniform(0.05, 0.3))
-        gt = GroundTruth(w, h, 1.0, frozenset(obstacles), (0, 0))
-        free = [c for c in gt.free_cells()]
+        gt = GroundTruth(w, h, frozenset(obstacles), (0, 0))
+        free = [(c, r) for r in range(h) for c in range(w) if (c, r) not in obstacles]
         pose = free[rng.randrange(len(free))]
         range_m = rng.choice([1.5, 2.5, 4.0])
         detected = gt.sense(SensorModel(range_m), pose)
@@ -84,18 +85,18 @@ def test_occlusion_monotonicity():
         obstacles = random_rect_obstacles(rng, w, h, (0, 0), 0.2)
         if not obstacles:
             continue
-        gt = GroundTruth(w, h, 1.0, frozenset(obstacles), (0, 0))
-        pose = sorted(gt.free_cells())[0]
+        gt = GroundTruth(w, h, frozenset(obstacles), (0, 0))
+        pose = min((c, r) for c in range(w) for r in range(h) if (c, r) not in obstacles)
         sensor = SensorModel(5.0)
         base = gt.sense(sensor, pose)
         removed = sorted(obstacles)[0]
-        gt2 = GroundTruth(w, h, 1.0, frozenset(obstacles - {removed}), (0, 0))
+        gt2 = GroundTruth(w, h, frozenset(obstacles - {removed}), (0, 0))
         after = gt2.sense(sensor, pose)
         assert (base - {removed}) <= after
 
 
 def test_validate_move():
-    gt = GroundTruth(5, 5, 1.0, frozenset({(2, 2)}), (0, 0))
+    gt = GroundTruth(5, 5, frozenset({(2, 2)}), (0, 0))
     assert gt.validate_move((1, 1), (1, 2))
     assert gt.validate_move((1, 1), (2, 1))
     assert gt.validate_move((1, 1), (1, 1))
