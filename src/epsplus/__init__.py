@@ -10,7 +10,7 @@ from .config import MissionConfig, parse_config
 from .energy import EnergyState, SegmentKind
 from .errors import EnergyExhaustedError, MapConflictError, MapFormatError, PlanningError
 from .grid import CellGrid, CellState, ParsedMap, parse_map_text
-from .hierarchy import MapsHierarchy, default_level_count
+from .hierarchy import MapsHierarchy
 from .mission import (
     Mission,
     MissionEvent,
@@ -64,7 +64,6 @@ __all__ = [
     "Waypoint",
     "astar",
     "build_visibility_graph",
-    "default_level_count",
     "explored_only",
     "grid_astar",
     "log_to_csv",

@@ -52,6 +52,9 @@ def cmd_run(map_path: str, config_path: str | None, out_dir: str) -> int:
     return 0 if report.uncoverable_cell_count == 0 else 2
 
 
+_LOG_TYPES = (int, str, int, int, float, float)  # one per LOG_HEADER column
+
+
 def read_log_csv(text: str) -> list[LogRow]:
     reader = csv.reader(io.StringIO(text))
     try:
@@ -65,11 +68,19 @@ def read_log_csv(text: str) -> list[LogRow]:
     for rec in reader:
         if not rec:
             continue
-        if len(rec) != 6:
-            raise ValueError(f"log row has {len(rec)} fields, expected 6: {rec!r}")
+        where = f"log line {reader.line_num}"
+        if len(rec) != len(header):
+            raise ValueError(f"{where}: {len(rec)} fields, expected {len(header)}: {rec!r}")
         if rec[1] not in kinds:
-            raise ValueError(f"log line {reader.line_num}: unknown segment kind {rec[1]!r}")
-        rows.append((int(rec[0]), rec[1], int(rec[2]), int(rec[3]), float(rec[4]), float(rec[5])))
+            raise ValueError(f"{where}: unknown segment kind {rec[1]!r}")
+        row = []
+        for column, convert, value in zip(header, _LOG_TYPES, rec):
+            try:
+                row.append(convert(value))
+            except ValueError:
+                kind = "an integer" if convert is int else "a number"
+                raise ValueError(f"{where}: {column} needs {kind}, got {value!r}") from None
+        rows.append(tuple(row))
     return rows
 
 

@@ -16,7 +16,6 @@ class MissionConfig:
     travel_rate: float = 0.5
     coverage_rate: float | None = None  # None -> 2 * travel_rate
     sensor_range: float = 5.0
-    levels: int | None = None  # None -> coarsen until one top cell
 
     def __post_init__(self) -> None:
         if self.coverage_rate is None:
@@ -33,13 +32,11 @@ class MissionConfig:
             raise ValueError("coverage_rate must be positive")
         if self.sensor_range <= 0:
             raise ValueError("sensor_range must be positive")
-        if self.levels is not None and self.levels < 1:
-            raise ValueError("levels must be >= 1 or auto")
 
 
 def parse_config(text: str) -> MissionConfig:
     """Parse the flat ``key = value`` format ('#' starts a comment)."""
-    values: dict[str, object] = {}
+    values: dict[str, float] = {}
     seen_at: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -52,22 +49,11 @@ def parse_config(text: str) -> MissionConfig:
         value = value.strip()
         if key in seen_at:
             raise ValueError(f"config line {lineno}: {key} already set on line {seen_at[key]}")
-        if key in _FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ValueError(f"config line {lineno}: {key} needs a number, got {value!r}")
-        elif key == "levels":
-            if value.lower() == "auto":
-                values[key] = None
-            else:
-                try:
-                    values[key] = int(value)
-                except ValueError:
-                    raise ValueError(
-                        f"config line {lineno}: levels needs an integer or 'auto', got {value!r}"
-                    )
-        else:
+        if key not in _FLOAT_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = float(value)
+        except ValueError:
+            raise ValueError(f"config line {lineno}: {key} needs a number, got {value!r}")
         seen_at[key] = lineno
-    return MissionConfig(**values)  # type: ignore[arg-type]
+    return MissionConfig(**values)

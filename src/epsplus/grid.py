@@ -113,28 +113,31 @@ class CellGrid:
 
     # -- updates ------------------------------------------------------------
 
-    def apply_sensor_update(self, detected_obstacles: Iterable[Cell]) -> int:
-        """Mark detected obstacle cells, returning the number of state changes.
+    def apply_sensor_update(self, detected_obstacles: Iterable[Cell]) -> list[Cell]:
+        """Mark detected obstacle cells, returning the newly marked ones, sorted.
 
         A detection on an explored cell or on the station contradicts the
-        ground truth assumptions and raises :class:`MapConflictError`.
-        Repeated detections of the same cell are no-ops.
+        ground truth assumptions and raises :class:`MapConflictError`
+        before any cell is marked. Repeated detections of the same cell are
+        no-ops.
         """
-        changed = 0
-        for cell in sorted(set(detected_obstacles)):
+        new = []
+        for cell in set(detected_obstacles):
             if not self.in_bounds(cell):
                 raise ValueError(f"detected obstacle {cell} out of bounds")
             if cell == self.station:
                 raise MapConflictError(f"obstacle detected on the station cell {cell}")
-            i = self.index(cell)
-            if self.flat[i] == CellState.EXPLORED:
+            st = self.flat[self.index(cell)]
+            if st == CellState.EXPLORED:
                 raise MapConflictError(f"obstacle detected on explored cell {cell}")
-            if self.flat[i] == CellState.UNEXPLORED:
-                self.flat[i] = CellState.OBSTACLE
-                changed += 1
-        if changed:
+            if st == CellState.UNEXPLORED:
+                new.append(cell)
+        if new:
+            new.sort()
+            for cell in new:
+                self.flat[self.index(cell)] = CellState.OBSTACLE
             self._reachable = None  # a new obstacle may cut the free space
-        return changed
+        return new
 
     def mark_traversed(self, cell: Cell) -> None:
         """Record that the vehicle traversed the cell (unexplored -> explored)."""

@@ -154,7 +154,7 @@ class Mission:
         self.gt = gt
         self.config = config or MissionConfig()
         self.grid = CellGrid(gt.width, gt.height, gt.station)
-        self.hier = MapsHierarchy(self.grid, self.config.levels)
+        self.hier = MapsHierarchy(self.grid)
         self.energy = EnergyState(
             capacity=self.config.capacity_e0,
             travel_rate=self.config.travel_rate,
@@ -201,14 +201,11 @@ class Mission:
     # -- belief updates -------------------------------------------------------
 
     def _add_obstacles(self, detected: "frozenset[Cell] | list[Cell] | set[Cell]") -> list[Cell]:
-        new = sorted(c for c in set(detected) if self.grid.state(c) is CellState.UNEXPLORED)
-        if not new:
-            return []
-        changed = self.grid.apply_sensor_update(detected)
-        assert changed == len(new)
-        for c in new:
-            self.hier.on_state_change(c, CellState.UNEXPLORED, CellState.OBSTACLE)
-        self._route = []
+        new = self.grid.apply_sensor_update(detected)
+        if new:
+            for c in new:
+                self.hier.on_state_change(c, CellState.UNEXPLORED, CellState.OBSTACLE)
+            self._route = []
         return new
 
     def _sense_here(self) -> list[Cell]:

@@ -2,12 +2,11 @@
 
 The default move goes to the 8-neighbor with the highest positive potential
 (ties: cheapest to reach, then lowest (col, row)). When no neighbor is
-positive the vehicle sits on a local extremum and the selection ascends the
-coarse levels until one shows positive potential; the winning coarse cell
-(highest potential, then nearest center, then lowest index) supplies the
-nearest unexplored finest-level cell as the waypoint. The same procedure,
-with distances measured from the station, picks the coverage start point
-after a recharge.
+positive the vehicle sits on a local extremum, and the selection ranks the
+2x2 blocks of the coarse level (highest potential, then nearest center, then
+lowest index); the first block holding a selectable cell supplies its
+nearest unexplored cell as the waypoint. The same procedure, with distances
+measured from the station, picks the coverage start point after a recharge.
 
 Unexplored cells that are walled off from the station, or that the mission
 has ruled out as energy-infeasible, are skipped; when nothing selectable
@@ -28,7 +27,7 @@ from .hierarchy import MapsHierarchy
 @dataclass(frozen=True)
 class Waypoint:
     cell: Cell
-    source_level: int
+    source_level: int  # 0: an 8-neighbor, 1: a coarse 2x2 block
 
 
 def next_waypoint(
@@ -72,29 +71,21 @@ def _coarse_select(
 ) -> Waypoint | None:
     reachable = grid.reachable_unexplored()
     ox, oy = origin
-    for level in range(1, hierarchy.K + 1):
-        lv = hierarchy.level(level)
-        candidates = []
-        for cj in range(lv.nrows):
-            for ci in range(lv.ncols):
-                p = lv.potential(ci, cj)
-                if p <= 0.0:
-                    continue
-                cx, cy = lv.center(ci, cj)
-                d2 = (cx - ox) ** 2 + (cy - oy) ** 2
-                candidates.append((-p, d2, (ci, cj)))
-        candidates.sort()
-        for _, _, (ci, cj) in candidates:
-            best: tuple | None = None
-            for cell in hierarchy.unexplored_in_extent(level, ci, cj):
-                if cell in excluded or cell not in reachable:
-                    continue
-                d2 = (cell[0] - ox) ** 2 + (cell[1] - oy) ** 2
-                key = (d2, cell)
-                if best is None or key < best:
-                    best = key
-            if best is not None:
-                wp = Waypoint(best[1], level)
-                assert grid.state(wp.cell) is CellState.UNEXPLORED
-                return wp
+    candidates = []
+    for cj in range(hierarchy.nrows):
+        for ci in range(hierarchy.ncols):
+            p = hierarchy.potential(ci, cj)
+            if p > 0.0:
+                cx, cy = hierarchy.center(ci, cj)
+                candidates.append((-p, (cx - ox) ** 2 + (cy - oy) ** 2, (ci, cj)))
+    candidates.sort()
+    for _, _, (ci, cj) in candidates:
+        cells = [
+            c for c in hierarchy.unexplored_in_extent(ci, cj)
+            if c not in excluded and c in reachable
+        ]
+        if cells:
+            cell = min(cells, key=lambda c: ((c[0] - ox) ** 2 + (c[1] - oy) ** 2, c))
+            assert grid.state(cell) is CellState.UNEXPLORED
+            return Waypoint(cell, 1)
     return None

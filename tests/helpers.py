@@ -147,6 +147,59 @@ def potential_level0(grid, cell):
     return float(grid.b_field(cell))
 
 
+def default_level_count(width, height):
+    """Levels of the full multiscale hierarchy: coarsen until one top block."""
+    return max(1, math.ceil(math.log2(max(width, height))))
+
+
+def reference_coarse_select(grid, origin, excluded, levels):
+    """Reference K-level coarse selection with brute-force block counts.
+
+    Level k tiles the grid into blocks of 2**k cells a side (clipped at the
+    border). The levels are climbed from 1 to ``levels``; on each, blocks of
+    positive potential (unexplored share) are ranked by (-potential, squared
+    center distance to the origin, (ci, cj)), and the first block holding an
+    unexplored cell that is reachable from the station and not excluded gives
+    its nearest such cell (ties: lowest (col, row)). None when no level does.
+    """
+    w, h = grid.width, grid.height
+    cells = [(c, r) for c in range(w) for r in range(h)]
+    unexplored = {c for c in cells if grid.state(c) is CellState.UNEXPLORED}
+    obstacles = {c for c in cells if grid.state(c) is CellState.OBSTACLE}
+    selectable = (unexplored & flood_reachable(w, h, obstacles, grid.station)) - set(excluded)
+    ox, oy = origin
+    for k in range(1, levels + 1):
+        side = 1 << k
+        ranked = []
+        for cj in range(-(-h // side)):
+            for ci in range(-(-w // side)):
+                c0, r0 = ci * side, cj * side
+                c1, r1 = min(c0 + side, w), min(r0 + side, h)
+                inside = [(c, r) for r in range(r0, r1) for c in range(c0, c1)]
+                p = sum(c in unexplored for c in inside) / len(inside)
+                if p > 0:
+                    d2 = ((c0 + c1 - 1) / 2 - ox) ** 2 + ((r0 + r1 - 1) / 2 - oy) ** 2
+                    ranked.append(((-p, d2, (ci, cj)), inside))
+        ranked.sort(key=lambda entry: entry[0])
+        for _, inside in ranked:
+            found = [c for c in inside if c in selectable]
+            if found:
+                return min(found, key=lambda c: ((c[0] - ox) ** 2 + (c[1] - oy) ** 2, c))
+    return None
+
+
+def reference_next_waypoint(grid, current, excluded, levels):
+    """Reference waypoint: the best unexplored, non-excluded 8-neighbor by
+    (-static field, step length, (col, row)), else the coarse selection."""
+    near = [
+        n for n in grid.neighbors8(current)
+        if grid.state(n) is CellState.UNEXPLORED and n not in excluded
+    ]
+    if near:
+        return min(near, key=lambda n: (-grid.b_field(n), math.dist(current, n), n))
+    return reference_coarse_select(grid, current, excluded, levels)
+
+
 def random_rect_obstacles(rng, width, height, station, density):
     """Random axis-aligned rectangles up to roughly the requested obstacle density."""
     target = int(density * width * height)

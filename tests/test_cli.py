@@ -178,6 +178,27 @@ def test_render_unknown_segment_kind_exit_1(tmp_path, capsys):
     assert not (tmp_path / "bad.svg").exists()
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,coverage,x,0,5.0,0.0", "error: log line 2: col needs an integer, got 'x'"),
+        ("1,coverage,0,0,full,0.0", "error: log line 2: remaining_energy needs a number, got 'full'"),
+        ("1,coverage,0,0,5.0", "error: log line 2: 5 fields, expected 6"),
+    ],
+)
+def test_render_malformed_log_row_names_line_and_column(tmp_path, capsys, row, message):
+    map_path = write(tmp_path, "m.txt", SMALL_MAP)
+    log_path = write(
+        tmp_path, "bad.csv",
+        "trajectory_index,segment_kind,col,row,remaining_energy,cumulative_length\n" + row + "\n",
+    )
+    rc = main(["render", log_path, map_path])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert not (tmp_path / "bad.svg").exists()
+
+
 def test_render_single_step_log(tmp_path):
     parsed = parse_map_text(SMALL_MAP)
     rows = [(1, "coverage", 0, 0, 5.0, 0.0), (1, "coverage", 1, 0, 4.0, 1.0)]
@@ -203,17 +224,12 @@ def test_config_defaults_and_overrides():
     assert cfg.travel_rate == 0.5
     assert cfg.coverage_rate == 1.0  # derived 2x travel
     assert cfg.sensor_range == 5.0
-    assert cfg.levels is None
 
-    cfg2 = parse_config("travel_rate = 0.25\nlevels = 3\n")
+    cfg2 = parse_config("travel_rate = 0.25\n")
     assert cfg2.coverage_rate == 0.5
-    assert cfg2.levels == 3
 
     cfg3 = parse_config("coverage_rate = 0.7\ntravel_rate=0.5")
     assert cfg3.coverage_rate == 0.7
-
-    cfg4 = parse_config("levels = auto")
-    assert cfg4.levels is None
 
 
 @pytest.mark.parametrize(
@@ -223,6 +239,8 @@ def test_config_defaults_and_overrides():
         "capacity_e0 = fast",
         "capacity_e0 : 3",
         "levels = 2.5",
+        "levels = 3",
+        "levels = auto",
         "capacity_e0 = -1",
         "capacity_e0 = nan",
         "travel_rate = inf",

@@ -35,19 +35,19 @@ def test_new_grid_station_out_of_bounds():
 
 def test_sensor_update_single():
     grid = CellGrid(5, 5, (0, 0))
-    assert grid.apply_sensor_update({(2, 3)}) == 1
+    assert grid.apply_sensor_update({(2, 3)}) == [(2, 3)]
     assert grid.state((2, 3)) is CellState.OBSTACLE
 
 
 def test_sensor_update_empty():
     grid = CellGrid(5, 5, (0, 0))
-    assert grid.apply_sensor_update(set()) == 0
+    assert grid.apply_sensor_update(set()) == []
 
 
 def test_sensor_update_absorbing():
     grid = CellGrid(5, 5, (0, 0))
-    assert grid.apply_sensor_update({(2, 3)}) == 1
-    assert grid.apply_sensor_update({(2, 3)}) == 0
+    assert grid.apply_sensor_update({(2, 3)}) == [(2, 3)]
+    assert grid.apply_sensor_update([(2, 3), (4, 1), (0, 4), (2, 3)]) == [(0, 4), (4, 1)]
 
 
 def test_sensor_update_conflicts():
@@ -57,6 +57,10 @@ def test_sensor_update_conflicts():
         grid.apply_sensor_update({(1, 1)})
     with pytest.raises(MapConflictError):
         grid.apply_sensor_update({(0, 0)})
+    # a conflicting batch marks none of its cells
+    with pytest.raises(MapConflictError):
+        grid.apply_sensor_update([(2, 2), (1, 1), (3, 3)])
+    assert grid.counts()[CellState.OBSTACLE] == 0
     with pytest.raises(ValueError):
         grid.apply_sensor_update({(9, 9)})
 

@@ -1,10 +1,13 @@
 import math
+import random
 
 import pytest
 
 from epsplus.grid import CellGrid, CellState
 from epsplus.hierarchy import MapsHierarchy
 from epsplus.planner import next_waypoint, restart_point
+
+from helpers import default_level_count, reference_coarse_select, reference_next_waypoint
 
 
 def hierarchy_for(grid):
@@ -92,17 +95,16 @@ def test_restart_unique_candidate():
 
 def test_restart_prefers_higher_potential_cell():
     grid = CellGrid(8, 8, (0, 0))
-    # level-1 block (1,0) keeps 3 unexplored cells (0.75), block (3,3) one (0.25)
+    # 2x2 block (1,0) keeps 3 unexplored cells (0.75), block (3,3) one (0.25)
     h = explore_all_but(grid, {(2, 0), (3, 0), (2, 1), (7, 7)})
-    lv = h.level(1)
     potentials = {
-        (ci, cj): lv.potential(ci, cj) for cj in range(lv.nrows) for ci in range(lv.ncols)
+        (ci, cj): h.potential(ci, cj) for cj in range(h.nrows) for ci in range(h.ncols)
     }
     best = max(potentials.values())
     winners = {k for k, v in potentials.items() if v == best}
     assert winners == {(1, 0)} and best == 0.75
     wp = restart_point(grid, h, (0, 0))
-    c0, r0, c1, r1 = lv.extent(1, 0)
+    c0, r0, c1, r1 = h.extent(1, 0)
     assert c0 <= wp.cell[0] < c1 and r0 <= wp.cell[1] < r1
     # nearest unexplored cell of that block to the station
     assert wp.cell == (2, 0)
@@ -110,7 +112,7 @@ def test_restart_prefers_higher_potential_cell():
 
 def test_restart_distance_ties_measured_from_station():
     grid = CellGrid(8, 8, (0, 0))
-    # two fully unexplored level-1 blocks, one near the station, one far
+    # two fully unexplored 2x2 blocks, one near the station, one far
     h = explore_all_but(grid, {(0, 2), (1, 2), (0, 3), (1, 3), (6, 6), (7, 6), (6, 7), (7, 7)})
     wp = restart_point(grid, h, (0, 0))
     assert wp.cell == (0, 2)
@@ -147,8 +149,6 @@ def random_belief(rng, w, h):
 
 
 def test_argmax_correctness_on_random_beliefs():
-    import random
-
     rng = random.Random(21)
     for _ in range(50):
         grid, h = random_belief(rng, rng.randint(4, 12), rng.randint(4, 12))
@@ -169,8 +169,6 @@ def test_argmax_correctness_on_random_beliefs():
 
 
 def test_done_iff_no_reachable_unexplored():
-    import random
-
     rng = random.Random(31)
     for _ in range(50):
         grid, h = random_belief(rng, rng.randint(4, 12), rng.randint(4, 12))
@@ -179,3 +177,40 @@ def test_done_iff_no_reachable_unexplored():
         assert (wp is None) == (len(reachable) == 0)
         if wp is not None:
             assert wp.cell in reachable
+
+
+def test_one_coarse_level_matches_the_k_level_reference():
+    # 1,000 random beliefs, checked in turn against K = 1, 2, 3 and the full
+    # hierarchy: every K selects the same cell, because every unexplored
+    # cell lies in a 2x2 block of positive potential
+    rng = random.Random(8)
+    coarse = 0
+    for trial in range(1000):
+        w, h = rng.randint(1, 17), rng.randint(1, 17)
+        station = (rng.randrange(w), rng.randrange(h))
+        grid = CellGrid(w, h, station)
+        hier = MapsHierarchy(grid)
+        obstacle_share = rng.uniform(0.0, 0.4)
+        explored_share = rng.uniform(0.0, 1.0)
+        for cell in grid.cells():
+            r = rng.random()
+            if r < obstacle_share and cell != station:
+                grid.apply_sensor_update([cell])
+                hier.on_state_change(cell, CellState.UNEXPLORED, CellState.OBSTACLE)
+            elif r < obstacle_share + explored_share * (1 - obstacle_share):
+                grid.mark_traversed(cell)
+                hier.on_state_change(cell, CellState.UNEXPLORED, CellState.EXPLORED)
+        free = [c for c in grid.cells() if grid.state(c) is not CellState.OBSTACLE]
+        origin = rng.choice(free)
+        unexplored = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
+        excluded = set(rng.sample(unexplored, rng.randint(0, len(unexplored))))
+        if rng.random() < 0.5:  # force the coarse selection from the origin
+            excluded |= set(grid.neighbors8(origin))
+        excluded = frozenset(excluded)
+        wp = next_waypoint(grid, hier, origin, excluded)
+        rp = restart_point(grid, hier, station, excluded)
+        coarse += wp is not None and wp.source_level == 1
+        levels = (1, 2, 3, default_level_count(w, h))[trial % 4]
+        assert (wp and wp.cell) == reference_next_waypoint(grid, origin, excluded, levels)
+        assert (rp and rp.cell) == reference_coarse_select(grid, station, excluded, levels)
+    assert coarse > 200
