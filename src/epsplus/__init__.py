@@ -33,7 +33,7 @@ from .pathfind import (
     obstacle_vertices,
     supercover_line,
 )
-from .planner import Waypoint, next_waypoint, restart_point
+from .planner import next_waypoint, restart_point
 from .render import render_svg
 from .sim import GroundTruth, SensorModel
 
@@ -61,7 +61,6 @@ __all__ = [
     "Trajectory",
     "TrajectorySegment",
     "VisibilityGraph",
-    "Waypoint",
     "astar",
     "build_visibility_graph",
     "explored_only",

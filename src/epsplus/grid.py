@@ -204,17 +204,27 @@ class ParsedMap:
 
 
 def parse_map_text(text: str) -> ParsedMap:
-    lines = [line for line in text.splitlines() if line.strip() != ""]
-    if not lines:
+    """Parse an ASCII map; blank lines may lead or trail it, not split its rows.
+
+    Error messages number lines as in ``text``.
+    """
+    lines = text.splitlines()
+    filled = [n for n, line in enumerate(lines) if line.strip()]
+    if not filled:
         raise MapFormatError("map file is empty")
-    width = len(lines[0])
-    height = len(lines)
+    first = filled[0]
+    rows = lines[first : filled[-1] + 1]
+    width = len(rows[0])
+    height = len(rows)
     obstacles: set[Cell] = set()
     station: Cell | None = None
-    for i, line in enumerate(lines):
+    for i, line in enumerate(rows):
+        lineno = first + i + 1
+        if not line.strip():
+            raise MapFormatError(f"line {lineno} is blank inside the map")
         if len(line) != width:
             raise MapFormatError(
-                f"line {i + 1} has length {len(line)}, expected {width} (all rows must match)"
+                f"line {lineno} has length {len(line)}, expected {width} (all rows must match)"
             )
         row = height - 1 - i
         for col, ch in enumerate(line):
@@ -227,7 +237,7 @@ def parse_map_text(text: str) -> ParsedMap:
                     )
                 station = (col, row)
             elif ch != ".":
-                raise MapFormatError(f"invalid character {ch!r} at line {i + 1}, column {col + 1}")
+                raise MapFormatError(f"invalid character {ch!r} at line {lineno}, column {col + 1}")
     if station is None:
         raise MapFormatError("map has no station cell 'C'")
     return ParsedMap(width, height, frozenset(obstacles), station)

@@ -8,13 +8,13 @@ the map border). A block's potential is the fraction of unexplored cells
 inside it, so it is positive exactly when the block still holds something
 to cover, and larger where more remains.
 
-One 2x2 level decides every selection. The planner ranks every block of the
-level, not a local window around the vehicle, and every unexplored cell
+One 2x2 level decides every selection. The planner ranks blocks over the
+whole map, not a local window around the vehicle, and every unexplored cell
 lies in some block of positive potential. So if any selectable cell exists,
-the ranked scan of the 2x2 blocks reaches it. A coarser level (4x4, 8x8,
-...) holds the same cells and was only ever scanned after the 2x2 scan
-found none, to the same empty result. Coarser levels would matter only
-under a local-window ascent, which this planner does not do.
+a 2x2 block holding one supplies it. A coarser level (4x4, 8x8, ...) holds
+the same cells and was only ever consulted after the 2x2 level found none,
+to the same empty result. Coarser levels would matter only under a
+local-window ascent, which this planner does not do.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ class MapsHierarchy:
                 self.total.append((c1 - c0) * (r1 - r0))
         self.rebuild_counts()
 
-    def _block(self, cell: Cell) -> int:
-        return (cell[1] >> 1) * self.ncols + (cell[0] >> 1)
+    def block_of(self, cell: Cell) -> tuple[int, int]:
+        """The (ci, cj) index of the block holding the cell."""
+        return cell[0] >> 1, cell[1] >> 1
 
     def extent(self, ci: int, cj: int) -> tuple[int, int, int, int]:
         """Half-open cell ranges (col0, row0, col1, row1) covered by block (ci, cj)."""
@@ -59,7 +60,8 @@ class MapsHierarchy:
         counts = [0] * (self.ncols * self.nrows)
         for cell in self.grid.cells():
             if self.grid.state(cell) is CellState.UNEXPLORED:
-                counts[self._block(cell)] += 1
+                ci, cj = self.block_of(cell)
+                counts[cj * self.ncols + ci] += 1
         self.unexplored_count = counts
 
     def on_state_change(self, cell: Cell, old: CellState, new: CellState) -> None:
@@ -68,7 +70,8 @@ class MapsHierarchy:
             return
         if old is not CellState.UNEXPLORED:
             raise ValueError(f"illegal transition {old} -> {new} at {cell}")
-        self.unexplored_count[self._block(cell)] -= 1
+        ci, cj = self.block_of(cell)
+        self.unexplored_count[cj * self.ncols + ci] -= 1
 
     def unexplored_in_extent(self, ci: int, cj: int) -> list[Cell]:
         """Unexplored cells inside block (ci, cj), scan order."""

@@ -385,17 +385,14 @@ class Mission:
         while True:
             self._sense_here()
             yield MissionEvent.SENSED
-            wp = next_waypoint(
-                grid, self.hier, self.pos,
-                excluded=frozenset(self.infeasible),
-            )
+            wp = next_waypoint(grid, self.hier, self.pos, excluded=self.infeasible)
             if wp is None:
                 return "done"
-            route = self._route_for(wp.cell)
+            route = self._route_for(wp)
             l_rest = path_length(route)
             step_cost = energy.coverage_rate * l_rest
             if len(route) == 2:
-                est = self.dfield.neighbor_estimate(wp.cell)
+                est = self.dfield.neighbor_estimate(wp)
             else:
                 est = l_rest + self.dfield.distance(self.pos)
             if not energy.can_continue(step_cost, energy.travel_rate * est):
@@ -431,13 +428,9 @@ class Mission:
         travel = self.energy.travel_rate
         skipped: set[Cell] = set()
         while True:
-            wp = restart_point(
-                grid, self.hier, station,
-                excluded=frozenset(self.infeasible | skipped),
-            )
-            if wp is None:
+            target = restart_point(grid, self.hier, station, excluded=self.infeasible | skipped)
+            if target is None:
                 return False
-            target = wp.cell
             d_opt = math.dist(station, target)
             if self.energy.capacity < 2.0 * travel * d_opt + cov * min_step:
                 self.infeasible.add(target)
@@ -469,13 +462,9 @@ class Mission:
                 or target in self.infeasible
                 or target not in self.grid.reachable_unexplored()
             ):
-                wp = next_waypoint(
-                    self.grid, self.hier, self.pos,
-                    excluded=frozenset(self.infeasible),
-                )
-                if wp is None:
+                target = next_waypoint(self.grid, self.hier, self.pos, excluded=self.infeasible)
+                if target is None:
                     return False
-                target = wp.cell
             new_plan = self._plan_advance(self.pos, target)
             if new_plan is None:
                 return False

@@ -2,40 +2,40 @@
 
 The default move goes to the 8-neighbor with the highest positive potential
 (ties: cheapest to reach, then lowest (col, row)). When no neighbor is
-positive the vehicle sits on a local extremum, and the selection ranks the
-2x2 blocks of the coarse level (highest potential, then nearest center, then
-lowest index); the first block holding a selectable cell supplies its
-nearest unexplored cell as the waypoint. The same procedure, with distances
-measured from the station, picks the coverage start point after a recharge.
+positive the vehicle sits on a local extremum, and the selection turns to
+the 2x2 blocks of the coarse level: of the blocks holding a selectable
+cell, the best-ranked one (highest potential, then nearest center, then
+lowest index) supplies its nearest selectable cell as the waypoint. The
+same procedure, with distances measured from the station, picks the
+coverage start point after a recharge. Both functions return a cell.
 
-Unexplored cells that are walled off from the station, or that the mission
-has ruled out as energy-infeasible, are skipped; when nothing selectable
-remains the selection reports completion by returning ``None``.
-Reachability is the grid's own cached flood fill
-(:meth:`CellGrid.reachable_unexplored`); only coarse selections read it.
+A cell is selectable when it is unexplored, reachable from the station and
+not excluded: unexplored cells that are walled off from the station, or
+that the mission has ruled out as energy-infeasible, are skipped. When
+nothing selectable remains the selection reports completion by returning
+``None``. A block's potential and center depend neither on the exclusions
+nor on reachability, and every block holding a selectable cell has
+positive potential, so ranking only those blocks picks the block that a
+ranked scan of all positive blocks would reach first. Reachability is the
+grid's own cached flood fill (:meth:`CellGrid.reachable_unexplored`); only
+coarse selections read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Set
 
 from .grid import Cell, CellGrid, CellState
 from .hierarchy import MapsHierarchy
-
-
-@dataclass(frozen=True)
-class Waypoint:
-    cell: Cell
-    source_level: int  # 0: an 8-neighbor, 1: a coarse 2x2 block
 
 
 def next_waypoint(
     grid: CellGrid,
     hierarchy: MapsHierarchy,
     current: Cell,
-    excluded: frozenset[Cell] = frozenset(),
-) -> Waypoint | None:
+    excluded: Set[Cell] = frozenset(),
+) -> Cell | None:
     """Next navigation goal from the current cell, or None when coverage is done."""
     if grid.state(current) is CellState.OBSTACLE:
         raise ValueError(f"current cell {current} is an obstacle")
@@ -47,45 +47,29 @@ def next_waypoint(
         if best is None or key < best:
             best = key
     if best is not None:
-        wp = Waypoint(best[2], 0)
-        assert grid.state(wp.cell) is CellState.UNEXPLORED
-        return wp
-    return _coarse_select(grid, hierarchy, current, excluded)
+        return best[2]
+    return restart_point(grid, hierarchy, current, excluded)
 
 
 def restart_point(
     grid: CellGrid,
     hierarchy: MapsHierarchy,
-    station: Cell,
-    excluded: frozenset[Cell] = frozenset(),
-) -> Waypoint | None:
-    """Coverage start point after a recharge, or None when coverage is done."""
-    return _coarse_select(grid, hierarchy, station, excluded)
-
-
-def _coarse_select(
-    grid: CellGrid,
-    hierarchy: MapsHierarchy,
     origin: Cell,
-    excluded: frozenset[Cell],
-) -> Waypoint | None:
+    excluded: Set[Cell] = frozenset(),
+) -> Cell | None:
+    """Coarse selection from the origin (the station, for a restart), or None when done."""
     reachable = grid.reachable_unexplored()
+    blocks = {hierarchy.block_of(c) for c in reachable if c not in excluded}
+    if not blocks:
+        return None
     ox, oy = origin
-    candidates = []
-    for cj in range(hierarchy.nrows):
-        for ci in range(hierarchy.ncols):
-            p = hierarchy.potential(ci, cj)
-            if p > 0.0:
-                cx, cy = hierarchy.center(ci, cj)
-                candidates.append((-p, (cx - ox) ** 2 + (cy - oy) ** 2, (ci, cj)))
-    candidates.sort()
-    for _, _, (ci, cj) in candidates:
-        cells = [
-            c for c in hierarchy.unexplored_in_extent(ci, cj)
-            if c not in excluded and c in reachable
-        ]
-        if cells:
-            cell = min(cells, key=lambda c: ((c[0] - ox) ** 2 + (c[1] - oy) ** 2, c))
-            assert grid.state(cell) is CellState.UNEXPLORED
-            return Waypoint(cell, 1)
-    return None
+
+    def rank(block: tuple[int, int]) -> tuple:
+        cx, cy = hierarchy.center(*block)
+        return (-hierarchy.potential(*block), (cx - ox) ** 2 + (cy - oy) ** 2, block)
+
+    cells = [
+        c for c in hierarchy.unexplored_in_extent(*min(blocks, key=rank))
+        if c in reachable and c not in excluded
+    ]
+    return min(cells, key=lambda c: ((c[0] - ox) ** 2 + (c[1] - oy) ** 2, c))

@@ -67,8 +67,9 @@ def test_run_map_without_station_exit_1(tmp_path, capsys):
         ("....\n...\nC...\n", "line 2 has length 3"),
         ("", "map file is empty"),
         ("....\n.x..\nC...\n", "invalid character 'x'"),
+        ("....\n\nC...\n", "line 2 is blank"),
     ],
-    ids=["ragged_row", "empty_file", "invalid_character"],
+    ids=["ragged_row", "empty_file", "invalid_character", "blank_interior_line"],
 )
 def test_run_malformed_map_exit_1(tmp_path, text, message):
     # run as a process, so an uncaught exception would show as a traceback

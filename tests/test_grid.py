@@ -123,6 +123,11 @@ def test_parse_map_round_trip():
     assert parsed.station == (0, 0)
     assert parsed.obstacles == {(3, 2), (1, 1), (3, 0)}
     assert map_text(parsed.width, parsed.height, parsed.obstacles, parsed.station) == text
+    # leading and trailing blank lines are ignored
+    padded = parse_map_text("\n \n" + text + "\n\t\n")
+    assert (padded.width, padded.height, padded.obstacles, padded.station) == (
+        parsed.width, parsed.height, parsed.obstacles, parsed.station
+    )
 
 
 @pytest.mark.parametrize(
@@ -133,6 +138,10 @@ def test_parse_map_round_trip():
         ("...\n...\n", "no station"),
         ("C..\n..C\n", "multiple station"),
         ("C.x\n...\n", "invalid character"),
+        ("..\n\n.C\n", "line 2 is blank"),
+        ("..\n  \n.C\n", "line 2 is blank"),
+        ("\n\n..\n.x\nC.\n", "invalid character 'x' at line 4"),
+        ("\n..\n...\nC.\n", "line 3 has length 3"),
     ],
 )
 def test_parse_map_errors(text, fragment):

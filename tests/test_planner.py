@@ -14,6 +14,10 @@ def hierarchy_for(grid):
     return MapsHierarchy(grid)
 
 
+def chebyshev(a, b):
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+
+
 def explore_all_but(grid, keep_unexplored, obstacles=()):
     h = MapsHierarchy(grid)
     if obstacles:
@@ -32,8 +36,8 @@ def test_unique_positive_neighbor():
     grid = CellGrid(50, 50, (0, 0))
     h = explore_all_but(grid, {(4, 5)})
     wp = next_waypoint(grid, h, (5, 5))
-    assert wp.cell == (4, 5)
-    assert wp.source_level == 0
+    assert wp == (4, 5)
+    assert chebyshev(wp, (5, 5)) == 1  # the neighbour step chose it
 
 
 def test_neighbor_ties_prefer_cheaper_then_lex():
@@ -41,12 +45,12 @@ def test_neighbor_ties_prefer_cheaper_then_lex():
     # same column (same potential): straight beats diagonal
     h = explore_all_but(grid, {(3, 2), (3, 3), (3, 4)})
     wp = next_waypoint(grid, h, (2, 3))
-    assert wp.cell == (3, 3)
+    assert wp == (3, 3)
     # equal cost diagonals: lexicographic (col,row)
     grid2 = CellGrid(6, 6, (0, 0))
     h2 = explore_all_but(grid2, {(3, 2), (3, 4)})
     wp2 = next_waypoint(grid2, h2, (2, 3))
-    assert wp2.cell == (3, 2)
+    assert wp2 == (3, 2)
 
 
 def test_higher_field_wins_over_lower():
@@ -54,7 +58,7 @@ def test_higher_field_wins_over_lower():
     # left neighbor has a larger static field value than the right one
     h = explore_all_but(grid, {(1, 3), (3, 3)})
     wp = next_waypoint(grid, h, (2, 3))
-    assert wp.cell == (1, 3)
+    assert wp == (1, 3)
 
 
 def test_escape_to_distant_cell():
@@ -65,9 +69,9 @@ def test_escape_to_distant_cell():
     # oracle: exhaustive scan for the nearest unexplored cell
     candidates = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
     assert candidates == [(20, 7)]
-    assert wp.cell == (20, 7)
-    assert wp.source_level >= 1
-    assert grid.state(wp.cell) is CellState.UNEXPLORED
+    assert wp == (20, 7)
+    assert chebyshev(wp, current) != 1  # the coarse step chose it
+    assert grid.state(wp) is CellState.UNEXPLORED
 
 
 def test_done_when_nothing_unexplored():
@@ -82,7 +86,7 @@ def test_escape_skips_unreachable_pockets():
     ring = {(2, 2), (3, 2), (4, 2), (2, 3), (4, 3), (2, 4), (3, 4), (4, 4)}
     h = explore_all_but(grid, {(3, 3), (6, 6)}, obstacles=ring)
     wp = next_waypoint(grid, h, (0, 0))
-    assert wp.cell == (6, 6)  # the sealed (3,3) pocket is not a candidate
+    assert wp == (6, 6)  # the sealed (3,3) pocket is not a candidate
     assert next_waypoint(grid, h, (0, 0), excluded=frozenset({(6, 6)})) is None
 
 
@@ -90,7 +94,7 @@ def test_restart_unique_candidate():
     grid = CellGrid(40, 10, (0, 0))
     h = explore_all_but(grid, {(30, 2)})
     wp = restart_point(grid, h, (0, 0))
-    assert wp.cell == (30, 2)
+    assert wp == (30, 2)
 
 
 def test_restart_prefers_higher_potential_cell():
@@ -105,9 +109,9 @@ def test_restart_prefers_higher_potential_cell():
     assert winners == {(1, 0)} and best == 0.75
     wp = restart_point(grid, h, (0, 0))
     c0, r0, c1, r1 = h.extent(1, 0)
-    assert c0 <= wp.cell[0] < c1 and r0 <= wp.cell[1] < r1
+    assert c0 <= wp[0] < c1 and r0 <= wp[1] < r1
     # nearest unexplored cell of that block to the station
-    assert wp.cell == (2, 0)
+    assert wp == (2, 0)
 
 
 def test_restart_distance_ties_measured_from_station():
@@ -115,7 +119,7 @@ def test_restart_distance_ties_measured_from_station():
     # two fully unexplored 2x2 blocks, one near the station, one far
     h = explore_all_but(grid, {(0, 2), (1, 2), (0, 3), (1, 3), (6, 6), (7, 6), (6, 7), (7, 7)})
     wp = restart_point(grid, h, (0, 0))
-    assert wp.cell == (0, 2)
+    assert wp == (0, 2)
 
 
 def test_determinism():
@@ -159,13 +163,13 @@ def test_argmax_correctness_on_random_beliefs():
         positives = [n for n in grid.neighbors8(current) if grid.state(n) is CellState.UNEXPLORED]
         if not positives:
             if wp is not None:
-                assert wp.source_level >= 1
+                assert chebyshev(wp, current) != 1  # the coarse step chose it
             continue
-        assert wp is not None and wp.source_level == 0
-        b = grid.b_field(wp.cell)
+        assert wp is not None and chebyshev(wp, current) == 1
+        b = grid.b_field(wp)
         assert all(grid.b_field(n) <= b for n in positives)
         same = [n for n in positives if grid.b_field(n) == b]
-        assert all(math.dist(current, wp.cell) <= math.dist(current, n) for n in same)
+        assert all(math.dist(current, wp) <= math.dist(current, n) for n in same)
 
 
 def test_done_iff_no_reachable_unexplored():
@@ -176,7 +180,7 @@ def test_done_iff_no_reachable_unexplored():
         reachable = grid.reachable_unexplored()
         assert (wp is None) == (len(reachable) == 0)
         if wp is not None:
-            assert wp.cell in reachable
+            assert wp in reachable
 
 
 def test_one_coarse_level_matches_the_k_level_reference():
@@ -209,8 +213,36 @@ def test_one_coarse_level_matches_the_k_level_reference():
         excluded = frozenset(excluded)
         wp = next_waypoint(grid, hier, origin, excluded)
         rp = restart_point(grid, hier, station, excluded)
-        coarse += wp is not None and wp.source_level == 1
+        # the coarse step runs only when no unexplored, non-excluded
+        # 8-neighbour exists, so it never returns a cell next to the origin
+        coarse += wp is not None and chebyshev(wp, origin) != 1
         levels = (1, 2, 3, default_level_count(w, h))[trial % 4]
-        assert (wp and wp.cell) == reference_next_waypoint(grid, origin, excluded, levels)
-        assert (rp and rp.cell) == reference_coarse_select(grid, station, excluded, levels)
+        assert wp == reference_next_waypoint(grid, origin, excluded, levels)
+        assert rp == reference_coarse_select(grid, station, excluded, levels)
     assert coarse > 200
+
+
+def test_coarse_selection_scans_only_the_block_it_answers_from(monkeypatch):
+    # heavy exclusions leave most positive blocks without a selectable cell;
+    # the selection must still scan one block per answer and none for None
+    scans = 0
+    scan = MapsHierarchy.unexplored_in_extent
+
+    def counted(self, ci, cj):
+        nonlocal scans
+        scans += 1
+        return scan(self, ci, cj)
+
+    monkeypatch.setattr(MapsHierarchy, "unexplored_in_extent", counted)
+    rng = random.Random(5)
+    answered = 0
+    for _ in range(200):
+        grid, h = random_belief(rng, rng.randint(4, 16), rng.randint(4, 16))
+        unexplored = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
+        share = rng.choice((0.8, 0.95, 1.0))
+        excluded = frozenset(rng.sample(unexplored, int(share * len(unexplored))))
+        scans = 0
+        rp = restart_point(grid, h, grid.station, excluded)
+        assert scans == (rp is not None)
+        answered += rp is not None
+    assert 20 < answered < 180
