@@ -1,7 +1,8 @@
 """Command-line front end: run missions and render trajectory logs.
 
-Exit codes for ``run``: 0 when every reachable free cell was covered, 2 when
-uncoverable cells remain, 1 on any error (bad map, bad config, IO).
+Exit codes for ``run``: 0 when every free cell was covered, 2 when any free
+cell was not, whether walled off from the station or beyond a charge, 1 on
+any error (bad map, bad config, IO).
 """
 
 from __future__ import annotations

@@ -32,6 +32,17 @@ only trigger a retreat slightly early. ``tests/test_mission.py`` checks this
 bound on every retreat flown on the bundled scenarios and on tight-budget
 random maps.
 
+Restart targets that no charge can reach are ruled out without planning.
+Cells only leave the unexplored state, so ``non_obstacle`` walks from the
+station only get longer, and every explored-only walk is at least the
+``non_obstacle`` walk. When an advance from the station had to fall back to a
+``non_obstacle`` plan, that plan's length divided by ``GRID_STRETCH`` (the
+grid-walk bound of ``pathfind``) is thus a floor on every later plan to the
+same target. A target whose floor already fails the budget check is
+excluded from every later restart selection; capacity and rates are fixed
+and the float comparisons are monotone, so it would have been planned and
+rejected again, and the skip changes no output.
+
 Ground truth backstop: sonar rays cannot see past corner contacts, so a
 planned cell may turn out to hold an obstacle. Stepping into it is refused
 by the world model and recorded as a contact detection; the plan is then
@@ -66,6 +77,9 @@ from .planner import next_waypoint, restart_point
 from .sim import GroundTruth, SensorModel
 
 SQRT2 = math.sqrt(2.0)  # the longest single step, a diagonal between 1 m cells
+# a float strictly above sqrt(4 - 2*sqrt(2)) = 1.08239..., the most an 8-connected
+# grid walk can exceed the any-angle path it follows (see ``pathfind``)
+GRID_STRETCH = 1.0825
 
 
 class MissionEvent(Enum):
@@ -167,6 +181,8 @@ class Mission:
         self.log_rows: list[LogRow] = []
         self.report: MissionReport | None = None
         self.infeasible: set[Cell] = set()
+        # restart targets that no later advance plan can make affordable
+        self._out_of_reach: set[Cell] = set()
         self._segments: list[TrajectorySegment] = []
         self._visits: dict[Cell, int] = {}
         self._cum_length = 0.0
@@ -346,11 +362,12 @@ class Mission:
             raise PlanningError(f"no retreat path from {from_cell}")
         return plan
 
-    def _plan_advance(self, start: Cell, target: Cell) -> PathResult | None:
+    def _plan_advance(self, start: Cell, target: Cell) -> tuple[PathResult | None, StatePredicate]:
+        """Plan over explored cells, else also over unexplored ones; returns the predicate used."""
         plan = self._shortest(start, target, explored_only)
-        if plan is None:
-            plan = self._shortest(start, target, non_obstacle)
-        return plan
+        if plan is not None:
+            return plan, explored_only
+        return self._shortest(start, target, non_obstacle), non_obstacle
 
     def _route_for(self, target: Cell) -> list[Cell]:
         """Cell route from the vehicle to the waypoint (adjacent or planned chain)."""
@@ -423,21 +440,33 @@ class Mission:
     def _advance_phase(self):
         grid = self.grid
         station = grid.station
-        min_step = SQRT2
-        cov = self.energy.coverage_rate
+        capacity = self.energy.capacity
         travel = self.energy.travel_rate
-        skipped: set[Cell] = set()
+        step_energy = self.energy.coverage_rate * SQRT2
+
+        def unaffordable(length: float) -> bool:
+            return capacity < 2.0 * travel * length + step_energy
+
+        # every target tried stays excluded until the selection starts over
+        excluded = self.infeasible | self._out_of_reach
         while True:
-            target = restart_point(grid, self.hier, station, excluded=self.infeasible | skipped)
+            target = restart_point(grid, self.hier, station, excluded=excluded)
             if target is None:
                 return False
-            d_opt = math.dist(station, target)
-            if self.energy.capacity < 2.0 * travel * d_opt + cov * min_step:
+            excluded.add(target)
+            if unaffordable(math.dist(station, target)):
                 self.infeasible.add(target)
                 continue
-            plan = self._plan_advance(self.pos, target)
-            if plan is None or self.energy.capacity < 2.0 * travel * plan.length + cov * min_step:
-                skipped.add(target)
+            plan, used = self._plan_advance(station, target)
+            if plan is None or unaffordable(plan.length):
+                # a non_obstacle plan from the station, divided by GRID_STRETCH,
+                # is a floor on every later plan to this target
+                if (
+                    used is non_obstacle
+                    and plan is not None
+                    and unaffordable(plan.length / GRID_STRETCH)
+                ):
+                    self._out_of_reach.add(target)
                 continue
             self._start_trajectory()
             self._begin_segment(SegmentKind.ADVANCE, self.pos)
@@ -449,7 +478,7 @@ class Mission:
             # advance abandoned: return home, recharge and reselect
             self._coverage_enter(self.pos)
             yield from self._return_home(recharge=True)
-            skipped = set()
+            excluded = self.infeasible | self._out_of_reach
 
     def _advance_exec(self, target: Cell, plan: PathResult):
         travel = self.energy.travel_rate
@@ -465,7 +494,7 @@ class Mission:
                 target = next_waypoint(self.grid, self.hier, self.pos, excluded=self.infeasible)
                 if target is None:
                     return False
-            new_plan = self._plan_advance(self.pos, target)
+            new_plan, _ = self._plan_advance(self.pos, target)
             if new_plan is None:
                 return False
             if not self.energy.can_continue(

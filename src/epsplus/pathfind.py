@@ -19,6 +19,15 @@ Consecutive cells of a supercover line are 8-adjacent, so every sight-line
 path is also a grid walk over admitted cells: when grid A* finds no path,
 neither does the visibility graph.
 
+The converse holds up to a constant. Along a sight line from a to b, the
+Bresenham walk of max(|dx|, |dy|) steps, min(|dx|, |dy|) of them diagonal,
+stays on cells the line touches, and its length is at most
+sqrt(4 - 2*sqrt(2)) = 1.08239... times |ab|, the worst case being a line at
+22.5 degrees (Nash & Koenig, "Any-Angle Path Planning", AI Magazine 2013).
+Grid A* admits every such step, so under either predicate the shortest grid
+walk is at most that factor times the shortest sight-line path, and the
+shorter of the two planners is never below the walk divided by it.
+
 Visibility graphs are assembled per query from a cached core: the obstacle
 vertices, the sight-line edges among them, and for each vertex pair blocked
 by a single cell, that cell. The belief grid holds at most one core per

@@ -2,6 +2,7 @@ import gc
 import math
 import random
 import weakref
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -323,23 +324,88 @@ def test_shortest_is_the_shorter_of_both_planners():
     assert compared
 
 
-def test_tight_budget_leaves_only_infeasible_cells_uncovered():
-    # a reachable cell may stay uncovered only if no charge pays for flying
-    # there and back along the true shortest path plus one coverage step
+def tight_budget_maps():
+    """40 random maps, each with E0 0.6-1.1 x its longest true explored-grid distance.
+
+    Yields the ground truth, the config and those distances.
+    """
     rng = random.Random(61)
-    skipped = 0
-    for i in range(40):
+    for _ in range(40):
         w, h = rng.randint(12, 20), rng.randint(12, 20)
         obstacles = random_rect_obstacles(rng, w, h, (0, 0), rng.uniform(0.05, 0.3))
         gt = GroundTruth(w, h, frozenset(obstacles), (0, 0))
         # with every free cell explored, explored-only distances are the true ones
         dist = grid_dijkstra(explored_grid(w, h, obstacles, (0, 0)), (0, 0), explored_only)
         cfg = MissionConfig(capacity_e0=rng.uniform(0.6, 1.1) * max(dist.values()), sensor_range=3.0)
-        mission = Mission(gt, cfg)
+        yield gt, cfg, dist
+
+
+class PlanCounting(Mission):
+    """Counts advance plans (the advance phase's checks and in-flight re-plans)."""
+
+    def __init__(self, gt, config):
+        self.advance_plans = 0
+        super().__init__(gt, config)
+
+    def _plan_advance(self, start, target):
+        self.advance_plans += 1
+        return super()._plan_advance(start, target)
+
+
+class WithoutFloor(PlanCounting):
+    """Records no advance floor, so every rejected target is planned again."""
+
+    _out_of_reach = property(lambda self: set(), lambda self, value: None)
+
+
+class FloorChecked(Mission):
+    """Plans every target the advance floor keeps out of a restart selection."""
+
+    @property
+    def _out_of_reach(self):
+        # read where a restart selection's exclusions are built: each
+        # excluded target that would still be selectable must be one that a
+        # plan from the station rejects
+        grid = self.grid
+        energy = self.energy
+        selectable = grid.reachable_unexplored()
+        stamp = tuple(grid.counts().values())  # plans change only with the cell states
+        for target in self._floored:
+            if target in selectable and (target, stamp) not in self.rejected:
+                plan, _ = self._plan_advance(grid.station, target)
+                cost = 2.0 * energy.travel_rate * plan.length + energy.coverage_rate * math.sqrt(2.0)
+                assert energy.capacity < cost, (target, plan.length)
+                self.rejected.add((target, stamp))
+        return self._floored
+
+    @_out_of_reach.setter
+    def _out_of_reach(self, value):
+        self._floored = value
+        self.rejected = set()
+
+
+def test_tight_budget_leaves_only_infeasible_cells_uncovered():
+    # a reachable cell may stay uncovered only if no charge pays for flying
+    # there and back along the true shortest path plus one coverage step;
+    # and no restart target is skipped that a plan would have accepted
+    skipped = rejected = 0
+    for i, (gt, cfg, dist) in enumerate(tight_budget_maps()):
+        mission = FloorChecked(gt, cfg)
         mission.run()
+        rejected += len(mission.rejected)
         min_step = cfg.coverage_rate * math.sqrt(2.0)
         for cell, d in dist.items():
             if mission.grid.state(cell) is not CellState.EXPLORED:
                 skipped += 1
                 assert 2.0 * cfg.travel_rate * d + min_step > cfg.capacity_e0, (i, cell, d)
-    assert skipped
+    assert skipped and rejected
+
+
+def test_advance_floor_saves_plans_and_changes_no_log_row():
+    # map 16 of the 40 runs 117 advance plans with the floor, 641 without
+    gt, cfg, _ = next(islice(tight_budget_maps(), 16, None))
+    with_floor, without = PlanCounting(gt, cfg), WithoutFloor(gt, cfg)
+    with_floor.run()
+    without.run()
+    assert with_floor.log_rows == without.log_rows
+    assert with_floor.advance_plans < without.advance_plans

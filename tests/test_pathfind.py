@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from epsplus.grid import CellGrid, CellState
+from epsplus.mission import GRID_STRETCH
 from epsplus.pathfind import (
     DistanceField,
     _cached_core,
@@ -209,6 +210,49 @@ def test_visibility_length_bounded_by_grid_path():
         path = astar(g, start, goal)
         assert path is not None
         assert path.length <= lengths[goal] + 1e-9
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_grid_walk_stretches_a_sight_path_by_at_most_the_octile_bound(seed):
+    # the 8-connected bound sqrt(4 - 2*sqrt(2)) of an octile walk along one
+    # sight line; the mission's advance floor divides by a float above it
+    assert math.sqrt(4.0 - 2.0 * math.sqrt(2.0)) < GRID_STRETCH
+    rng = random.Random(seed)
+    grid = random_belief_grid(rng, rng.randint(4, 14), rng.randint(4, 14))
+    cells = list(grid.cells())
+    for pred in (explored_only, non_obstacle):
+        passing = [c for c in cells if pred(grid.state(c))]
+        for _ in range(4):
+            start, goal = rng.choice(passing), rng.choice(cells)
+            sight = astar(build_visibility_graph(grid, start, goal, pred), start, goal)
+            if sight is not None:
+                walk = grid_astar(grid, start, goal, pred)
+                assert walk.length <= GRID_STRETCH * sight.length, (start, goal, walk, sight)
+
+
+@given(
+    st.integers(0, 35),
+    st.lists(st.tuples(st.sampled_from(["sense", "traverse"]), st.integers(0, 35)), max_size=40),
+)
+@settings(deadline=None)
+def test_non_obstacle_walk_never_shortens_under_sensor_updates(goal_raw, ops):
+    # obstacles only appear, so a walk that avoids them only gets longer,
+    # whatever happens to the goal (it is admitted in any state)
+    grid = CellGrid(6, 6, (0, 0))
+    start, goal = grid.station, (goal_raw % 6, goal_raw // 6)
+    last = 0.0
+    for kind, raw in ops:
+        cell = (raw % 6, raw // 6)
+        if kind == "sense":
+            if grid.state(cell) is CellState.UNEXPLORED and cell != start:
+                grid.apply_sensor_update({cell})
+        elif grid.state(cell) is not CellState.OBSTACLE:
+            grid.mark_traversed(cell)
+        walk = grid_astar(grid, start, goal, non_obstacle)
+        length = math.inf if walk is None else walk.length
+        assert length >= last, (goal, ops)
+        last = length
 
 
 # -- grid search & distance field ------------------------------------------------
