@@ -43,6 +43,10 @@ excluded from every later restart selection; capacity and rates are fixed
 and the float comparisons are monotone, so it would have been planned and
 rejected again, and the skip changes no output.
 
+The vehicle senses each pose once. A pose's detections are fixed, and
+once they are marked on the belief grid a repeat sensing there marks
+nothing, so a per-mission flag per cell skips it.
+
 Ground truth backstop: sonar rays cannot see past corner contacts, so a
 planned cell may turn out to hold an obstacle. Stepping into it is refused
 by the world model and recorded as a contact detection; the plan is then
@@ -175,6 +179,7 @@ class Mission:
             coverage_rate=self.config.coverage_rate,
         )
         self.sensor = SensorModel(self.config.sensor_range)
+        self._sensed = bytearray(len(self.grid.flat))  # per flat grid index: pose sensed
         self.pos: Cell = gt.station
         self.dfield = DistanceField(self.grid)
         self.trajectories: list[Trajectory] = []
@@ -225,7 +230,13 @@ class Mission:
         return new
 
     def _sense_here(self) -> list[Cell]:
-        return self._add_obstacles(self.gt.sense(self.sensor, self.pos))
+        # a pose's detections are fixed, and once marked a repeat adds none
+        i = self.grid.index(self.pos)
+        if self._sensed[i]:
+            return []
+        new = self._add_obstacles(self.gt.sense(self.sensor, self.pos))
+        self._sensed[i] = 1
+        return new
 
     def _mark_explored(self, cell: Cell) -> None:
         if self.grid.state(cell) is CellState.UNEXPLORED:

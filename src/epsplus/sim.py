@@ -7,14 +7,28 @@ traced over the supercover cells of the segment, so obstacles hiding behind
 other obstacles (including diagonal corner contacts) stay undetected until
 seen from a better vantage point.
 
-Ranges are in meters and cells are 1 m squares, so the cell offsets inside
-the disk depend on the range alone: each :class:`SensorModel` computes them
-once.
+Ranges are in meters and cells are 1 m squares. ``supercover_line`` is
+translation-invariant, so the rays of one range are the same from every
+pose: on the first ``sense`` at a range, the ground truth builds the ray
+templates of that range once. They index a copy of the obstacle map as
+flat bytes, with a border wide enough that no target off the map wraps onto
+another row. The disk's targets in one row are a run of adjacent bytes, so
+the templates hold, per disk row, the flat offsets where its run starts and
+ends and, per target, the flat offsets of the supercover cells strictly
+between the pose and the target. A pose then costs one byte search per
+disk row, plus a walk of the cells between only where the search finds an
+obstacle target.
+
+The disk is clipped to the map's extent: no offset reaches further than the
+map is wide or tall, so a range beyond the map's diagonal senses the whole
+map without enumerating a disk larger than it. Nothing is memoized per
+pose; a mission senses each pose once (see ``mission``).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 
 from .grid import Cell, ParsedMap
 from .pathfind import supercover_line
@@ -26,20 +40,48 @@ class SensorModel:
     def __init__(self, range_m: float):
         if not 0 < range_m < math.inf:
             raise ValueError(f"sensor range must be a positive finite number, got {range_m}")
-        self.range_m = range_m = float(range_m)
-        # cell offsets whose centers lie within range, in (dc, dr) order
-        r_int = int(math.floor(range_m))
+        self.range_m = float(range_m)
+
+
+class _RayTemplates:
+    """The ray templates of one sensor range over one map, and the bytes they index."""
+
+    __slots__ = ("stride", "origin", "obstacle", "rows")
+
+    def __init__(self, gt: "GroundTruth", range_m: float):
+        reach = math.floor(range_m)
+        reach_c = min(reach, gt.width - 1)
+        reach_r = min(reach, gt.height - 1)
+        # a border of reach_c columns on each side and reach_r rows above and
+        # below holds every in-range target of every pose on the map
+        self.stride = stride = gt.width + 2 * reach_c
+        self.origin = reach_r * stride + reach_c  # flat index of cell (0, 0)
+        self.obstacle = bytearray(stride * (gt.height + 2 * reach_r))
+        for c, r in gt.obstacles:
+            self.obstacle[self.origin + r * stride + c] = 1
         limit = range_m * range_m + 1e-12
-        self.offsets = sorted(
-            (dc, dr)
-            for dr in range(-r_int, r_int + 1)
-            for dc in range(-r_int, r_int + 1)
-            if (dc or dr) and dc * dc + dr * dr <= limit
-        )
+        rows = []
+        for dr in range(-reach_r, reach_r + 1):
+            # the disk's offsets in one row are a run -span..span around the
+            # pose's column; the pose itself is free, so its template never fires
+            span = max(dc for dc in range(reach_c + 1) if dc * dc + dr * dr <= limit)
+            # the cells strictly between pose and target; a supercover line
+            # stays inside the bounding box of its ends, so these lie on the
+            # map whenever pose and target do
+            between = tuple(
+                array("i", (r * stride + c for c, r in supercover_line((0, 0), (dc, dr))[1:-1]))
+                for dc in range(-span, span + 1)
+            )
+            rows.append((dr * stride - span, dr * stride + span + 1, -span, dr, between))
+        self.rows = rows
 
 
 class GroundTruth:
-    """Immutable true map used by the simulator; never read by the planner."""
+    """True map used by the simulator; never read by the planner.
+
+    The map never changes. The ray templates of a sensor range are derived
+    from it on the first ``sense`` at that range.
+    """
 
     def __init__(
         self,
@@ -61,7 +103,7 @@ class GroundTruth:
         self.height = height
         self.obstacles = frozenset(obstacles)
         self.station = station
-        self._sense_cache: dict[tuple[float, Cell], frozenset[Cell]] = {}
+        self._templates: dict[float, _RayTemplates] = {}
 
     @classmethod
     def from_parsed(cls, parsed: ParsedMap) -> "GroundTruth":
@@ -72,31 +114,30 @@ class GroundTruth:
 
     def sense(self, sensor: SensorModel, pose: Cell) -> frozenset[Cell]:
         """Obstacle cells visible from the pose cell (in range, not occluded)."""
+        col, row = pose
+        if not (0 <= col < self.width and 0 <= row < self.height):
+            raise ValueError(f"sensor pose {pose} is off the map")
         if self.is_obstacle(pose):
             raise ValueError(f"sensor pose {pose} is inside an obstacle")
-        key = (sensor.range_m, pose)
-        cached = self._sense_cache.get(key)
-        if cached is not None:
-            return cached
-        detected = set()
-        for dc, dr in sensor.offsets:
-            target = (pose[0] + dc, pose[1] + dr)
-            if not (0 <= target[0] < self.width and 0 <= target[1] < self.height):
-                continue
-            if not self.is_obstacle(target):
-                continue
-            blocked = False
-            for cell in supercover_line(pose, target):
-                if cell == target:
-                    break
-                if cell != pose and self.is_obstacle(cell):
-                    blocked = True
-                    break
-            if not blocked:
-                detected.add(target)
-        result = frozenset(detected)
-        self._sense_cache[key] = result
-        return result
+        rays = self._templates.get(sensor.range_m)
+        if rays is None:
+            rays = self._templates[sensor.range_m] = _RayTemplates(self, sensor.range_m)
+        obstacle = rays.obstacle
+        base = rays.origin + row * rays.stride + col  # flat index of the pose
+        detected = []
+        find = obstacle.find
+        for lo, hi, dc0, dr, between in rays.rows:
+            lo += base
+            hi += base
+            i = find(1, lo, hi)
+            while i >= 0:
+                for off in between[i - lo]:
+                    if obstacle[base + off]:
+                        break
+                else:
+                    detected.append((col + dc0 + i - lo, row + dr))
+                i = find(1, i + 1, hi)
+        return frozenset(detected)
 
     def validate_move(self, frm: Cell, to: Cell) -> bool:
         """True iff the target is free and at most one 8-connected step away."""

@@ -38,6 +38,34 @@ def los_clear(grid, a, b, traversable, exempt=frozenset()):
     return all(traversable(state(c)) or c in exempt for c in supercover_line(a, b))
 
 
+def reference_sense(gt, range_m, pose):
+    """Per-ray reference sonar: for every offset of the unclipped disk, the
+    in-bounds obstacle target is detected unless an obstacle lies on a
+    ``supercover_line`` cell strictly between the pose and the target."""
+    r_int = int(math.floor(range_m))
+    limit = range_m * range_m + 1e-12
+    detected = set()
+    for dr in range(-r_int, r_int + 1):
+        for dc in range(-r_int, r_int + 1):
+            if not (dc or dr) or dc * dc + dr * dr > limit:
+                continue
+            target = (pose[0] + dc, pose[1] + dr)
+            if not (0 <= target[0] < gt.width and 0 <= target[1] < gt.height):
+                continue
+            if not gt.is_obstacle(target):
+                continue
+            blocked = False
+            for cell in supercover_line(pose, target):
+                if cell == target:
+                    break
+                if cell != pose and gt.is_obstacle(cell):
+                    blocked = True
+                    break
+            if not blocked:
+                detected.add(target)
+    return frozenset(detected)
+
+
 def supercover_oracle(a, b):
     """Cells touched by the segment between cell centers, via exact rational
     boundary-crossing times (both cells are added at exact corner crossings)."""

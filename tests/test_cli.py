@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -258,3 +259,18 @@ def test_config_rejects_bad_input(text):
 def test_config_repeated_key_names_both_lines():
     with pytest.raises(ValueError, match="line 3: capacity_e0 already set on line 1"):
         parse_config("capacity_e0 = 3\n# later\ncapacity_e0 = 500")
+
+
+def test_run_sensor_range_beyond_the_map(tmp_path):
+    # the sonar's disk is clipped to the map, so a range far beyond it
+    # senses exactly what a range of the map's diagonal senses
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "small_office.txt"
+    parsed = parse_map_text(scenario.read_text())
+    outputs = []
+    for range_m in (1e9, math.hypot(parsed.width, parsed.height)):
+        cfg = write(tmp_path, "cfg.txt", f"capacity_e0 = 14\nsensor_range = {range_m!r}\n")
+        out = tmp_path / f"out-{range_m!r}"
+        rc = main(["run", str(scenario), "--config", cfg, "--out", str(out)])
+        outputs.append((rc, (out / "trajectory.csv").read_bytes(), (out / "report.txt").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0

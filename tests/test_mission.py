@@ -11,7 +11,7 @@ import pytest
 from epsplus.config import MissionConfig
 from epsplus.energy import SegmentKind
 from epsplus.grid import CellState, parse_map_text
-from epsplus.mission import Mission, MissionEvent, log_to_csv, run_mission
+from epsplus.mission import Mission, MissionEvent, log_to_csv, report_to_text, run_mission
 from epsplus.pathfind import (
     DistanceField,
     astar,
@@ -409,3 +409,30 @@ def test_advance_floor_saves_plans_and_changes_no_log_row():
     without.run()
     assert with_floor.log_rows == without.log_rows
     assert with_floor.advance_plans < without.advance_plans
+
+
+class SensingEveryVisit(Mission):
+    """Senses at every visit of a pose, not only at the first."""
+
+    def __init__(self, gt, config):
+        self.repeats = 0
+        self._seen = set()
+        super().__init__(gt, config)
+
+    def _sense_here(self):
+        self.repeats += self.pos in self._seen
+        self._seen.add(self.pos)
+        return self._add_obstacles(self.gt.sense(self.sensor, self.pos))
+
+
+def test_sensing_each_pose_once_changes_no_log_row_or_report():
+    # a pose's detections are fixed, so a repeat sensing could only mark
+    # cells already marked; the bundled scenarios and a few tight budgets
+    repeats = 0
+    for name, text, cfg in islice(retreat_cases(), 8):
+        shipped, every = Mission(gt_from_text(text), cfg), SensingEveryVisit(gt_from_text(text), cfg)
+        shipped_report, every_report = shipped.run(), every.run()
+        assert shipped.log_rows == every.log_rows, name
+        assert report_to_text(shipped_report) == report_to_text(every_report), name
+        repeats += every.repeats
+    assert repeats

@@ -1,12 +1,17 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from epsplus.config import MissionConfig
 from epsplus.grid import parse_map_text
 from epsplus.sim import GroundTruth, SensorModel
 
-from helpers import map_text, random_rect_obstacles, supercover_oracle
+from helpers import map_text, random_rect_obstacles, reference_sense, supercover_oracle
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def oracle_sense(gt, range_m, pose):
@@ -111,3 +116,55 @@ def test_map_text_helper_round_trip():
     parsed = parse_map_text(text)
     assert parsed.obstacles == frozenset(obstacles)
     assert parsed.station == (0, 0)
+
+
+# the sensor range of each bundled scenario's golden config
+SCENARIO_RANGES = {
+    "field_a": MissionConfig().sensor_range,
+    "field_b": MissionConfig().sensor_range,
+    "small_office": 1.5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_RANGES))
+def test_templated_sense_matches_reference_on_every_free_pose(name):
+    gt = GroundTruth.from_parsed(parse_map_text((SCENARIOS / f"{name}.txt").read_text()))
+    range_m = SCENARIO_RANGES[name]
+    sensor = SensorModel(range_m)
+    poses = [(c, r) for r in range(gt.height) for c in range(gt.width) if not gt.is_obstacle((c, r))]
+    for pose in poses:
+        assert gt.sense(sensor, pose) == reference_sense(gt, range_m, pose), pose
+
+
+@st.composite
+def small_maps(draw):
+    """A map of 1-8 by 1-8 cells with any obstacles except on the station (0, 0)."""
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = [(c, r) for r in range(h) for c in range(w) if (c, r) != (0, 0)]
+    obstacles = draw(st.sets(st.sampled_from(cells))) if cells else set()
+    return w, h, frozenset(obstacles)
+
+
+@given(small_maps())
+@example((1, 7, frozenset({(0, 2), (0, 5)})))
+@example((7, 1, frozenset({(3, 0), (6, 0)})))
+@example((1, 1, frozenset()))
+@example((6, 5, frozenset({(2, 0), (0, 2), (5, 2), (3, 4), (2, 2), (3, 1)})))
+@settings(max_examples=200, deadline=None)
+def test_templated_sense_matches_reference_on_random_maps(shape):
+    # every free pose, so every free edge and corner cell, at ranges below a
+    # cell, on the diagonal step, and beyond the map's diagonal
+    w, h, obstacles = shape
+    gt = GroundTruth(w, h, obstacles, (0, 0))
+    ranges = (0.5, 1.0, math.sqrt(2.0), 1.5, 2.5, 3.0, 5.0, math.hypot(w, h) + 1.0)
+    for range_m in ranges:
+        sensor = SensorModel(range_m)
+        for pose in ((c, r) for r in range(h) for c in range(w) if (c, r) not in obstacles):
+            assert gt.sense(sensor, pose) == reference_sense(gt, range_m, pose), (range_m, pose)
+
+
+def test_sense_rejects_a_pose_off_the_map():
+    gt = GroundTruth(3, 2, frozenset(), (0, 0))
+    for pose in ((-1, 0), (3, 0), (0, 2), (0, -1)):
+        with pytest.raises(ValueError):
+            gt.sense(SensorModel(1.5), pose)
