@@ -20,6 +20,30 @@ one-cell frame of ``BORDER`` bytes, so cell ``(c, r)`` is at
 order like ``(col, row)`` tuples, and an offset from ``steps`` added to a
 cell's index lands on a cell or the frame, so walks need no bounds checks.
 
+``reachable_unexplored()`` returns a mask indexed like ``flat``: 1 at each
+unexplored cell 8-connected to the station through non-obstacle cells. The
+first call floods the map. After that every update keeps the mask exact,
+and with it ``reachable_blocks``, the positive count of mask cells per 2x2
+block ``(col // 2, row // 2)``; the counts fall with every cleared bit and
+are recounted on a fill.
+
+* A traversal clears its cell's bit; connectivity is unchanged.
+* A sensor update marks its new obstacles one at a time, in sorted order,
+  and tests each right after marking it, so the batch's later cells still
+  count as free. A cell that was not reachable cuts nothing reachable.
+* A reachable cell whose free 8-neighbours are 8-connected inside its ring
+  is a simple point (Rosenfeld): removing it cuts nothing. Two orthogonal
+  neighbours touch diagonally. A table of the 256 free-ring masks, built at
+  import, gives one seed per ring component.
+* Otherwise one search per ring component runs in lockstep over
+  non-obstacle cells, explored ones included, and searches that meet merge.
+  Once at most one group is still searching, each finished group is a
+  whole component cut off from the station, and its bits are cleared. This
+  is the interleaved search of Even & Shiloach ("An on-line edge-deletion
+  problem", J. ACM 1981); it costs about the pocket's size per search.
+* If a finished group holds the station, the mask is dropped instead, and
+  the next call floods only the station's small component.
+
 The static field ``b`` assigns every unexplored cell a positive integer
 potential that is constant along a column and strictly decreasing from left
 to right (``b(col) = width - col``), which biases the sweep into a
@@ -51,6 +75,35 @@ class CellState(IntEnum):
 
 BORDER = 3  # byte value of the frame around the grid; not a CellState
 _STATE_OF = tuple(CellState)  # byte value -> CellState
+Block = tuple[int, int]  # (col // 2, row // 2): the 2x2 block holding a cell
+
+
+def _ring_seeds(free: int) -> tuple[int, ...]:
+    """One ring position per 8-connected component of the free ring cells.
+
+    Bit k of ``free`` is set when ``NEIGHBORS_8[k]`` is free. Ring cells
+    touch when they are 8-adjacent, so two orthogonal neighbours such as N
+    and W touch diagonally.
+    """
+    left = [k for k in range(8) if free >> k & 1]
+    seeds = []
+    while left:
+        seeds.append(left[0])
+        stack = [left.pop(0)]
+        while stack:
+            ac, ar = NEIGHBORS_8[stack.pop()]
+            touching = [
+                k for k in left
+                if abs(NEIGHBORS_8[k][0] - ac) < 2 and abs(NEIGHBORS_8[k][1] - ar) < 2
+            ]
+            for k in touching:
+                left.remove(k)
+                stack.append(k)
+    return tuple(seeds)
+
+
+# free-ring bits -> seeds; fewer than two seeds make the center a simple point
+_RING_SEEDS = tuple(_ring_seeds(free) for free in range(256))
 
 
 class CellGrid:
@@ -70,7 +123,9 @@ class CellGrid:
         self.flat = bytearray(edge * stride + (edge + bytes(height) + edge) * width + edge * stride)
         # (flat index offset, step length in meters) per move, in NEIGHBORS_8 order
         self.steps = tuple((dc * stride + dr, math.hypot(dc, dr)) for dc, dr in NEIGHBORS_8)
-        self._reachable: set[Cell] | None = None  # flood-fill cache, see reachable_unexplored
+        self._reach: bytearray | None = None  # reachable-unexplored mask, see reachable_unexplored
+        # positive per-block counts of the mask's cells, live while the mask is
+        self.reachable_blocks: dict[Block, int] | None = None
         self._vis_cores: dict = {}  # visibility-graph cores, kept by pathfind
         self._sight_lines: dict = {}  # flat sight-line offsets per cell delta, kept by pathfind
 
@@ -119,7 +174,7 @@ class CellGrid:
         A detection on an explored cell or on the station contradicts the
         ground truth assumptions and raises :class:`MapConflictError`
         before any cell is marked. Repeated detections of the same cell are
-        no-ops.
+        no-ops. The reachable mask, once filled, stays exact (module docstring).
         """
         new = []
         for cell in set(detected_obstacles):
@@ -132,11 +187,14 @@ class CellGrid:
                 raise MapConflictError(f"obstacle detected on explored cell {cell}")
             if st == CellState.UNEXPLORED:
                 new.append(cell)
-        if new:
-            new.sort()
-            for cell in new:
-                self.flat[self.index(cell)] = CellState.OBSTACLE
-            self._reachable = None  # a new obstacle may cut the free space
+        new.sort()
+        flat = self.flat
+        for cell in new:
+            # in marking order, so the batch's later cells still count as free
+            i = self.index(cell)
+            flat[i] = CellState.OBSTACLE
+            if self._reach is not None and self._reach[i]:
+                self._cut(i)
         return new
 
     def mark_traversed(self, cell: Cell) -> None:
@@ -150,23 +208,25 @@ class CellGrid:
         if st == CellState.EXPLORED:
             return
         self.flat[i] = CellState.EXPLORED
-        if self._reachable is not None:
-            self._reachable.discard(cell)  # connectivity is unchanged
+        if self._reach is not None and self._reach[i]:  # connectivity is unchanged
+            self._reach[i] = 0
+            self._uncount(i)
 
     # -- queries ------------------------------------------------------------
 
-    def reachable_unexplored(self) -> set[Cell]:
-        """Unexplored cells 8-connected to the station through non-obstacle cells.
+    def reachable_unexplored(self) -> bytearray:
+        """Mask of the unexplored cells 8-connected to the station through non-obstacle cells.
 
-        The flood fill is cached until a sensor update adds an obstacle. The
-        returned set is the live cache: callers must not modify it, and
-        traversing a cell removes that cell from it.
+        The mask is indexed like ``flat`` (1 = reachable and unexplored)
+        and filled by the first call; the updates keep it exact after that,
+        along with ``reachable_blocks``. It is the live mask: callers must
+        not modify it.
         """
-        if self._reachable is None:
-            self._reachable = self._flood_unexplored()
-        return self._reachable
+        if self._reach is None:
+            self._flood_unexplored()
+        return self._reach
 
-    def _flood_unexplored(self) -> set[Cell]:
+    def _flood_unexplored(self) -> None:
         # the station is never an obstacle (apply_sensor_update refuses it)
         flat = self.flat
         obstacle = int(CellState.OBSTACLE)
@@ -181,7 +241,104 @@ class CellGrid:
                     seen[j] = 1
                     if flat[j] < obstacle:  # neither obstacle nor border
                         reached.append(j)
-        return {self.cell_at(i) for i in reached if flat[i] == CellState.UNEXPLORED}
+        reach = bytearray(len(flat))
+        blocks: dict[Block, int] = {}
+        for i in reached:
+            if flat[i] == CellState.UNEXPLORED:
+                reach[i] = 1
+                block = self._block_at(i)
+                blocks[block] = blocks.get(block, 0) + 1
+        self._reach = reach
+        self.reachable_blocks = blocks
+
+    def _block_at(self, i: int) -> Block:
+        col, row = divmod(i, self.stride)
+        return (col - 1) >> 1, (row - 1) >> 1
+
+    def _uncount(self, i: int) -> None:
+        """Take the cell at flat index ``i`` out of its block's count."""
+        block = self._block_at(i)
+        n = self.reachable_blocks[block] - 1
+        if n:
+            self.reachable_blocks[block] = n
+        else:
+            del self.reachable_blocks[block]
+
+    def _cut(self, i: int) -> None:
+        """Keep the mask exact after the reachable cell at flat index ``i`` became an obstacle.
+
+        A simple point, whose free ring cells are 8-connected inside the
+        ring, cuts nothing; any other cell may cut off pockets.
+        """
+        self._reach[i] = 0
+        self._uncount(i)
+        flat = self.flat
+        obstacle = int(CellState.OBSTACLE)
+        free = 0
+        for k, (off, _) in enumerate(self.steps):
+            if flat[i + off] < obstacle:
+                free |= 1 << k
+        seeds = _RING_SEEDS[free]
+        if len(seeds) > 1:
+            self._clear_pockets([i + self.steps[k][0] for k in seeds])
+
+    def _clear_pockets(self, starts: list[int]) -> None:
+        """Clear from the mask the components of ``starts`` cut off from the station.
+
+        One search per start runs in lockstep over non-obstacle cells
+        (Even & Shiloach, J. ACM 1981); searches that meet merge. Once at
+        most one group is still searching, every finished group is a whole
+        component, and one without the station is a pocket. A finished
+        group that holds the station drops the mask instead, so the next
+        fill floods only the station's component.
+        """
+        flat = self.flat
+        obstacle = int(CellState.OBSTACLE)
+        offsets = [off for off, _ in self.steps]
+        n = len(starts)
+        found = [[j] for j in starts]  # per group: the cells it labelled, in search order
+        head = [0] * n  # per group: the next cell of found[g] to expand
+        into = list(range(n))  # group -> the group it merged into (itself while open)
+        label = {j: g for g, j in enumerate(starts)}
+
+        def root(g: int) -> int:
+            while into[g] != g:
+                g = into[g]
+            return g
+
+        searching = list(range(n))
+        while len(searching) > 1:
+            for g in searching:  # one expansion per searching group and round
+                if into[g] != g or head[g] == len(found[g]):
+                    continue
+                c = found[g][head[g]]
+                head[g] += 1
+                for off in offsets:
+                    j = c + off
+                    if flat[j] >= obstacle:
+                        continue
+                    h = label.get(j)
+                    if h is None:
+                        label[j] = g
+                        found[g].append(j)
+                    elif (h := root(h)) != g:  # the searches met: one group from now on
+                        a, b = found[g], found[h]
+                        found[g] = a[: head[g]] + b[: head[h]] + a[head[g] :] + b[head[h] :]
+                        head[g] += head[h]
+                        into[h] = g
+                        found[h] = []
+            searching = [g for g in searching if into[g] == g and head[g] < len(found[g])]
+        pockets = [g for g in range(n) if into[g] == g and head[g] == len(found[g])]
+        station = label.get(self.index(self.station))
+        if station is not None and root(station) in pockets:
+            self._reach = self.reachable_blocks = None
+            return
+        reach = self._reach
+        for g in pockets:
+            for j in found[g]:
+                if reach[j]:
+                    reach[j] = 0
+                    self._uncount(j)
 
     def counts(self) -> dict[CellState, int]:
         return {s: self.flat.count(s) for s in CellState}

@@ -34,6 +34,7 @@ class MapsHierarchy:
             for ci in range(self.ncols):
                 c0, r0, c1, r1 = self.extent(ci, cj)
                 self.total.append((c1 - c0) * (r1 - r0))
+        self._centers: list[tuple[float, float]] | None = None  # per block, see center()
         self.rebuild_counts()
 
     def block_of(self, cell: Cell) -> tuple[int, int]:
@@ -48,8 +49,13 @@ class MapsHierarchy:
 
     def center(self, ci: int, cj: int) -> tuple[float, float]:
         """Extent center in cell units (for distance tie-breaking)."""
-        c0, r0, c1, r1 = self.extent(ci, cj)
-        return ((c0 + c1 - 1) / 2.0, (r0 + r1 - 1) / 2.0)
+        if self._centers is None:  # built on the first selection, not in set-up
+            self._centers = []
+            for bj in range(self.nrows):
+                for bi in range(self.ncols):
+                    c0, r0, c1, r1 = self.extent(bi, bj)
+                    self._centers.append(((c0 + c1 - 1) / 2.0, (r0 + r1 - 1) / 2.0))
+        return self._centers[cj * self.ncols + ci]
 
     def potential(self, ci: int, cj: int) -> float:
         i = cj * self.ncols + ci

@@ -14,10 +14,14 @@ and the visibility graph is built only when it found a path. An
 explored-only query from the station's explored component that has no path
 is answered from the distance field below, so grid A* runs only when a path
 may exist. The unexplored cells still reachable from the station come from
-the belief grid's cached flood fill.
+the belief grid's reachable mask, tested by flat index.
 
-Reachability and path planning read caches owned by the belief grid. The flood fill is
-dropped when a sensor update adds an obstacle. The visibility-graph core
+Reachability and path planning read caches owned by the belief grid. The
+reachable mask and its per-block counts stay exact through every update:
+a new obstacle that is not a simple point clears only the pockets it cuts
+off, and only a cut that leaves the station in a finished pocket search
+drops the mask for a refill, so a mission floods the map about once (see
+``grid``). The visibility-graph core
 (obstacle vertices and the sight lines among them, one per predicate) is
 rebuilt after a new obstacle, and under ``explored_only`` also after a
 traversed cell. Between those events, the many restart candidates an advance
@@ -500,7 +504,7 @@ class Mission:
             if (
                 self.grid.state(target) is not CellState.UNEXPLORED
                 or target in self.infeasible
-                or target not in self.grid.reachable_unexplored()
+                or not self.grid.reachable_unexplored()[self.grid.index(target)]
             ):
                 target = next_waypoint(self.grid, self.hier, self.pos, excluded=self.infeasible)
                 if target is None:

@@ -17,8 +17,12 @@ nothing selectable remains the selection reports completion by returning
 nor on reachability, and every block holding a selectable cell has
 positive potential, so ranking only those blocks picks the block that a
 ranked scan of all positive blocks would reach first. Reachability is the
-grid's own cached flood fill (:meth:`CellGrid.reachable_unexplored`); only
-coarse selections read it.
+grid's incrementally kept mask (:meth:`CellGrid.reachable_unexplored`) and
+its per-block counts ``reachable_blocks``; only coarse selections read
+them. A block holds a selectable cell exactly when its count exceeds the
+number of its excluded cells that are still reachable and unexplored, so a
+selection ranks those blocks without walking the reachable cells, then
+scans the best block's cells.
 """
 
 from __future__ import annotations
@@ -59,7 +63,14 @@ def restart_point(
 ) -> Cell | None:
     """Coarse selection from the origin (the station, for a restart), or None when done."""
     reachable = grid.reachable_unexplored()
-    blocks = {hierarchy.block_of(c) for c in reachable if c not in excluded}
+    index = grid.index
+    stride = grid.stride
+    taken: dict[tuple[int, int], int] = {}  # per block: its excluded cells in the mask
+    for col, row in excluded:  # index() inlined: on a tight budget many cells are excluded
+        if reachable[(col + 1) * stride + row + 1]:
+            block = (col >> 1, row >> 1)
+            taken[block] = taken.get(block, 0) + 1
+    blocks = [b for b, n in grid.reachable_blocks.items() if n > taken.get(b, 0)]
     if not blocks:
         return None
     ox, oy = origin
@@ -70,6 +81,6 @@ def restart_point(
 
     cells = [
         c for c in hierarchy.unexplored_in_extent(*min(blocks, key=rank))
-        if c in reachable and c not in excluded
+        if reachable[index(c)] and c not in excluded
     ]
     return min(cells, key=lambda c: ((c[0] - ox) ** 2 + (c[1] - oy) ** 2, c))

@@ -31,6 +31,40 @@ def flood_reachable(width, height, obstacles, station):
     return reached
 
 
+def reachable_cells(grid):
+    """The grid's reachable-unexplored mask (``reachable_unexplored()``) as a set of cells."""
+    mask = grid.reachable_unexplored()
+    return {grid.cell_at(i) for i, bit in enumerate(mask) if bit}
+
+
+def block_counts(cells):
+    """Per 2x2 block ``(col // 2, row // 2)`` holding any of the cells, how many it holds."""
+    counts = {}
+    for col, row in cells:
+        block = (col // 2, row // 2)
+        counts[block] = counts.get(block, 0) + 1
+    return counts
+
+
+def ring_components(free):
+    """Number of 8-connected components among the free cells of a 3x3 ring.
+
+    ``free`` holds (dc, dr) offsets from the ring's center; two ring cells
+    are connected when they are 8-adjacent, whatever the center holds.
+    """
+    left = set(free)
+    components = 0
+    while left:
+        components += 1
+        stack = [left.pop()]
+        while stack:
+            a = stack.pop()
+            touching = {b for b in left if max(abs(a[0] - b[0]), abs(a[1] - b[1])) == 1}
+            left -= touching
+            stack.extend(touching)
+    return components
+
+
 def los_clear(grid, a, b, traversable, exempt=frozenset()):
     """Tuple reference sight line: every cell the segment a->b touches passes
     the predicate or is in ``exempt`` (a goal admitted whatever its state)."""

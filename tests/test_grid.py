@@ -1,10 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from epsplus.errors import MapConflictError, MapFormatError
-from epsplus.grid import BORDER, NEIGHBORS_8, CellGrid, CellState, parse_map_text
+from epsplus.grid import _RING_SEEDS, BORDER, NEIGHBORS_8, CellGrid, CellState, parse_map_text
 
-from helpers import flood_reachable, map_text
+from helpers import block_counts, flood_reachable, map_text, reachable_cells, ring_components
 
 
 def test_new_grid_50x50():
@@ -95,14 +95,14 @@ def test_mark_traversed():
 
 def test_reachable_unexplored_open_grid():
     grid = CellGrid(3, 3, (0, 0))
-    assert grid.reachable_unexplored() == {(c, r) for c in range(3) for r in range(3)}
+    assert reachable_cells(grid) == {(c, r) for c in range(3) for r in range(3)}
 
 
 def test_reachable_unexplored_sealed_cell():
     grid = CellGrid(5, 5, (0, 0))
     ring = {(1, 1), (2, 1), (3, 1), (1, 2), (3, 2), (1, 3), (2, 3), (3, 3)}
     grid.apply_sensor_update(ring)
-    assert (2, 2) not in grid.reachable_unexplored()
+    assert (2, 2) not in reachable_cells(grid)
 
 
 def test_reachable_unexplored_wall_vs_oracle():
@@ -113,7 +113,7 @@ def test_reachable_unexplored_wall_vs_oracle():
         c for c in flood_reachable(5, 5, wall, (0, 0))
         if grid.state(c) is CellState.UNEXPLORED
     }
-    assert grid.reachable_unexplored() == expected
+    assert reachable_cells(grid) == expected
 
 
 def test_parse_map_round_trip():
@@ -185,14 +185,124 @@ def test_state_transitions_monotone(ops):
         inside = {grid.index(c) for c in grid.cells()}
         assert all(b == BORDER for i, b in enumerate(grid.flat) if i not in inside)
         assert grid.counts() == {s: sum(grid.state(c) is s for c in grid.cells()) for s in CellState}
-        # the cached reachable set must match a fresh flood after every op
+        # the reachable mask and its block counts must match a fresh flood after every op
         obstacles = {c for c in grid.cells() if grid.state(c) is CellState.OBSTACLE}
         expected = {
             c for c in flood_reachable(6, 6, obstacles, grid.station)
             if grid.state(c) is CellState.UNEXPLORED
         }
-        assert grid.reachable_unexplored() == expected
+        assert reachable_cells(grid) == expected
+        assert grid.reachable_blocks == block_counts(expected)
     for c, seq in history.items():
         assert len(seq) <= 2
         if len(seq) == 2:
             assert seq[0] is CellState.UNEXPLORED
+
+
+def _bits(*offsets):
+    return sum(1 << NEIGHBORS_8.index(o) for o in offsets)
+
+
+N, NE, E, SE, S, SW, W, NW = (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1)
+
+
+def _component(ring, a):
+    """The ring cells 8-connected to ``a`` through ring cells."""
+    reached, stack = {a}, [a]
+    while stack:
+        c = stack.pop()
+        for b in ring - reached:
+            if max(abs(b[0] - c[0]), abs(b[1] - c[1])) == 1:
+                reached.add(b)
+                stack.append(b)
+    return reached
+
+
+def test_ring_seed_table_matches_brute_force():
+    # bit k of an entry's index marks NEIGHBORS_8[k] free; the entry holds one
+    # free ring position per 8-connected component of the free ring cells
+    for free in range(256):
+        ring = {o for k, o in enumerate(NEIGHBORS_8) if free >> k & 1}
+        seeds = [NEIGHBORS_8[k] for k in _RING_SEEDS[free]]
+        assert len(seeds) == ring_components(ring), free
+        parts = [_component(ring, a) for a in seeds]
+        assert sum(len(part) for part in parts) == len(ring), free
+        assert set().union(*parts) == ring, free
+    # two orthogonal neighbours touch diagonally, whatever the corner between them holds
+    assert len(_RING_SEEDS[_bits(N, W)]) == 1
+    assert len(_RING_SEEDS[_bits(N, E)]) == 1
+    assert len(_RING_SEEDS[_bits(N, E, S, W)]) == 1
+    assert len(_RING_SEEDS[_bits(N, S)]) == 2
+    assert len(_RING_SEEDS[_bits(E, W)]) == 2
+    assert len(_RING_SEEDS[_bits(NW, NE)]) == 2
+    assert len(_RING_SEEDS[_bits(NW, NE, SE, SW)]) == 4
+    assert len(_RING_SEEDS[_bits(NW, N, NE)]) == 1
+    assert _RING_SEEDS[0] == () and len(_RING_SEEDS[255]) == 1
+
+
+class CutRecording(CellGrid):
+    """Records, per reachable cell that a sensor update turns into an obstacle,
+    the number of components of its free ring and whether it searched for pockets."""
+
+    def __init__(self, width, height, station):
+        super().__init__(width, height, station)
+        self.cuts = []
+
+    def _cut(self, i):
+        col, row = self.cell_at(i)
+        ring = {
+            (dc, dr) for dc, dr in NEIGHBORS_8
+            if self.in_bounds((col + dc, row + dr))
+            and self.state((col + dc, row + dr)) is not CellState.OBSTACLE
+        }
+        self.cuts.append([ring_components(ring), False])
+        super()._cut(i)
+
+    def _clear_pockets(self, starts):
+        self.cuts[-1][1] = True
+        super()._clear_pockets(starts)
+
+
+_RING_AROUND_33 = [(2, 2), (3, 2), (4, 2), (4, 3), (4, 4), (3, 4), (2, 4), (2, 3)]
+_WALL_AROUND_CORNER = [(5, 7), (5, 6), (5, 5), (6, 5), (7, 5)]  # of an 8x8 grid
+
+_carve = st.one_of(
+    st.tuples(st.just("wall"), st.integers(0, 8), st.integers(0, 8), st.integers(1, 3), st.integers(1, 3)),
+    st.tuples(st.just("traverse"), st.integers(0, 8), st.integers(0, 8), st.just(1), st.just(1)),
+)
+
+
+@given(st.integers(3, 9), st.integers(3, 9), st.integers(0, 80), st.lists(_carve, max_size=30))
+# a 3x3 batch across a corridor: each of its cells is simple once all are marked
+@example(9, 3, 0, [("wall", 4, 0, 3, 3)])
+# the station (3, 3) enclosed by one batch, then cell by cell
+@example(7, 7, 24, [("wall", 2, 2, 3, 3)])
+@example(7, 7, 24, [("wall", c, r, 1, 1) for c, r in _RING_AROUND_33])
+# a pocket of explored and unexplored cells cut off far from the station
+@example(8, 8, 0, [("traverse", 7, 7, 1, 1)] + [("wall", c, r, 1, 1) for c, r in _WALL_AROUND_CORNER])
+# the two sides of a cut meet around the wall
+@example(8, 8, 0, [("wall", 4, 2, 1, 1), ("wall", 4, 4, 1, 1), ("wall", 4, 3, 1, 1)])
+def test_pocket_carving_keeps_mask_and_block_counts_exact(width, height, station_raw, ops):
+    station = (station_raw % width, (station_raw // width) % height)
+    grid = CutRecording(width, height, station)
+    reachable_cells(grid)  # fill the mask, so that every op below updates it
+    for kind, col, row, w, h in ops:
+        if kind == "wall":
+            grid.apply_sensor_update([
+                (c, r)
+                for c in range(col, min(col + w, width))
+                for r in range(row, min(row + h, height))
+                if (c, r) != station and grid.state((c, r)) is CellState.UNEXPLORED
+            ])
+        elif grid.in_bounds((col, row)) and grid.state((col, row)) is not CellState.OBSTACLE:
+            grid.mark_traversed((col, row))
+        obstacles = {c for c in grid.cells() if grid.state(c) is CellState.OBSTACLE}
+        expected = {
+            c for c in flood_reachable(width, height, obstacles, station)
+            if grid.state(c) is CellState.UNEXPLORED
+        }
+        assert reachable_cells(grid) == expected
+        assert grid.reachable_blocks == block_counts(expected)
+    # a cut searches for pockets exactly when it is not a simple point
+    for components, searched in grid.cuts:
+        assert searched == (components > 1)

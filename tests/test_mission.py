@@ -10,7 +10,7 @@ import pytest
 
 from epsplus.config import MissionConfig
 from epsplus.energy import SegmentKind
-from epsplus.grid import CellState, parse_map_text
+from epsplus.grid import CellGrid, CellState, parse_map_text
 from epsplus.mission import Mission, MissionEvent, log_to_csv, report_to_text, run_mission
 from epsplus.pathfind import (
     DistanceField,
@@ -29,6 +29,7 @@ from helpers import (
     map_text,
     random_belief_grid,
     random_rect_obstacles,
+    reachable_cells,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -193,6 +194,25 @@ def test_safety_and_completeness_on_random_maps():
             assert traj.energy <= e0 + 1e-9
             for seg in traj.segments:
                 assert not any(gt.is_obstacle(c) for c in seg.cells)
+
+
+def test_one_flood_fill_per_mission(monkeypatch):
+    # new obstacles keep the reachable mask exact, so only the first coarse
+    # selection floods the map; the mission still covers what the oracle reaches
+    rng = random.Random(7)
+    obstacles = random_rect_obstacles(rng, 60, 60, (0, 0), 0.2)
+    gt = GroundTruth(60, 60, frozenset(obstacles), (0, 0))
+    fills = []
+    flood = CellGrid._flood_unexplored
+
+    def counting(grid):
+        fills.append(grid)
+        return flood(grid)
+
+    monkeypatch.setattr(CellGrid, "_flood_unexplored", counting)
+    report = run_mission(gt)
+    assert len(fills) == 1
+    assert report.covered_cell_count == len(flood_reachable(60, 60, obstacles, (0, 0)))
 
 
 def test_waypoint_invalidation_replans():
@@ -368,7 +388,7 @@ class FloorChecked(Mission):
         # plan from the station rejects
         grid = self.grid
         energy = self.energy
-        selectable = grid.reachable_unexplored()
+        selectable = reachable_cells(grid)
         stamp = tuple(grid.counts().values())  # plans change only with the cell states
         for target in self._floored:
             if target in selectable and (target, stamp) not in self.rejected:

@@ -7,7 +7,12 @@ from epsplus.grid import CellGrid, CellState
 from epsplus.hierarchy import MapsHierarchy
 from epsplus.planner import next_waypoint, restart_point
 
-from helpers import default_level_count, reference_coarse_select, reference_next_waypoint
+from helpers import (
+    default_level_count,
+    reachable_cells,
+    reference_coarse_select,
+    reference_next_waypoint,
+)
 
 
 def hierarchy_for(grid):
@@ -177,7 +182,7 @@ def test_done_iff_no_reachable_unexplored():
     for _ in range(50):
         grid, h = random_belief(rng, rng.randint(4, 12), rng.randint(4, 12))
         wp = next_waypoint(grid, h, grid.station)
-        reachable = grid.reachable_unexplored()
+        reachable = reachable_cells(grid)
         assert (wp is None) == (len(reachable) == 0)
         if wp is not None:
             assert wp in reachable
