@@ -22,10 +22,7 @@ cell's index lands on a cell or the frame, so walks need no bounds checks.
 
 ``reachable_unexplored()`` returns a mask indexed like ``flat``: 1 at each
 unexplored cell 8-connected to the station through non-obstacle cells. The
-first call floods the map. After that every update keeps the mask exact,
-and with it ``reachable_blocks``, the positive count of mask cells per 2x2
-block ``(col // 2, row // 2)``; the counts fall with every cleared bit and
-are recounted on a fill.
+first call floods the map. After that every update keeps the mask exact:
 
 * A traversal clears its cell's bit; connectivity is unchanged.
 * A sensor update marks its new obstacles one at a time, in sorted order,
@@ -75,7 +72,6 @@ class CellState(IntEnum):
 
 BORDER = 3  # byte value of the frame around the grid; not a CellState
 _STATE_OF = tuple(CellState)  # byte value -> CellState
-Block = tuple[int, int]  # (col // 2, row // 2): the 2x2 block holding a cell
 
 
 def _ring_seeds(free: int) -> tuple[int, ...]:
@@ -124,8 +120,6 @@ class CellGrid:
         # (flat index offset, step length in meters) per move, in NEIGHBORS_8 order
         self.steps = tuple((dc * stride + dr, math.hypot(dc, dr)) for dc, dr in NEIGHBORS_8)
         self._reach: bytearray | None = None  # reachable-unexplored mask, see reachable_unexplored
-        # positive per-block counts of the mask's cells, live while the mask is
-        self.reachable_blocks: dict[Block, int] | None = None
         self._vis_cores: dict = {}  # visibility-graph cores, kept by pathfind
         self._sight_lines: dict = {}  # flat sight-line offsets per cell delta, kept by pathfind
 
@@ -208,9 +202,8 @@ class CellGrid:
         if st == CellState.EXPLORED:
             return
         self.flat[i] = CellState.EXPLORED
-        if self._reach is not None and self._reach[i]:  # connectivity is unchanged
+        if self._reach is not None:  # connectivity is unchanged
             self._reach[i] = 0
-            self._uncount(i)
 
     # -- queries ------------------------------------------------------------
 
@@ -218,9 +211,8 @@ class CellGrid:
         """Mask of the unexplored cells 8-connected to the station through non-obstacle cells.
 
         The mask is indexed like ``flat`` (1 = reachable and unexplored)
-        and filled by the first call; the updates keep it exact after that,
-        along with ``reachable_blocks``. It is the live mask: callers must
-        not modify it.
+        and filled by the first call; the updates keep it exact after that.
+        It is the live mask: callers must not modify it.
         """
         if self._reach is None:
             self._flood_unexplored()
@@ -242,27 +234,10 @@ class CellGrid:
                     if flat[j] < obstacle:  # neither obstacle nor border
                         reached.append(j)
         reach = bytearray(len(flat))
-        blocks: dict[Block, int] = {}
         for i in reached:
             if flat[i] == CellState.UNEXPLORED:
                 reach[i] = 1
-                block = self._block_at(i)
-                blocks[block] = blocks.get(block, 0) + 1
         self._reach = reach
-        self.reachable_blocks = blocks
-
-    def _block_at(self, i: int) -> Block:
-        col, row = divmod(i, self.stride)
-        return (col - 1) >> 1, (row - 1) >> 1
-
-    def _uncount(self, i: int) -> None:
-        """Take the cell at flat index ``i`` out of its block's count."""
-        block = self._block_at(i)
-        n = self.reachable_blocks[block] - 1
-        if n:
-            self.reachable_blocks[block] = n
-        else:
-            del self.reachable_blocks[block]
 
     def _cut(self, i: int) -> None:
         """Keep the mask exact after the reachable cell at flat index ``i`` became an obstacle.
@@ -271,7 +246,6 @@ class CellGrid:
         ring, cuts nothing; any other cell may cut off pockets.
         """
         self._reach[i] = 0
-        self._uncount(i)
         flat = self.flat
         obstacle = int(CellState.OBSTACLE)
         free = 0
@@ -331,14 +305,12 @@ class CellGrid:
         pockets = [g for g in range(n) if into[g] == g and head[g] == len(found[g])]
         station = label.get(self.index(self.station))
         if station is not None and root(station) in pockets:
-            self._reach = self.reachable_blocks = None
+            self._reach = None
             return
         reach = self._reach
         for g in pockets:
             for j in found[g]:
-                if reach[j]:
-                    reach[j] = 0
-                    self._uncount(j)
+                reach[j] = 0
 
     def counts(self) -> dict[CellState, int]:
         return {s: self.flat.count(s) for s in CellState}

@@ -8,6 +8,14 @@ the map border). A block's potential is the fraction of unexplored cells
 inside it, so it is positive exactly when the block still holds something
 to cover, and larger where more remains.
 
+A block is keyed by one int, the flat index (``CellGrid.index``) of its
+lowest cell ``(2 * ci, 2 * cj)``. Flat indices order like ``(col, row)``,
+so keys order like ``(ci, cj)``, and the block's cells are at ``key``,
+``key + 1``, ``key + stride`` and ``key + stride + 1``. A clipped block's
+missing cells fall on the grid's frame, which holds no cell state.
+``unexplored_count`` maps the key of every block with an unexplored cell
+to its number of unexplored cells; a block whose last one goes leaves it.
+
 One 2x2 level decides every selection. The planner ranks blocks over the
 whole map, not a local window around the vehicle, and every unexplored cell
 lies in some block of positive potential. So if any selectable cell exists,
@@ -27,47 +35,44 @@ class MapsHierarchy:
 
     def __init__(self, grid: CellGrid):
         self.grid = grid
-        self.ncols = (grid.width + 1) // 2
-        self.nrows = (grid.height + 1) // 2
-        self.total = []
-        for cj in range(self.nrows):
-            for ci in range(self.ncols):
-                c0, r0, c1, r1 = self.extent(ci, cj)
-                self.total.append((c1 - c0) * (r1 - r0))
-        self._centers: list[tuple[float, float]] | None = None  # per block, see center()
+        self._shapes: dict[int, tuple[float, float, int]] | None = None  # see _block_shapes
         self.rebuild_counts()
 
-    def block_of(self, cell: Cell) -> tuple[int, int]:
-        """The (ci, cj) index of the block holding the cell."""
-        return cell[0] >> 1, cell[1] >> 1
+    def _block_shapes(self) -> dict[int, tuple[float, float, int]]:
+        """Per block key: the extent center in cell units and the number of cells.
 
-    def extent(self, ci: int, cj: int) -> tuple[int, int, int, int]:
-        """Half-open cell ranges (col0, row0, col1, row1) covered by block (ci, cj)."""
-        c0 = 2 * ci
-        r0 = 2 * cj
-        return c0, r0, min(c0 + 2, self.grid.width), min(r0 + 2, self.grid.height)
+        Built on the first selection, not in set-up. A block clipped at the
+        far edge is one cell wide (or high) there.
+        """
+        s, w, h = self.grid.stride, self.grid.width, self.grid.height
+        self._shapes = shapes = {}
+        for c0 in range(0, w, 2):
+            cx, nx = (c0 + 0.5, 2) if c0 + 1 < w else (float(c0), 1)
+            for r0 in range(0, h, 2):
+                cy, ny = (r0 + 0.5, 2) if r0 + 1 < h else (float(r0), 1)
+                shapes[(c0 + 1) * s + r0 + 1] = (cx, cy, nx * ny)
+        return shapes
 
-    def center(self, ci: int, cj: int) -> tuple[float, float]:
+    def center(self, key: int) -> tuple[float, float]:
         """Extent center in cell units (for distance tie-breaking)."""
-        if self._centers is None:  # built on the first selection, not in set-up
-            self._centers = []
-            for bj in range(self.nrows):
-                for bi in range(self.ncols):
-                    c0, r0, c1, r1 = self.extent(bi, bj)
-                    self._centers.append(((c0 + c1 - 1) / 2.0, (r0 + r1 - 1) / 2.0))
-        return self._centers[cj * self.ncols + ci]
+        cx, cy, _ = (self._shapes or self._block_shapes())[key]
+        return cx, cy
 
-    def potential(self, ci: int, cj: int) -> float:
-        i = cj * self.ncols + ci
-        return self.unexplored_count[i] / self.total[i]
+    def potential(self, key: int) -> float:
+        return self.unexplored_count.get(key, 0) / (self._shapes or self._block_shapes())[key][2]
 
     def rebuild_counts(self) -> None:
         """Recompute every counter from a fresh scan of the grid states."""
-        counts = [0] * (self.ncols * self.nrows)
-        for cell in self.grid.cells():
-            if self.grid.state(cell) is CellState.UNEXPLORED:
-                ci, cj = self.block_of(cell)
-                counts[cj * self.ncols + ci] += 1
+        flat = self.grid.flat
+        s = self.grid.stride
+        counts: dict[int, int] = {}
+        for first in range(s + 1, (self.grid.width + 1) * s, 2 * s):  # per block column
+            for key in range(first, first + self.grid.height, 2):
+                # UNEXPLORED is byte 0; the frame's bytes are not
+                n = (not flat[key]) + (not flat[key + 1])
+                n += (not flat[key + s]) + (not flat[key + s + 1])
+                if n:
+                    counts[key] = n
         self.unexplored_count = counts
 
     def on_state_change(self, cell: Cell, old: CellState, new: CellState) -> None:
@@ -76,16 +81,21 @@ class MapsHierarchy:
             return
         if old is not CellState.UNEXPLORED:
             raise ValueError(f"illegal transition {old} -> {new} at {cell}")
-        ci, cj = self.block_of(cell)
-        self.unexplored_count[cj * self.ncols + ci] -= 1
+        key = ((cell[0] & -2) + 1) * self.grid.stride + (cell[1] & -2) + 1
+        n = self.unexplored_count[key] - 1
+        if n:
+            self.unexplored_count[key] = n
+        else:
+            del self.unexplored_count[key]
 
-    def unexplored_in_extent(self, ci: int, cj: int) -> list[Cell]:
-        """Unexplored cells inside block (ci, cj), scan order."""
-        c0, r0, c1, r1 = self.extent(ci, cj)
-        state = self.grid.state
+    def unexplored_in_extent(self, key: int) -> list[Cell]:
+        """Unexplored cells inside the block, scan order (row by row)."""
+        flat = self.grid.flat
+        s = self.grid.stride
+        col, row = divmod(key, s)
         return [
-            (col, row)
-            for row in range(r0, r1)
-            for col in range(c0, c1)
-            if state((col, row)) is CellState.UNEXPLORED
+            (c - 1, r - 1)
+            for r in (row, row + 1)
+            for c in (col, col + 1)
+            if not flat[c * s + r]
         ]

@@ -17,7 +17,7 @@ may exist. The unexplored cells still reachable from the station come from
 the belief grid's reachable mask, tested by flat index.
 
 Reachability and path planning read caches owned by the belief grid. The
-reachable mask and its per-block counts stay exact through every update:
+reachable mask stays exact through every update:
 a new obstacle that is not a simple point clears only the pockets it cuts
 off, and only a cut that leaves the station in a finished pocket search
 drops the mask for a refill, so a mission floods the map about once (see
@@ -501,9 +501,9 @@ class Mission:
             status = yield from self._execute_polyline(plan.cells, SegmentKind.ADVANCE)
             if status == "arrived":
                 return self.pos == target
+            # the mask holds only unexplored cells, so a covered target fails it too
             if (
-                self.grid.state(target) is not CellState.UNEXPLORED
-                or target in self.infeasible
+                target in self.infeasible
                 or not self.grid.reachable_unexplored()[self.grid.index(target)]
             ):
                 target = next_waypoint(self.grid, self.hier, self.pos, excluded=self.infeasible)

@@ -16,13 +16,20 @@ nothing selectable remains the selection reports completion by returning
 ``None``. A block's potential and center depend neither on the exclusions
 nor on reachability, and every block holding a selectable cell has
 positive potential, so ranking only those blocks picks the block that a
-ranked scan of all positive blocks would reach first. Reachability is the
-grid's incrementally kept mask (:meth:`CellGrid.reachable_unexplored`) and
-its per-block counts ``reachable_blocks``; only coarse selections read
-them. A block holds a selectable cell exactly when its count exceeds the
-number of its excluded cells that are still reachable and unexplored, so a
-selection ranks those blocks without walking the reachable cells, then
-scans the best block's cells.
+ranked scan of all positive blocks would reach first.
+
+The non-obstacle cells of a 2x2 block are pairwise 8-adjacent, so they lie
+in one component of the free space: a block's unexplored cells are either
+all reachable from the station or none are. Reachability is the grid's
+incrementally kept mask (:meth:`CellGrid.reachable_unexplored`), and a
+block is reachable when one of its at most four mask bytes is set (a
+clipped block's missing cells fall on the frame, where the mask is 0). A
+reachable block's unexplored count (``MapsHierarchy.unexplored_count``) is
+then its count of reachable cells, so it holds a selectable cell exactly
+when that count exceeds the number of its excluded cells still in the
+mask. A selection ranks those blocks without walking the reachable cells,
+then scans the best block's unexplored cells, all of them reachable. Only
+coarse selections read the mask.
 """
 
 from __future__ import annotations
@@ -63,24 +70,25 @@ def restart_point(
 ) -> Cell | None:
     """Coarse selection from the origin (the station, for a restart), or None when done."""
     reachable = grid.reachable_unexplored()
-    index = grid.index
-    stride = grid.stride
-    taken: dict[tuple[int, int], int] = {}  # per block: its excluded cells in the mask
+    s = grid.stride
+    taken: dict[int, int] = {}  # per block: its excluded cells in the mask
     for col, row in excluded:  # index() inlined: on a tight budget many cells are excluded
-        if reachable[(col + 1) * stride + row + 1]:
-            block = (col >> 1, row >> 1)
-            taken[block] = taken.get(block, 0) + 1
-    blocks = [b for b, n in grid.reachable_blocks.items() if n > taken.get(b, 0)]
+        if reachable[(col + 1) * s + row + 1]:
+            key = ((col & -2) + 1) * s + (row & -2) + 1  # the hierarchy's block key
+            taken[key] = taken.get(key, 0) + 1
+    blocks = [  # by the 2x2 fact (module docstring), one mask byte tells for the whole block
+        k for k, n in hierarchy.unexplored_count.items()
+        if n > taken.get(k, 0)
+        and (reachable[k] or reachable[k + 1] or reachable[k + s] or reachable[k + s + 1])
+    ]
     if not blocks:
         return None
     ox, oy = origin
 
-    def rank(block: tuple[int, int]) -> tuple:
-        cx, cy = hierarchy.center(*block)
-        return (-hierarchy.potential(*block), (cx - ox) ** 2 + (cy - oy) ** 2, block)
+    def rank(key: int) -> tuple:
+        cx, cy = hierarchy.center(key)
+        return (-hierarchy.potential(key), (cx - ox) ** 2 + (cy - oy) ** 2, key)
 
-    cells = [
-        c for c in hierarchy.unexplored_in_extent(*min(blocks, key=rank))
-        if reachable[index(c)] and c not in excluded
-    ]
+    # the best block is reachable, so all its unexplored cells are
+    cells = [c for c in hierarchy.unexplored_in_extent(min(blocks, key=rank)) if c not in excluded]
     return min(cells, key=lambda c: ((c[0] - ox) ** 2 + (c[1] - oy) ** 2, c))

@@ -37,15 +37,6 @@ def reachable_cells(grid):
     return {grid.cell_at(i) for i, bit in enumerate(mask) if bit}
 
 
-def block_counts(cells):
-    """Per 2x2 block ``(col // 2, row // 2)`` holding any of the cells, how many it holds."""
-    counts = {}
-    for col, row in cells:
-        block = (col // 2, row // 2)
-        counts[block] = counts.get(block, 0) + 1
-    return counts
-
-
 def ring_components(free):
     """Number of 8-connected components among the free cells of a 3x3 ring.
 

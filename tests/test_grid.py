@@ -4,7 +4,7 @@ from hypothesis import example, given, strategies as st
 from epsplus.errors import MapConflictError, MapFormatError
 from epsplus.grid import _RING_SEEDS, BORDER, NEIGHBORS_8, CellGrid, CellState, parse_map_text
 
-from helpers import block_counts, flood_reachable, map_text, reachable_cells, ring_components
+from helpers import flood_reachable, map_text, reachable_cells, ring_components
 
 
 def test_new_grid_50x50():
@@ -161,6 +161,21 @@ def test_b_field_invariants_direct_scan():
             assert grid.b_field((col - 1, 0)) > b
 
 
+def assert_blocks_whole(grid, reachable):
+    """Each 2x2 block's unexplored cells lie in ``reachable`` all together or not at all.
+
+    Coarse selection rests on this: it tests a block's reachability by its
+    mask bytes and then takes every unexplored cell of the block.
+    """
+    blocks = {}
+    for c in grid.cells():
+        if grid.state(c) is CellState.UNEXPLORED:
+            blocks.setdefault((c[0] // 2, c[1] // 2), []).append(c)
+    for block, cells in blocks.items():
+        inside = [c in reachable for c in cells]
+        assert all(inside) or not any(inside), (block, cells)
+
+
 @given(
     st.lists(
         st.tuples(st.sampled_from(["sense", "traverse"]), st.integers(0, 35)),
@@ -185,14 +200,14 @@ def test_state_transitions_monotone(ops):
         inside = {grid.index(c) for c in grid.cells()}
         assert all(b == BORDER for i, b in enumerate(grid.flat) if i not in inside)
         assert grid.counts() == {s: sum(grid.state(c) is s for c in grid.cells()) for s in CellState}
-        # the reachable mask and its block counts must match a fresh flood after every op
+        # the reachable mask must match a fresh flood after every op
         obstacles = {c for c in grid.cells() if grid.state(c) is CellState.OBSTACLE}
         expected = {
             c for c in flood_reachable(6, 6, obstacles, grid.station)
             if grid.state(c) is CellState.UNEXPLORED
         }
         assert reachable_cells(grid) == expected
-        assert grid.reachable_blocks == block_counts(expected)
+        assert_blocks_whole(grid, expected)
     for c, seq in history.items():
         assert len(seq) <= 2
         if len(seq) == 2:
@@ -282,7 +297,7 @@ _carve = st.one_of(
 @example(8, 8, 0, [("traverse", 7, 7, 1, 1)] + [("wall", c, r, 1, 1) for c, r in _WALL_AROUND_CORNER])
 # the two sides of a cut meet around the wall
 @example(8, 8, 0, [("wall", 4, 2, 1, 1), ("wall", 4, 4, 1, 1), ("wall", 4, 3, 1, 1)])
-def test_pocket_carving_keeps_mask_and_block_counts_exact(width, height, station_raw, ops):
+def test_pocket_carving_keeps_mask_exact_and_blocks_whole(width, height, station_raw, ops):
     station = (station_raw % width, (station_raw // width) % height)
     grid = CutRecording(width, height, station)
     reachable_cells(grid)  # fill the mask, so that every op below updates it
@@ -302,7 +317,7 @@ def test_pocket_carving_keeps_mask_and_block_counts_exact(width, height, station
             if grid.state(c) is CellState.UNEXPLORED
         }
         assert reachable_cells(grid) == expected
-        assert grid.reachable_blocks == block_counts(expected)
+        assert_blocks_whole(grid, expected)
     # a cut searches for pockets exactly when it is not a simple point
     for components, searched in grid.cuts:
         assert searched == (components > 1)

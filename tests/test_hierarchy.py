@@ -8,20 +8,28 @@ from epsplus.hierarchy import MapsHierarchy
 from helpers import potential_level0
 
 
-def brute_counts(grid, h):
+def block_cells(grid, ci, cj):
+    """The cells of 2x2 block (ci, cj), clipped at the map border, scan order."""
+    c0, r0 = 2 * ci, 2 * cj
+    return [
+        (c, r)
+        for r in range(r0, min(r0 + 2, grid.height))
+        for c in range(c0, min(c0 + 2, grid.width))
+    ]
+
+
+def block_key(grid, ci, cj):
+    """The block's key: the flat index of its lowest cell."""
+    return grid.index((2 * ci, 2 * cj))
+
+
+def brute_counts(grid):
     """Full-scan oracle for the unexplored counter of every 2x2 block."""
-    counts = {}
-    for cj in range(h.nrows):
-        for ci in range(h.ncols):
-            c0, r0, c1, r1 = h.extent(ci, cj)
-            n = sum(
-                1
-                for c in range(c0, c1)
-                for r in range(r0, r1)
-                if grid.state((c, r)) is CellState.UNEXPLORED
-            )
-            counts[(ci, cj)] = n
-    return counts
+    return {
+        (ci, cj): sum(grid.state(c) is CellState.UNEXPLORED for c in block_cells(grid, ci, cj))
+        for cj in range((grid.height + 1) // 2)
+        for ci in range((grid.width + 1) // 2)
+    }
 
 
 def test_potential_level0_cases():
@@ -51,12 +59,12 @@ def test_potential_case_totality():
 def test_coarse_potential_extremes():
     grid = CellGrid(8, 8, (0, 0))
     h = MapsHierarchy(grid)
-    assert h.potential(0, 0) == 1.0
+    assert h.potential(block_key(grid, 0, 0)) == 1.0
     for c in range(2):
         for r in range(2):
             grid.mark_traversed((c, r))
             h.on_state_change((c, r), CellState.UNEXPLORED, CellState.EXPLORED)
-    assert h.potential(0, 0) == 0.0
+    assert h.potential(block_key(grid, 0, 0)) == 0.0
 
 
 def test_coarse_potential_fraction_vs_recount():
@@ -67,10 +75,10 @@ def test_coarse_potential_fraction_vs_recount():
     for cell in explored:
         grid.mark_traversed(cell)
         h.on_state_change(cell, CellState.UNEXPLORED, CellState.EXPLORED)
-    oracle = brute_counts(grid, h)
-    assert sum(oracle.values()) == sum(h.unexplored_count) == 37
+    oracle = brute_counts(grid)
+    assert sum(oracle.values()) == sum(h.unexplored_count.values()) == 37
     for (ci, cj), n in oracle.items():
-        assert h.potential(ci, cj) == n / 4
+        assert h.potential(block_key(grid, ci, cj)) == n / 4
 
 
 def test_rebuild_counts_matches_incremental():
@@ -78,8 +86,8 @@ def test_rebuild_counts_matches_incremental():
     h = MapsHierarchy(grid)
     grid.mark_traversed((4, 4))
     h.on_state_change((4, 4), CellState.UNEXPLORED, CellState.EXPLORED)
-    before = list(h.unexplored_count)
-    assert before[2 * h.ncols + 2] == 3  # block (2, 2) holds (4, 4)
+    before = dict(h.unexplored_count)
+    assert before[block_key(grid, 2, 2)] == 3  # block (2, 2) holds (4, 4)
     h.rebuild_counts()
     assert h.unexplored_count == before
     # rebuild with no changes is a no-op
@@ -101,9 +109,21 @@ def test_counters_match_brute_force(flips):
         else:
             grid.mark_traversed(cell)
             h.on_state_change(cell, CellState.UNEXPLORED, CellState.EXPLORED)
-    assert (h.ncols, h.nrows) == (5, 4)
-    assert h.extent(4, 3) == (8, 6, 9, 7)  # edge blocks are clipped
-    oracle = brute_counts(grid, h)
+    oracle = brute_counts(grid)
+    assert len(oracle) == 5 * 4
+    assert block_cells(grid, 4, 3) == [(8, 6)]  # edge blocks are clipped
+    # the counter holds exactly the blocks with an unexplored cell, also when rebuilt
+    assert h.unexplored_count == {
+        block_key(grid, ci, cj): n for (ci, cj), n in oracle.items() if n
+    }
+    assert MapsHierarchy(grid).unexplored_count == h.unexplored_count
     for (ci, cj), n in oracle.items():
-        assert h.unexplored_count[cj * h.ncols + ci] == n
-        assert (h.potential(ci, cj) > 0) == (n > 0)
+        key = block_key(grid, ci, cj)
+        assert h.potential(key) == n / len(block_cells(grid, ci, cj))
+        assert h.center(key) == (
+            sum(c for c, _ in block_cells(grid, ci, cj)) / len(block_cells(grid, ci, cj)),
+            sum(r for _, r in block_cells(grid, ci, cj)) / len(block_cells(grid, ci, cj)),
+        )
+        assert h.unexplored_in_extent(key) == [
+            c for c in block_cells(grid, ci, cj) if grid.state(c) is CellState.UNEXPLORED
+        ]

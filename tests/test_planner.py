@@ -107,14 +107,13 @@ def test_restart_prefers_higher_potential_cell():
     # 2x2 block (1,0) keeps 3 unexplored cells (0.75), block (3,3) one (0.25)
     h = explore_all_but(grid, {(2, 0), (3, 0), (2, 1), (7, 7)})
     potentials = {
-        (ci, cj): h.potential(ci, cj) for cj in range(h.nrows) for ci in range(h.ncols)
+        (ci, cj): h.potential(grid.index((2 * ci, 2 * cj))) for cj in range(4) for ci in range(4)
     }
     best = max(potentials.values())
     winners = {k for k, v in potentials.items() if v == best}
     assert winners == {(1, 0)} and best == 0.75
     wp = restart_point(grid, h, (0, 0))
-    c0, r0, c1, r1 = h.extent(1, 0)
-    assert c0 <= wp[0] < c1 and r0 <= wp[1] < r1
+    assert 2 <= wp[0] < 4 and 0 <= wp[1] < 2  # inside block (1, 0)
     # nearest unexplored cell of that block to the station
     assert wp == (2, 0)
 
@@ -233,10 +232,10 @@ def test_coarse_selection_scans_only_the_block_it_answers_from(monkeypatch):
     scans = 0
     scan = MapsHierarchy.unexplored_in_extent
 
-    def counted(self, ci, cj):
+    def counted(self, key):
         nonlocal scans
         scans += 1
-        return scan(self, ci, cj)
+        return scan(self, key)
 
     monkeypatch.setattr(MapsHierarchy, "unexplored_in_extent", counted)
     rng = random.Random(5)
