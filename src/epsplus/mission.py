@@ -9,12 +9,15 @@ cells (the shorter of visibility-graph A* and 8-connected grid A*, since no
 sight-line path may exist yet); advances may cross unexplored free space
 only when no explored corridor to the restart point exists. Both planners
 take a start that passes the predicate and admit the goal whatever its
-state, so a sight-line path is always also a grid walk: grid A* runs first,
-and the visibility graph is built only when it found a path. An
-explored-only query from the station's explored component that has no path
-is answered from the distance field below, so grid A* runs only when a path
-may exist. The unexplored cells still reachable from the station come from
-the belief grid's reachable mask, tested by flat index.
+state, so a sight-line path is always also a grid walk. The distance field
+below knows the shortest explored walk of every query with the station as
+an endpoint, which covers every retreat and every advance checked from the
+station: there the visibility graph runs first, and grid A* only when its
+walk could be the shorter. It also answers, without a search, an
+explored-only query from the station's explored component that has no
+path. Any other query runs grid A* first and builds the visibility graph
+only when it found a path. The unexplored cells still reachable from the
+station come from the belief grid's reachable mask, tested by flat index.
 
 Reachability and path planning read caches owned by the belief grid. The
 reachable mask stays exact through every update:
@@ -30,11 +33,12 @@ start and goal edges.
 
 The retreat-cost side of the energy gate uses an incrementally maintained
 explored-grid distance field instead of rebuilding the visibility graph on
-every step. That estimate never undercuts the executed retreat (grid length
-bounds the sight-line length from above), so the budget stays safe; it can
-only trigger a retreat slightly early. ``tests/test_mission.py`` checks this
-bound on every retreat flown on the bundled scenarios and on tight-budget
-random maps.
+every step. The field is the exact length of the shortest explored grid
+walk to the station, and the retreat flown is the shorter of that walk and
+a sight-line path, so the estimate never undercuts it and the budget stays
+safe; it can only trigger a retreat slightly early.
+``tests/test_mission.py`` checks this bound on every retreat flown on the
+bundled scenarios and on tight-budget random maps.
 
 Restart targets that no charge can reach are ruled out without planning.
 Cells only leave the unexplored state, so ``non_obstacle`` walks from the
@@ -46,6 +50,15 @@ same target. A target whose floor already fails the budget check is
 excluded from every later restart selection; capacity and rates are fixed
 and the float comparisons are monotone, so it would have been planned and
 rejected again, and the skip changes no output.
+
+A candidate with an explored walk from the station has a floor before any
+plan: its explored-only plan is no shorter than the field's walk divided by
+``GRID_STRETCH``, and a plan that exists is never replaced by a
+``non_obstacle`` one. A candidate whose walk floor fails the budget is
+rejected without a search, and, like any rejection of an explored-only
+plan, not recorded. The candidates of one advance phase come from one
+ranked stream (``planner.restart_candidates``): each is drawn once, in the
+order repeated restart selections would return them.
 
 The vehicle senses each pose once. A pose's detections are fixed, and
 once they are marked on the belief grid a repeat sensing there marks
@@ -81,7 +94,8 @@ from .pathfind import (
     path_length,
     supercover_line,
 )
-from .planner import next_waypoint, restart_point
+# restart_point stays bound here: bench/spans.py traces it under this module's name
+from .planner import next_waypoint, restart_candidates, restart_point  # noqa: F401
 from .sim import GroundTruth, SensorModel
 
 SQRT2 = math.sqrt(2.0)  # the longest single step, a diagonal between 1 m cells
@@ -357,19 +371,33 @@ class Mission:
     def _shortest(self, start: Cell, goal: Cell, traversable: StatePredicate) -> PathResult | None:
         """The shorter of visibility-graph A* and grid A* (ties: lower cell list).
 
-        Under ``explored_only``, the distance field answers the misses from
-        a start in the station's explored component without a search, so
-        grid A* runs only where a path may exist. Every sight-line path is
-        also a grid walk, so the visibility graph is built only when grid
-        A* found a path.
+        Every sight-line path is also a grid walk, so without a walk there
+        is no path. Under ``explored_only`` the distance field knows the
+        walk's length for queries with the station as an endpoint, and that
+        no walk exists from a start in the station's explored component to a
+        goal it neither holds nor borders (``DistanceField.explored_walk``).
+        A known miss returns at once. With a known length the visibility
+        graph runs first, and grid A* only when its walk could win: a
+        sight-line path shorter than the walk by more than the rounding
+        margin (the field and ``path_length`` sum in different orders) is
+        the answer, and anything inside the margin gets the exact
+        comparison. Otherwise grid A* runs first, and the visibility graph
+        is built only when it found a path.
         """
-        if traversable is explored_only and self.dfield.no_explored_path(start, goal):
+        walk = self.dfield.explored_walk(start, goal) if traversable is explored_only else None
+        if walk == math.inf:
             return None
-        walk = grid_astar(self.grid, start, goal, traversable)
+        sight = None
+        if walk is not None:
+            sight = astar(build_visibility_graph(self.grid, start, goal, traversable), start, goal)
+            if sight is not None and sight.length < walk * (1.0 - 1e-9):
+                return sight
+        found = grid_astar(self.grid, start, goal, traversable)
+        if found is None:
+            return None
         if walk is None:
-            return None
-        sight = astar(build_visibility_graph(self.grid, start, goal, traversable), start, goal)
-        return walk if sight is None else min((sight, walk), key=lambda p: (p.length, p.cells))
+            sight = astar(build_visibility_graph(self.grid, start, goal, traversable), start, goal)
+        return found if sight is None else min((sight, found), key=lambda p: (p.length, p.cells))
 
     def _plan_retreat(self, from_cell: Cell) -> PathResult:
         plan = self._shortest(from_cell, self.grid.station, explored_only)
@@ -462,15 +490,22 @@ class Mission:
         def unaffordable(length: float) -> bool:
             return capacity < 2.0 * travel * length + step_energy
 
-        # every target tried stays excluded until the selection starts over
-        excluded = self.infeasible | self._out_of_reach
+        def selection():
+            # the stream yields each candidate once, until the selection starts over
+            excluded = self.infeasible | self._out_of_reach
+            return restart_candidates(grid, self.hier, station, excluded)
+
+        candidates = selection()
         while True:
-            target = restart_point(grid, self.hier, station, excluded=excluded)
+            target = next(candidates, None)
             if target is None:
                 return False
-            excluded.add(target)
             if unaffordable(math.dist(station, target)):
                 self.infeasible.add(target)
+                continue
+            walk = self.dfield.explored_walk(station, target)
+            if walk is not None and walk < math.inf and unaffordable(walk / GRID_STRETCH):
+                # an explored-only plan exists and is no shorter than this floor
                 continue
             plan, used = self._plan_advance(station, target)
             if plan is None or unaffordable(plan.length):
@@ -493,7 +528,7 @@ class Mission:
             # advance abandoned: return home, recharge and reselect
             self._coverage_enter(self.pos)
             yield from self._return_home(recharge=True)
-            excluded = self.infeasible | self._out_of_reach
+            candidates = selection()
 
     def _advance_exec(self, target: Cell, plan: PathResult):
         travel = self.energy.travel_rate

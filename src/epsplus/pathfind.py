@@ -418,9 +418,15 @@ class DistanceField:
 
     Explored cells only ever appear (states are absorbing), so distances only
     decrease; inserting a newly explored cell seeds it from its explored
-    neighbors and propagates any improvements outward. The value is an upper
-    bound on the length of any executable retreat from that cell, which keeps
-    the energy gate conservative. Distances are kept per flat grid index.
+    neighbors and propagates any improvements outward. Once the station is
+    inserted, the field holds exactly the station's explored component, over
+    the steps grid A* takes: a cell's value is the length of the shortest
+    explored-only walk between it and the station, which is the length of
+    the walk grid A* returns for that query. Since every sight-line path is also such a walk, the value
+    is also an upper bound on the length of any retreat the planners return,
+    which keeps the energy gate conservative. Distances are kept per flat
+    grid index, and summed in another order than ``path_length`` sums a
+    walk, so the two agree to rounding, not bit for bit.
     """
 
     def __init__(self, grid: CellGrid):
@@ -454,22 +460,33 @@ class DistanceField:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
 
-    def no_explored_path(self, start: Cell, goal: Cell) -> bool:
-        """True when no explored-only walk leads from the start to the goal.
+    def explored_walk(self, start: Cell, goal: Cell) -> float | None:
+        """Length of the shortest explored-only walk from the start to the goal.
 
-        The field reaches exactly the station's explored component, over the
-        steps grid A* takes. From a start in that component, a walk that
-        admits the goal reaches the goal exactly when it is the start, lies
-        in the component or borders it. False means a path exists, or that
-        the start lies outside the component, where the field cannot tell.
-        Both cells must be in bounds.
+        Walks follow grid A*: every cell but the goal must be explored, and
+        the goal is admitted whatever its state. From a start in the
+        station's explored component, the answer is exact when the station
+        is an endpoint: ``distance(start)`` for a walk to the station, and
+        for a walk from it ``distance(goal)``, or ``neighbor_estimate(goal)``
+        for a goal that is not explored. For any other goal it is
+        ``math.inf`` when the goal neither lies in the component nor borders
+        it (no walk exists), and None otherwise (a walk exists, of unknown
+        length). None also when the start lies outside the component, which
+        covers a station not yet at distance 0, since only the station
+        seeds finite distances. Both cells must be in bounds.
         """
-        return (
-            start != goal
-            and self.distance(start) < math.inf
-            and self.distance(goal) == math.inf
-            and self.neighbor_estimate(goal) == math.inf
-        )
+        if self.distance(start) == math.inf:
+            return None
+        station = self.grid.station
+        if goal == station:
+            return self.distance(start)
+        if self.grid.state(goal) is CellState.EXPLORED:
+            walk = self.distance(goal)
+        else:
+            walk = self.neighbor_estimate(goal)
+        if start == station or walk == math.inf:
+            return walk
+        return None
 
     def neighbor_estimate(self, cell: Cell) -> float:
         """Upper bound on the retreat length from a not-yet-explored cell."""

@@ -30,12 +30,20 @@ when that count exceeds the number of its excluded cells still in the
 mask. A selection ranks those blocks without walking the reachable cells,
 then scans the best block's unexplored cells, all of them reachable. Only
 coarse selections read the mask.
+
+An advance phase tries restart candidates until one is affordable, and
+every candidate tried stays excluded. ``restart_candidates`` yields those
+selections as one stream: it ranks the blocks once into a heap and yields
+each block's selectable cells in turn, so a later draw costs at most a heap
+pop and a scan of one block, not a ranking of every block. ``restart_point``
+is the stream's first draw, so the selection rule is written once.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections.abc import Set
+from collections.abc import Iterator, Set
 
 from .grid import Cell, CellGrid, CellState
 from .hierarchy import MapsHierarchy
@@ -69,6 +77,26 @@ def restart_point(
     excluded: Set[Cell] = frozenset(),
 ) -> Cell | None:
     """Coarse selection from the origin (the station, for a restart), or None when done."""
+    return next(restart_candidates(grid, hierarchy, origin, excluded), None)
+
+
+def restart_candidates(
+    grid: CellGrid,
+    hierarchy: MapsHierarchy,
+    origin: Cell,
+    excluded: Set[Cell] = frozenset(),
+) -> Iterator[Cell]:
+    """Every selectable cell, in the order repeated coarse selections pick them.
+
+    The first cell is ``restart_point``'s answer. Each later one is what
+    ``restart_point`` returns once every cell drawn before it is added to
+    ``excluded``: a block's rank depends neither on the exclusions nor on
+    reachability, so the best-ranked block supplies cells, nearest to the
+    origin first, until it has none left, and the next block takes over.
+    The blocks are ranked once per stream, and a block's cells are scanned
+    when it is reached. The grid and ``excluded`` must not change while
+    the stream is drawn from.
+    """
     reachable = grid.reachable_unexplored()
     s = grid.stride
     taken: dict[int, int] = {}  # per block: its excluded cells in the mask
@@ -76,19 +104,19 @@ def restart_point(
         if reachable[(col + 1) * s + row + 1]:
             key = ((col & -2) + 1) * s + (row & -2) + 1  # the hierarchy's block key
             taken[key] = taken.get(key, 0) + 1
-    blocks = [  # by the 2x2 fact (module docstring), one mask byte tells for the whole block
-        k for k, n in hierarchy.unexplored_count.items()
-        if n > taken.get(k, 0)
-        and (reachable[k] or reachable[k + 1] or reachable[k + s] or reachable[k + s + 1])
-    ]
-    if not blocks:
-        return None
     ox, oy = origin
-
-    def rank(key: int) -> tuple:
-        cx, cy = hierarchy.center(key)
-        return (-hierarchy.potential(key), (cx - ox) ** 2 + (cy - oy) ** 2, key)
-
-    # the best block is reachable, so all its unexplored cells are
-    cells = [c for c in hierarchy.unexplored_in_extent(min(blocks, key=rank)) if c not in excluded]
-    return min(cells, key=lambda c: ((c[0] - ox) ** 2 + (c[1] - oy) ** 2, c))
+    ranked = []
+    for k, n in hierarchy.unexplored_count.items():
+        # by the 2x2 fact (module docstring), one mask byte tells for the whole block
+        if n > taken.get(k, 0) and (
+            reachable[k] or reachable[k + 1] or reachable[k + s] or reachable[k + s + 1]
+        ):
+            cx, cy = hierarchy.center(k)
+            ranked.append((-hierarchy.potential(k), (cx - ox) ** 2 + (cy - oy) ** 2, k))
+    heapq.heapify(ranked)
+    while ranked:
+        # a ranked block is reachable, so all its unexplored cells are
+        key = heapq.heappop(ranked)[2]
+        cells = [c for c in hierarchy.unexplored_in_extent(key) if c not in excluded]
+        cells.sort(key=lambda c: ((c[0] - ox) ** 2 + (c[1] - oy) ** 2, c))
+        yield from cells

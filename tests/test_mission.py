@@ -11,6 +11,7 @@ import pytest
 from epsplus.config import MissionConfig
 from epsplus.energy import SegmentKind
 from epsplus.grid import CellGrid, CellState, parse_map_text
+import epsplus.mission as mission_mod
 from epsplus.mission import Mission, MissionEvent, log_to_csv, report_to_text, run_mission
 from epsplus.pathfind import (
     DistanceField,
@@ -215,6 +216,24 @@ def test_one_flood_fill_per_mission(monkeypatch):
     assert report.covered_cell_count == len(flood_reachable(60, 60, obstacles, (0, 0)))
 
 
+def test_station_walks_skip_grid_astar_on_field_a(monkeypatch):
+    # retreats to the station and advances from it read their walk's length
+    # off the distance field, and on field_a every sight-line path beats it,
+    # so grid A* runs only for coverage routes (26 calls, 15 of them
+    # explored-only, when each station query also ran it)
+    calls = []
+    search = mission_mod.grid_astar
+
+    def counting(grid, start, goal, traversable):
+        calls.append(traversable)
+        return search(grid, start, goal, traversable)
+
+    monkeypatch.setattr(mission_mod, "grid_astar", counting)
+    run_mission(gt_from_text((SCENARIOS / "field_a.txt").read_text()))
+    assert len(calls) == 11
+    assert all(pred is non_obstacle for pred in calls)
+
+
 def test_waypoint_invalidation_replans():
     # a wide obstacle appears in the sweep direction only once the vehicle
     # gets close; the mission must keep making progress and still finish
@@ -379,7 +398,54 @@ class WithoutFloor(PlanCounting):
 
 
 class FloorChecked(Mission):
-    """Plans every target the advance floor keeps out of a restart selection."""
+    """Plans every target that a floor keeps from being planned.
+
+    Two floors skip advance plans: the recorded advance floor keeps targets
+    out of a restart selection, and the distance field's walk floor rejects
+    a drawn candidate before planning it.
+    """
+
+    def __init__(self, gt, config):
+        self.walk_floored = 0
+        self._planning = False
+        self._unplanned = None  # the last candidate asked for its walk floor, until planned
+        super().__init__(gt, config)
+        explored_walk = self.dfield.explored_walk
+
+        def checked(start, goal):
+            # outside a plan, walks from the station are asked for only by the
+            # advance phase's walk floor, once per drawn candidate
+            if not self._planning and start == self.grid.station:
+                self.check_walk_floor()
+                self._unplanned = goal
+            return explored_walk(start, goal)
+
+        self.dfield.explored_walk = checked
+
+    def check_walk_floor(self):
+        """Plans the last candidate if the walk floor rejected it; the plan must fail too.
+
+        Called at the next floor query and after the run: the cell states
+        have not changed since the rejection.
+        """
+        target, self._unplanned = self._unplanned, None
+        if target is not None:
+            plan, used = self._plan_advance(self.grid.station, target)
+            assert used is explored_only and self._rejects(plan.length), target
+            self.walk_floored += 1
+
+    def _rejects(self, length):
+        energy = self.energy
+        return energy.capacity < 2.0 * energy.travel_rate * length + energy.coverage_rate * math.sqrt(2.0)
+
+    def _plan_advance(self, start, target):
+        if (start, target) == (self.grid.station, self._unplanned):
+            self._unplanned = None
+        planning, self._planning = self._planning, True
+        try:
+            return super()._plan_advance(start, target)
+        finally:
+            self._planning = planning
 
     @property
     def _out_of_reach(self):
@@ -387,14 +453,12 @@ class FloorChecked(Mission):
         # excluded target that would still be selectable must be one that a
         # plan from the station rejects
         grid = self.grid
-        energy = self.energy
         selectable = reachable_cells(grid)
         stamp = tuple(grid.counts().values())  # plans change only with the cell states
         for target in self._floored:
             if target in selectable and (target, stamp) not in self.rejected:
                 plan, _ = self._plan_advance(grid.station, target)
-                cost = 2.0 * energy.travel_rate * plan.length + energy.coverage_rate * math.sqrt(2.0)
-                assert energy.capacity < cost, (target, plan.length)
+                assert self._rejects(plan.length), (target, plan.length)
                 self.rejected.add((target, stamp))
         return self._floored
 
@@ -408,17 +472,19 @@ def test_tight_budget_leaves_only_infeasible_cells_uncovered():
     # a reachable cell may stay uncovered only if no charge pays for flying
     # there and back along the true shortest path plus one coverage step;
     # and no restart target is skipped that a plan would have accepted
-    skipped = rejected = 0
+    skipped = rejected = walk_floored = 0
     for i, (gt, cfg, dist) in enumerate(tight_budget_maps()):
         mission = FloorChecked(gt, cfg)
         mission.run()
+        mission.check_walk_floor()
         rejected += len(mission.rejected)
+        walk_floored += mission.walk_floored
         min_step = cfg.coverage_rate * math.sqrt(2.0)
         for cell, d in dist.items():
             if mission.grid.state(cell) is not CellState.EXPLORED:
                 skipped += 1
                 assert 2.0 * cfg.travel_rate * d + min_step > cfg.capacity_e0, (i, cell, d)
-    assert skipped and rejected
+    assert skipped and rejected and walk_floored
 
 
 def test_advance_floor_saves_plans_and_changes_no_log_row():

@@ -324,11 +324,48 @@ def test_distance_field_predicts_explored_only_misses(ops):
             starts.add(outside[raw % len(outside)])
         for start in starts:
             for goal in grid.cells():
-                rule = field.no_explored_path(start, goal)
+                rule = field.explored_walk(start, goal) == math.inf
                 if start in outside:
                     assert not rule, (start, goal)  # the field cannot tell there
                 else:
                     assert rule == (grid_astar(grid, start, goal, explored_only) is None), (start, goal)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_explored_walk_is_exact_for_station_queries(seed):
+    # explored cells are marked and inserted one at a time in random order,
+    # the station among them on four grids in five; every query with the
+    # station as an endpoint is checked against grid A*
+    rng = random.Random(seed)
+    w, h = rng.randint(2, 10), rng.randint(2, 10)
+    station = (rng.randrange(w), rng.randrange(h))
+    grid = CellGrid(w, h, station)
+    obstacles = random_rect_obstacles(rng, w, h, station, rng.uniform(0.0, 0.35))
+    if obstacles:
+        grid.apply_sensor_update(obstacles)
+    share = rng.uniform(0.3, 1.0)
+    explored = [c for c in grid.cells() if c not in obstacles and c != station and rng.random() < share]
+    if rng.random() < 0.8:
+        explored.append(station)
+    rng.shuffle(explored)
+    field = DistanceField(grid)
+    for cell in explored:
+        grid.mark_traversed(cell)
+        field.insert(cell)
+    # the station's explored component, by the reference search
+    component = grid_dijkstra(grid, station, explored_only) if station in explored else {}
+    queries = [(start, station) for start in explored]
+    if station in explored:
+        queries += [(station, goal) for goal in grid.cells()]
+    for start, goal in queries:
+        walk = field.explored_walk(start, goal)
+        if start not in component:  # also every query of an unexplored station
+            assert walk is None, (start, goal)
+            continue
+        path = grid_astar(grid, start, goal, explored_only)
+        expected = math.inf if path is None else path.length
+        assert walk == pytest.approx(expected, rel=1e-9, abs=0.0), (start, goal)
 
 
 # -- visibility-graph cache ------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from epsplus.grid import CellGrid, CellState
 from epsplus.hierarchy import MapsHierarchy
-from epsplus.planner import next_waypoint, restart_point
+from epsplus.planner import next_waypoint, restart_candidates, restart_point
 
 from helpers import (
     default_level_count,
@@ -250,3 +250,24 @@ def test_coarse_selection_scans_only_the_block_it_answers_from(monkeypatch):
         assert scans == (rp is not None)
         answered += rp is not None
     assert 20 < answered < 180
+
+
+def test_restart_candidates_match_repeated_selections():
+    # one stream yields what restart_point returns when called again and
+    # again with each answer added to the exclusions, until it says done
+    rng = random.Random(17)
+    drawn = 0
+    for _ in range(300):
+        grid, h = random_belief(rng, rng.randint(1, 14), rng.randint(1, 14))
+        unexplored = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
+        excluded = set(rng.sample(unexplored, rng.randint(0, len(unexplored))))
+        origin = rng.choice([c for c in grid.cells() if grid.state(c) is not CellState.OBSTACLE])
+        stream = list(restart_candidates(grid, h, origin, frozenset(excluded)))
+        assert set(stream) == reachable_cells(grid) - excluded
+        repeated = []
+        while (cell := restart_point(grid, h, origin, excluded)) is not None:
+            repeated.append(cell)
+            excluded.add(cell)
+        assert stream == repeated
+        drawn += len(stream)
+    assert drawn > 1000
