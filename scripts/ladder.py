@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Random rectangle ladder: one mission per map size, timed, with its flood fills counted.
+"""Random rectangle ladder: one mission per map size, timed, with its flood fills and core work counted.
 
 Run from the repository root:
 
@@ -11,9 +11,11 @@ The map is ``random.Random(7)`` rectangles from ``tests/helpers.py`` at
 density 0.2 with the station at (0, 0), written with ``map_text`` and read
 back with ``parse_map_text``; the mission uses the default config. Each
 record holds the wall time of building and running the mission, the number
-of full flood fills of the reachable set, the peak RSS, and whether the
-covered count equals the flood-fill oracle's. The last line of output is
-the JSON list of records.
+of full flood fills of the reachable set, the number of visibility-graph
+cores built from empty and of the sight lines their syncs walked (vertex
+pairs and station lines), the peak RSS, and whether the covered count
+equals the flood-fill oracle's. The last line of output is the JSON list of
+records.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ def run_size(size: int) -> dict:
 
     from epsplus.grid import CellGrid, parse_map_text
     from epsplus.mission import Mission
+    from epsplus.pathfind import _Core
     from epsplus.sim import GroundTruth
 
     station = (0, 0)
@@ -50,6 +53,18 @@ def run_size(size: int) -> dict:
         return flood(grid)
 
     CellGrid._flood_unexplored = counting
+    counts = {"cores": 0, "lines": 0}
+    init, classify = _Core.__init__, _Core._classify
+
+    def counting_init(core, *args):
+        counts["cores"] += 1
+        init(core, *args)
+
+    def counting_classify(core, *args):
+        counts["lines"] += 1
+        classify(core, *args)
+
+    _Core.__init__, _Core._classify = counting_init, counting_classify
     gt = GroundTruth.from_parsed(parsed)
     t0 = time.perf_counter()
     report = Mission(gt).run()
@@ -59,6 +74,8 @@ def run_size(size: int) -> dict:
         "size": size,
         "wall_s": round(wall, 3),
         "flood_fills": fills,
+        "cores_built": counts["cores"],
+        "core_lines": counts["lines"],
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "covered_cells": report.covered_cell_count,
         "correct": report.covered_cell_count == len(reachable),

@@ -10,9 +10,12 @@ three symbolic states:
 * ``OBSTACLE``   -- a detected obstacle occupies the cell.
 
 State transitions are one-way: unexplored cells may become explored or
-obstacle; explored and obstacle are absorbing. So equal counts of a state
-mean the same cells, which is how caches derived from the states (the
-visibility-graph cores in ``pathfind``) decide staleness.
+obstacle; explored and obstacle are absorbing. So each cell changes state
+at most once, and the two mutators append the flat index of every cell
+they change to ``changes``, an append-only log of at most width x height
+ints. Caches derived from the states (the visibility-graph cores in
+``pathfind``) remember how far into the log they have read, and catch up
+by reading only the cells changed since.
 
 The states live in one ``bytearray``, ``flat``: column-major inside a
 one-cell frame of ``BORDER`` bytes, so cell ``(c, r)`` is at
@@ -50,6 +53,7 @@ left-to-right column pattern.
 from __future__ import annotations
 
 import math
+from array import array
 from enum import IntEnum
 from typing import Iterable, Iterator
 
@@ -119,6 +123,7 @@ class CellGrid:
         self.flat = bytearray(edge * stride + (edge + bytes(height) + edge) * width + edge * stride)
         # (flat index offset, step length in meters) per move, in NEIGHBORS_8 order
         self.steps = tuple((dc * stride + dr, math.hypot(dc, dr)) for dc, dr in NEIGHBORS_8)
+        self.changes = array("i")  # flat index of every state change, in order
         self._reach: bytearray | None = None  # reachable-unexplored mask, see reachable_unexplored
         self._vis_cores: dict = {}  # visibility-graph cores, kept by pathfind
         self._sight_lines: dict = {}  # flat sight-line offsets per cell delta, kept by pathfind
@@ -187,6 +192,7 @@ class CellGrid:
             # in marking order, so the batch's later cells still count as free
             i = self.index(cell)
             flat[i] = CellState.OBSTACLE
+            self.changes.append(i)
             if self._reach is not None and self._reach[i]:
                 self._cut(i)
         return new
@@ -202,6 +208,7 @@ class CellGrid:
         if st == CellState.EXPLORED:
             return
         self.flat[i] = CellState.EXPLORED
+        self.changes.append(i)
         if self._reach is not None:  # connectivity is unchanged
             self._reach[i] = 0
 

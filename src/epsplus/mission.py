@@ -24,12 +24,12 @@ reachable mask stays exact through every update:
 a new obstacle that is not a simple point clears only the pockets it cuts
 off, and only a cut that leaves the station in a finished pocket search
 drops the mask for a refill, so a mission floods the map about once (see
-``grid``). The visibility-graph core
-(obstacle vertices and the sight lines among them, one per predicate) is
-rebuilt after a new obstacle, and under ``explored_only`` also after a
-traversed cell. Between those events, the many restart candidates an advance
-may try on a tight budget share one core, and each plan adds only its own
-start and goal edges.
+``grid``). The visibility-graph cores (obstacle vertices, the sight lines
+among them and the station's lines to them, one per predicate) are built
+once per mission and then synced with the cells changed since their last
+use, so the many restart candidates an advance may try on a tight budget
+share one core, and each plan adds only its own start and goal edges (see
+``pathfind``).
 
 The retreat-cost side of the energy gate uses an incrementally maintained
 explored-grid distance field instead of rebuilding the visibility graph on

@@ -30,12 +30,15 @@ shorter of the two planners is never below the walk divided by it.
 
 Visibility graphs are assembled per query from a cached core: the obstacle
 vertices, the sight-line edges among them, and for each vertex pair blocked
-by a single cell, that cell. The belief grid holds at most one core per
-predicate, keyed by its truth table over the cell states. A core records the
-obstacle count it was built at, plus the explored count when the predicate
-tells explored from unexplored cells; since cells only leave the unexplored
-state, equal counts mean the same cells, and a core whose counts moved is
-rebuilt on its next use. A query then adds only the start and goal edges.
+by a single cell, that cell; the station's lines to the vertices are kept
+the same way. The belief grid holds at most one core per predicate, keyed
+by its truth table over the cell states. A core is built from empty once
+and then kept in sync with the grid: the grid logs every changed cell
+(``CellGrid.changes``), and a sync reads only the cells logged since the
+last one, re-testing vertex status around them and walking again only the
+lines that a changed cell can affect (``_Core``). A query then adds only
+the start and goal edges, and walks no line from an endpoint that is the
+station.
 
 Grid walks (obstacle vertices, grid A*, the distance field) index the
 grid's bordered flat state bytes; a passability mask is one translation.
@@ -121,21 +124,51 @@ def supercover_line(a: Cell, b: Cell) -> list[Cell]:
     return cells
 
 
+# sight lines memoized per grid: more than the 4,901 cell deltas a line of a
+# 50 x 50 grid can have (walked from its lower endpoint, so columns only
+# grow), so the bundled and tight-budget maps never reach it; on a larger
+# grid the memo starts over when full
+_SIGHT_LINES_CAP = 5000
+
+
 def _line_offsets(grid: CellGrid, dc: int, dr: int) -> array:
     """Flat-index offsets of ``supercover_line((0, 0), (dc, dr))``, in order.
 
     A supercover line is translation-invariant and ``grid.flat`` is
     column-major, so cell ``(c, r)`` of the line lies ``c * stride + r``
     bytes from its first cell. The offsets are memoized per grid, as
-    compact arrays: a memo of tuples of ints costs several times the memory.
+    compact arrays (a memo of tuples of ints costs several times the
+    memory), for at most ``_SIGHT_LINES_CAP`` lines at a time.
     """
     lines = grid._sight_lines
     offsets = lines.get((dc, dr))
     if offsets is None:
+        if len(lines) >= _SIGHT_LINES_CAP:
+            lines.clear()
         stride = grid.stride
         cells = supercover_line((0, 0), (dc, dr))
         offsets = lines[dc, dr] = array("i", [c * stride + r for c, r in cells])
     return offsets
+
+
+_UNEXPLORED = int(CellState.UNEXPLORED)
+_OBSTACLE = int(CellState.OBSTACLE)
+
+
+def _diagonals(grid: CellGrid) -> list[tuple[int, int, int]]:
+    """Per diagonal move: its flat offset, then those of its column and row steps."""
+    off = {move: o for move, (o, _) in zip(NEIGHBORS_8, grid.steps)}
+    return [(off[(dc, dr)], off[(dc, 0)], off[(0, dr)]) for dc in (1, -1) for dr in (1, -1)]
+
+
+def _is_vertex(flat: bytearray, ok: bytearray, i: int, diagonals) -> bool:
+    """Whether the cell at flat index ``i`` is an obstacle vertex (see ``obstacle_vertices``)."""
+    if not ok[i]:
+        return False
+    for d, col_step, row_step in diagonals:
+        if flat[i + d] == _OBSTACLE and flat[i + col_step] != _OBSTACLE and flat[i + row_step] != _OBSTACLE:
+            return True
+    return False
 
 
 def obstacle_vertices(grid: CellGrid, traversable: StatePredicate) -> list[Cell]:
@@ -149,21 +182,13 @@ def obstacle_vertices(grid: CellGrid, traversable: StatePredicate) -> list[Cell]
     """
     flat = grid.flat
     ok = _passability(grid, traversable)
-    obstacle = int(CellState.OBSTACLE)
-    off = {move: o for move, (o, _) in zip(NEIGHBORS_8, grid.steps)}
-    # per diagonal: (diagonal, its column step, its row step) as flat offsets
-    diagonals = [(off[(dc, dr)], off[(dc, 0)], off[(0, dr)]) for dc in (1, -1) for dr in (1, -1)]
-    found = set()
-    o = flat.find(obstacle)
+    diagonals = _diagonals(grid)
+    near = set()
+    o = flat.find(_OBSTACLE)
     while o != -1:
-        # a candidate c sees obstacle o across diagonal d; the flanking cells
-        # c + col step and c + row step are o - row step and o - col step
-        for d, col_step, row_step in diagonals:
-            c = o - d
-            if ok[c] and flat[o - row_step] != obstacle and flat[o - col_step] != obstacle:
-                found.add(c)
-        o = flat.find(obstacle, o + 1)
-    return [grid.cell_at(i) for i in sorted(found)]
+        near.update(o - d for d, _, _ in diagonals)
+        o = flat.find(_OBSTACLE, o + 1)
+    return [grid.cell_at(i) for i in sorted(near) if _is_vertex(flat, ok, i, diagonals)]
 
 
 @dataclass
@@ -178,7 +203,8 @@ class VisibilityGraph:
     """Undirected graph over {start, goal, obstacle vertices} with sight-line edges.
 
     Adjacency lists of obstacle vertices may be shared with the grid's cached
-    core; callers must not modify them.
+    core, which the next sync updates; callers must not modify them, and a
+    graph is valid until the grid changes.
     """
 
     def __init__(self, nodes: list[Cell], adjacency: dict[Cell, list[tuple[Cell, float]]]):
@@ -186,60 +212,281 @@ class VisibilityGraph:
         self.adjacency = adjacency
 
 
+_PAIR = 1 << 32  # a pair's key: its lower node serial times this, plus the higher
+
+
 class _Core:
     """The part of a visibility graph that depends only on the belief grid.
 
     ``adjacency`` holds the sight-line edges among the obstacle vertices;
     ``blocked_by`` maps a cell to the vertex pairs ``(u, v, w)`` whose sight
-    line that cell alone blocks.
+    line that cell alone blocks. The station's lines to the vertices are
+    kept the same way: ``station_edges`` maps each vertex the station sees
+    to the edge weight, and ``station_blocked_by`` maps a cell to the
+    vertices whose line to the station that cell alone blocks. The station
+    never blocks its own lines. Every weight is ``math.dist(u, v)`` with
+    ``u < v``.
+
+    A core is kept in sync with the grid by :meth:`sync`, which reads only
+    the cells in ``grid.changes`` past ``read``; building one is a sync
+    from the core of the grid as created, where no cell is an obstacle and
+    so no cell is a vertex. ``ok`` is the predicate's passability mask as of
+    the last sync. Every transition leaves the unexplored state, so under a
+    predicate that fails unexplored cells (``explored_only``) cells only
+    start passing, and under one that passes them (``non_obstacle``) cells
+    only start failing. A sync
+    - re-tests vertex status on each changed cell whose passability
+      flipped, and on the 8 neighbours of each new obstacle;
+    - drops the pairs of the vertices that are gone;
+    - re-files an old pair only when a cell it depends on flipped (below);
+    - walks the lines of each new vertex to the others and to the station.
+
+    Where cells only start passing, a pair with blockers watches the first
+    two failing cells of its line that are still unexplored (``watch``, a
+    list of pair keys per flat index), since explored and obstacle cells
+    never change again; a flip of a watched cell walks the pair again.
+    The failing cells of a line only shrink, so a watched cell that did not
+    flip stays first among them. Where cells only start failing, a pair
+    with two blockers is dead for good, and an edge or a single-blocker
+    pair dies or gains its blocker when a new failing cell lies on its
+    line, which a closed-square test tells without walking it.
+
+    Each vertex takes a new serial when it appears (``nodes`` maps serials
+    to flat indices and cells, serial 0 being the station's lines), and a
+    pair's key is made of its serials, so the watches of a vertex that is
+    gone lapse without a search.
     """
 
-    __slots__ = ("adjacency", "blocked_by")
+    __slots__ = (
+        "table", "gains", "ok", "read", "ring", "diagonals", "serial", "nodes",
+        "adjacency", "blocked_by", "station_edges", "station_blocked_by", "watch",
+    )
 
     def __init__(self, grid: CellGrid, traversable: StatePredicate):
-        vertices = obstacle_vertices(grid, traversable)
-        ok = _passability(grid, traversable)
-        adjacency: dict[Cell, list[tuple[Cell, float]]] = {v: [] for v in vertices}
-        blocked_by: dict[Cell, list[tuple[Cell, Cell, float]]] = {}
-        for i, u in enumerate(vertices):
-            uc, ur = u
-            base = grid.index(u)
-            for v in vertices[i + 1 :]:
-                blocker = -1
-                for o in _line_offsets(grid, v[0] - uc, v[1] - ur):
-                    if not ok[base + o]:
-                        if blocker >= 0:
-                            break
-                        blocker = base + o
+        self.table = table = _pass_table(traversable)
+        self.gains = not table[_UNEXPLORED]  # cells only start passing
+        ok = grid.flat.translate(table)
+        for i in grid.changes:  # the grid as created: every cell unexplored
+            ok[i] = table[_UNEXPLORED]
+        self.ok = ok
+        self.read = 0
+        self.ring = [o for o, _ in grid.steps]
+        self.diagonals = _diagonals(grid)
+        self.serial: dict[int, int] = {}  # flat index of a vertex -> its serial
+        self.nodes = [(grid.index(grid.station), grid.station)]
+        self.adjacency: dict[Cell, list[tuple[Cell, float]]] = {}
+        self.blocked_by: dict[Cell, set[tuple[Cell, Cell, float]]] = {}
+        self.station_edges: dict[Cell, float] = {}
+        self.station_blocked_by: dict[Cell, set[Cell]] = {}
+        self.watch: dict[int, list[int]] = {}
+        self.sync(grid)
+
+    def sync(self, grid: CellGrid) -> None:
+        """Catch up with the cells the grid changed since the last sync."""
+        changes = grid.changes
+        if self.read == len(changes):
+            return
+        fresh = changes[self.read :]
+        self.read = len(changes)
+        flat, ok, table, ring = grid.flat, self.ok, self.table, self.ring
+        flips = []
+        near = set()  # the cells whose vertex status may have changed
+        for i in fresh:
+            if ok[i] != table[flat[i]]:
+                ok[i] ^= 1
+                flips.append(i)
+                near.add(i)
+            if flat[i] == _OBSTACLE:  # the corners around it may have moved
+                near.update([i + o for o in ring])
+        serial, diagonals = self.serial, self.diagonals
+        gone, born = [], []
+        for i in near:
+            if _is_vertex(flat, ok, i, diagonals):
+                if i not in serial:
+                    born.append(i)
+            elif i in serial:
+                gone.append(i)
+        if gone:
+            self._drop(gone)
+        if flips:
+            if self.gains:
+                self._regain(grid, flips)
+            else:
+                self._cut(grid, flips)
+        if born:
+            self._add(grid, sorted(born))
+
+    def _drop(self, gone: list[int]) -> None:
+        adjacency, nodes = self.adjacency, self.nodes
+        cells = {nodes[self.serial.pop(i)][1] for i in gone}
+        touched = set()
+        for u in cells:
+            touched.update(v for v, _ in adjacency.pop(u))
+            self.station_edges.pop(u, None)
+        for v in touched - cells:
+            adjacency[v] = [e for e in adjacency[v] if e[0] not in cells]
+        for x, pairs in list(self.blocked_by.items()):
+            pairs -= {p for p in pairs if p[0] in cells or p[1] in cells}
+            if not pairs:
+                del self.blocked_by[x]
+        for x, vs in list(self.station_blocked_by.items()):
+            vs -= cells
+            if not vs:
+                del self.station_blocked_by[x]
+
+    def _regain(self, grid: CellGrid, flips: list[int]) -> None:
+        """Walk again the pairs that watch a cell which started passing."""
+        hits: dict[int, list[int]] = {}
+        for i in flips:
+            for key in self.watch.pop(i, ()):
+                if key in hits:
+                    hits[key].append(i)
                 else:
+                    hits[key] = [i]
+        serial, nodes = self.serial, self.nodes
+        for key, flipped in hits.items():
+            s, t = divmod(key, _PAIR)
+            (a, ca), (b, cb) = nodes[s], nodes[t]
+            if serial.get(b) != t or (s and serial.get(a) != s):
+                continue  # a vertex of the pair has gone since
+            lo, u, v = (a, ca, cb) if a < b else (b, cb, ca)
+            if len(flipped) == 1:  # it may have been this cell's single-blocker pair
+                x = grid.cell_at(flipped[0])
+                if s:
+                    pairs, pair = self.blocked_by.get(x), (u, v, math.dist(u, v))
+                else:
+                    pairs, pair = self.station_blocked_by.get(x), cb
+                if pairs is not None and pair in pairs:
+                    pairs.remove(pair)
+                    if not pairs:
+                        del (self.blocked_by if s else self.station_blocked_by)[x]
+            # a watched cell that did not flip is still watched, and first
+            self._classify(grid, key, lo, u, v, 2 - len(flipped))
+
+    def _cut(self, grid: CellGrid, flips: list[int]) -> None:
+        """Kill or re-file the edges and single-blocker pairs that a cell which started failing lies on."""
+        xs = [grid.cell_at(i) for i in flips]
+        station = grid.station
+        adjacency, blocked_by = self.adjacency, self.blocked_by
+        for x, pairs in list(blocked_by.items()):
+            pairs -= {p for p in pairs if _crossed(p[0], p[1], xs)}
+            if not pairs:
+                del blocked_by[x]
+        cut = []
+        for u, edges in adjacency.items():
+            for v, w in edges:
+                if u < v and (on := _crossed(u, v, xs)):
+                    cut.append((u, v, w, on))
+        for u, v, w, on in cut:
+            adjacency[u] = [e for e in adjacency[u] if e[0] != v]
+            adjacency[v] = [e for e in adjacency[v] if e[0] != u]
+            if len(on) == 1:
+                blocked_by.setdefault(on[0], set()).add((u, v, w))
+        xs = [x for x in xs if x != station]  # the station never blocks its own lines
+        for x, vs in list(self.station_blocked_by.items()):
+            vs -= {v for v in vs if _crossed(min(station, v), max(station, v), xs)}
+            if not vs:
+                del self.station_blocked_by[x]
+        for v in list(self.station_edges):
+            on = _crossed(min(station, v), max(station, v), xs)
+            if on:
+                del self.station_edges[v]
+                if len(on) == 1:
+                    self.station_blocked_by.setdefault(on[0], set()).add(v)
+
+    def _add(self, grid: CellGrid, born: list[int]) -> None:
+        """Walk the lines of each new vertex to the other vertices and to the station."""
+        serial, nodes, classify = self.serial, self.nodes, self._classify
+        station, station_cell = nodes[0]
+        others = [nodes[t] + (t,) for t in serial.values()]
+        for i in born:
+            u = grid.cell_at(i)
+            s = serial[i] = len(nodes)
+            nodes.append((i, u))
+            self.adjacency[u] = []
+            for j, v, t in others:
+                if j < i:
+                    classify(grid, t * _PAIR + s, j, v, u)
+                else:
+                    classify(grid, t * _PAIR + s, i, u, v)
+            if i < station:
+                classify(grid, s, i, u, station_cell)
+            elif i > station:
+                classify(grid, s, station, station_cell, u)
+            others.append((i, u, s))
+
+    def _classify(self, grid: CellGrid, key: int, lo: int, u: Cell, v: Cell, skip: int = 0) -> None:
+        """Walk the line between cells ``u < v`` (``lo`` is u's flat index) and file the pair.
+
+        No failing cell makes an edge, one a single-blocker pair; where
+        cells only start passing, the first two failing cells from ``skip``
+        on are watched if still unexplored.
+        """
+        ok = self.ok
+        exempt = -1 if key >= _PAIR else self.nodes[0][0]  # a station line: the station passes
+        first = second = -1
+        for o in _line_offsets(grid, v[0] - u[0], v[1] - u[1]):
+            if not ok[lo + o] and lo + o != exempt:
+                if first >= 0:
+                    second = lo + o
+                    break
+                first = lo + o
+        if second < 0:
+            if key >= _PAIR:
+                if first < 0:
                     w = math.dist(u, v)
-                    if blocker < 0:
-                        adjacency[u].append((v, w))
-                        adjacency[v].append((u, w))
+                    self.adjacency[u].append((v, w))
+                    self.adjacency[v].append((u, w))
+                else:
+                    self.blocked_by.setdefault(grid.cell_at(first), set()).add((u, v, math.dist(u, v)))
+            else:
+                other = v if lo == exempt else u
+                if first < 0:
+                    self.station_edges[other] = math.dist(u, v)
+                else:
+                    self.station_blocked_by.setdefault(grid.cell_at(first), set()).add(other)
+        if self.gains and first >= 0:
+            flat, watch = grid.flat, self.watch
+            for j in (first, second)[skip:]:
+                if j >= 0 and flat[j] == _UNEXPLORED:  # explored and obstacle cells never change again
+                    if j in watch:
+                        watch[j].append(key)
                     else:
-                        blocked_by.setdefault(grid.cell_at(blocker), []).append((u, v, w))
-        self.adjacency = adjacency
-        self.blocked_by = blocked_by
+                        watch[j] = [key]
+
+
+def _crossed(u: Cell, v: Cell, cells: list[Cell]) -> list[Cell]:
+    """The cells among ``cells`` that the sight line between ``u < v`` touches.
+
+    ``supercover_line`` touches exactly the cells whose closed unit square
+    the segment between the centers meets: inside the bounding box of u and
+    v, those within (|dc| + |dr|) / 2 of the line in the cross-product sense.
+    """
+    uc, ur = u
+    vc, vr = v
+    low, high = (ur, vr) if ur <= vr else (vr, ur)
+    box = [x for x in cells if uc <= x[0] <= vc and low <= x[1] <= high]
+    if not box:
+        return box
+    dc, dr = vc - uc, vr - ur
+    span = dc + abs(dr)
+    return [x for x in box if 2 * abs(dc * (x[1] - ur) - dr * (x[0] - uc)) <= span]
 
 
 def _cached_core(grid: CellGrid, traversable: StatePredicate) -> _Core:
-    """The grid's core for this predicate, rebuilt when its state counts moved.
+    """The grid's core for this predicate, synced with the grid's changes.
 
     Cores are keyed by the predicate's truth table over the cell states, so
-    equivalent predicates share one entry. Each is stored with the obstacle
-    count it was built at (vertices are obstacle corners), plus the explored
-    count when the predicate tells explored from unexplored cells; since
-    cells only leave the unexplored state, equal counts mean the same cells.
+    equivalent predicates share one entry. Each is built once per grid and
+    then synced on every use, reading only the cells changed since.
     """
     key = tuple(traversable(s) for s in CellState)
-    flat = grid.flat
-    tells_explored = key[CellState.EXPLORED] != key[CellState.UNEXPLORED]
-    explored = flat.count(CellState.EXPLORED) if tells_explored else None
-    stamp = (flat.count(CellState.OBSTACLE), explored)
-    cached = grid._vis_cores.get(key)
-    if cached is None or cached[0] != stamp:
-        cached = grid._vis_cores[key] = (stamp, _Core(grid, traversable))
-    return cached[1]
+    core = grid._vis_cores.get(key)
+    if core is None:
+        core = grid._vis_cores[key] = _Core(grid, traversable)
+    else:
+        core.sync(grid)
+    return core
 
 
 def build_visibility_graph(
@@ -255,20 +502,23 @@ def build_visibility_graph(
     All other cells a sight line touches must pass the predicate. An
     out-of-bounds goal is a node without edges, so it has no path.
 
-    Edges among obstacle vertices come from the grid's cached core, so a
-    query adds only the start and goal edges, plus the vertex pairs blocked
-    by nothing but a goal that fails the predicate.
+    Edges among obstacle vertices, and the station's lines to them, come
+    from the grid's core, so a query walks lines only from an endpoint that
+    is neither a vertex nor the station; it adds the vertex pairs, and the
+    station lines, blocked by nothing but a goal that fails the predicate.
     """
     _require_passing_start(grid, start, traversable)
     core = _cached_core(grid, traversable)
     shared = core.adjacency
     targets = list(shared)
     adjacency = dict(shared)
-    ok = _passability(grid, traversable)  # the start passes already
+    ok = core.ok  # the start passes already
+    station = grid.station
     if grid.in_bounds(goal):
-        ok[grid.index(goal)] = 1
+        exempt = grid.index(goal)  # admitted whatever its state
         ends = sorted({start, goal})
     else:
+        exempt = -1
         ends = [start]
         adjacency[goal] = []
     edges = list(core.blocked_by.get(goal, ()))  # only failing cells block pairs
@@ -276,15 +526,20 @@ def build_visibility_graph(
     for e in ends:
         if e in shared:
             continue
+        walk = targets
+        if e == station:
+            edges += [(e, v, w) for v, w in core.station_edges.items()]
+            edges += [(e, v, math.dist(e, v)) for v in core.station_blocked_by.get(goal, ())]
+            walk = targets[len(shared) :]  # the other endpoint, if it was walked first
         ec, er = e
         base = grid.index(e)
-        for v in targets:
+        for v in walk:
             dc, dr = v[0] - ec, v[1] - er
             at = base
             if v < e:  # walk the line from v, as the core does: same cells, one memo entry
                 at, dc, dr = base + dc * stride + dr, -dc, -dr
             for o in _line_offsets(grid, dc, dr):
-                if not ok[at + o]:
+                if not ok[at + o] and at + o != exempt:
                     break
             else:
                 edges.append((e, v, math.dist(e, v)))
@@ -346,13 +601,18 @@ def _require_passing_start(grid: CellGrid, start: Cell, traversable: StatePredic
         raise ValueError(f"start {start} must be an in-bounds cell that passes the predicate")
 
 
+def _pass_table(traversable: StatePredicate) -> bytes:
+    """Translation table from state bytes: 1 for a passing state, 0 for any other byte."""
+    return bytes(bool(traversable(s)) for s in CellState).ljust(256, b"\0")
+
+
 def _passability(grid: CellGrid, traversable: StatePredicate) -> bytearray:
     """1 for every cell that passes the predicate, else 0.
 
     The mask is indexed like ``grid.flat``; its border is 0, since the
     translation table maps every byte but the passing states to 0.
     """
-    return grid.flat.translate(bytes(bool(traversable(s)) for s in CellState).ljust(256, b"\0"))
+    return grid.flat.translate(_pass_table(traversable))
 
 
 def grid_astar(

@@ -12,6 +12,7 @@ from epsplus.config import MissionConfig
 from epsplus.energy import SegmentKind
 from epsplus.grid import CellGrid, CellState, parse_map_text
 import epsplus.mission as mission_mod
+import epsplus.pathfind as pathfind_mod
 from epsplus.mission import Mission, MissionEvent, log_to_csv, report_to_text, run_mission
 from epsplus.pathfind import (
     DistanceField,
@@ -214,6 +215,25 @@ def test_one_flood_fill_per_mission(monkeypatch):
     report = run_mission(gt)
     assert len(fills) == 1
     assert report.covered_cell_count == len(flood_reachable(60, 60, obstacles, (0, 0)))
+
+
+def test_one_core_build_per_predicate_and_mission(monkeypatch):
+    # each visibility-graph core is built from empty once, then synced with
+    # the grid's changes for the rest of the mission
+    builds = []
+    init = pathfind_mod._Core.__init__
+
+    def counting(core, grid, traversable):
+        builds.append(traversable)
+        init(core, grid, traversable)
+
+    monkeypatch.setattr(pathfind_mod._Core, "__init__", counting)
+    tight_gt, tight_cfg, _ = next(islice(tight_budget_maps(), 16, None))
+    field_a = gt_from_text((SCENARIOS / "field_a.txt").read_text())
+    for gt, cfg in ((field_a, None), (tight_gt, tight_cfg)):
+        builds.clear()
+        run_mission(gt, cfg)
+        assert sorted(pred.__name__ for pred in builds) == ["explored_only", "non_obstacle"]
 
 
 def test_station_walks_skip_grid_astar_on_field_a(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import heapq
 import math
 import random
@@ -9,6 +10,7 @@ from epsplus.grid import CellGrid, CellState
 from epsplus.mission import GRID_STRETCH
 from epsplus.pathfind import (
     DistanceField,
+    _Core,
     _cached_core,
     _line_offsets,
     _passability,
@@ -470,20 +472,83 @@ def test_visibility_edges_through_a_failing_endpoint():
         assert graph_edges(graph) == pairwise_visibility(grid, (0, 0), goal, pred)[1]
 
 
-def test_visibility_core_staleness_follows_state_counts():
-    grid = CellGrid(8, 8, (0, 0))
-    grid.apply_sensor_update([(3, 3), (3, 4)])
-    for c in grid.cells():
-        if grid.state(c) is CellState.UNEXPLORED and c not in ((6, 7), (0, 7)):
-            grid.mark_traversed(c)
-    before = {pred: _cached_core(grid, pred) for pred in (explored_only, non_obstacle)}
-    grid.mark_traversed((6, 7))
-    assert _cached_core(grid, non_obstacle) is before[non_obstacle]
-    assert _cached_core(grid, explored_only) is not before[explored_only]
-    before = {pred: _cached_core(grid, pred) for pred in (explored_only, non_obstacle)}
-    grid.apply_sensor_update([(0, 7)])
-    for pred, core in before.items():
-        assert _cached_core(grid, pred) is not core
+def core_contents(core):
+    """Vertices, edges, single-blocker pairs and station lines of a core, as sets."""
+    edges = [(u, v, w) for u, adjacent in core.adjacency.items() for v, w in adjacent]
+    assert len(edges) == len(set(edges)), "duplicate edge"
+    return {
+        "vertices": set(core.adjacency),
+        "edges": set(edges),
+        "blocked_by": {x: set(pairs) for x, pairs in core.blocked_by.items()},
+        "station_edges": dict(core.station_edges),
+        "station_blocked_by": {x: set(vs) for x, vs in core.station_blocked_by.items()},
+    }
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_synced_core_equals_a_fresh_build(data):
+    # mission-shaped updates: a sensor batch around a pose, marked in sorted
+    # order, or a single traversal; after each burst of one to four updates
+    # (a mission plans after several), the core synced through them must hold
+    # what a core built from empty on a copy of the grid holds
+    w = data.draw(st.integers(3, 10), label="width")
+    h = data.draw(st.integers(3, 10), label="height")
+    cells = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+    station = data.draw(cells, label="station")
+    grid = CellGrid(w, h, station)
+    if data.draw(st.booleans(), label="station explored"):
+        grid.mark_traversed(station)
+    last = [station]
+
+    def update():
+        if data.draw(st.integers(0, 3), label="sense") == 0:
+            pc, pr = data.draw(cells, label="pose")
+            near = [
+                (c, r) for c in range(pc - 2, pc + 3) for r in range(pr - 2, pr + 3)
+                if grid.in_bounds((c, r)) and (c, r) != station
+                and grid.state((c, r)) is not CellState.EXPLORED
+            ]
+            if near:
+                grid.apply_sensor_update(data.draw(st.lists(st.sampled_from(near), max_size=6)))
+        else:
+            # mostly a step of the vehicle: an unexplored neighbour of the last cell
+            unexplored = [c for c in grid.neighbors8(last[0]) if grid.state(c) is CellState.UNEXPLORED]
+            if not unexplored or data.draw(st.integers(0, 3), label="jump") == 0:
+                unexplored = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
+            if unexplored:
+                last[0] = data.draw(st.sampled_from(unexplored), label="traversed")
+                grid.mark_traversed(last[0])
+
+    preds = (explored_only, non_obstacle)
+    cores = {pred: _cached_core(grid, pred) for pred in preds}
+    for _ in range(data.draw(st.integers(1, 25), label="rounds")):
+        for _ in range(data.draw(st.integers(1, 4), label="burst")):
+            update()
+        for pred in preds:
+            core = _cached_core(grid, pred)
+            assert core is cores[pred]
+            fresh = copy.deepcopy(grid)
+            fresh._vis_cores.clear()
+            assert core_contents(core) == core_contents(_Core(fresh, pred))
+            assert core_contents(core)["vertices"] == set(obstacle_vertices(grid, pred))
+
+
+def test_core_watches_the_next_blocker_when_both_watched_cells_flip():
+    # (2, 1)-(6, 1) is blocked by three unexplored cells and watches the
+    # first two; both turn explored before one sync, so (5, 1) is its single
+    # blocker and must be watched, or the edge never appears
+    grid = CellGrid(9, 3, (0, 0))
+    grid.apply_sensor_update([(1, 2), (7, 2)])
+    grid.mark_traversed((2, 1))
+    grid.mark_traversed((6, 1))
+    core = _cached_core(grid, explored_only)
+    assert ((2, 1), (6, 1)) not in {(u, v) for u, v, _ in core.blocked_by.get((5, 1), ())}
+    grid.mark_traversed((3, 1))
+    grid.mark_traversed((4, 1))
+    assert ((2, 1), (6, 1), 4.0) in _cached_core(grid, explored_only).blocked_by[(5, 1)]
+    grid.mark_traversed((5, 1))
+    assert ((6, 1), 4.0) in _cached_core(grid, explored_only).adjacency[(2, 1)]
 
 
 def test_visibility_cache_keeps_one_core_per_predicate():
