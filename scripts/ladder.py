@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Random rectangle ladder: one mission per map size, timed, with its flood fills and core work counted.
+"""Random rectangle ladder: one mission per map size, timed, with its flood fills, planner calls and core work counted.
 
 Run from the repository root:
 
@@ -11,11 +11,13 @@ The map is ``random.Random(7)`` rectangles from ``tests/helpers.py`` at
 density 0.2 with the station at (0, 0), written with ``map_text`` and read
 back with ``parse_map_text``; the mission uses the default config. Each
 record holds the wall time of building and running the mission, the number
-of full flood fills of the reachable set, the number of visibility-graph
-cores built from empty and of the sight lines their syncs walked (vertex
-pairs and station lines), the peak RSS, and whether the covered count
-equals the flood-fill oracle's. The last line of output is the JSON list of
-records.
+of full flood fills of the reachable set, the planner calls (grid A*
+searches and visibility graphs built), the number of visibility-graph cores
+built from empty and of the sight lines their syncs walked (vertex pairs and
+station lines), the number of sight lines computed (``supercover_line``
+calls: offset-table misses and the mission's own polyline walks), the peak
+RSS, and whether the covered count equals the flood-fill oracle's. The last
+line of output is the JSON list of records.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ def run_size(size: int) -> dict:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from helpers import flood_reachable, map_text, random_rect_obstacles
 
+    import epsplus.mission as mission_mod
+    import epsplus.pathfind as pathfind_mod
     from epsplus.grid import CellGrid, parse_map_text
     from epsplus.mission import Mission
     from epsplus.pathfind import _Core
@@ -44,27 +48,26 @@ def run_size(size: int) -> dict:
     station = (0, 0)
     obstacles = random_rect_obstacles(random.Random(7), size, size, station, 0.2)
     parsed = parse_map_text(map_text(size, size, obstacles, station))
-    fills = 0
-    flood = CellGrid._flood_unexplored
+    counts = dict.fromkeys(("fills", "grid_astar", "visgraphs", "cores", "lines", "sight_lines"), 0)
 
-    def counting(grid):
-        nonlocal fills
-        fills += 1
-        return flood(grid)
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
 
-    CellGrid._flood_unexplored = counting
-    counts = {"cores": 0, "lines": 0}
-    init, classify = _Core.__init__, _Core._classify
+        return call
 
-    def counting_init(core, *args):
-        counts["cores"] += 1
-        init(core, *args)
-
-    def counting_classify(core, *args):
-        counts["lines"] += 1
-        classify(core, *args)
-
-    _Core.__init__, _Core._classify = counting_init, counting_classify
+    # functions are counted under the names their callers look them up by
+    for owner, attr, name in (
+        (CellGrid, "_flood_unexplored", "fills"),
+        (mission_mod, "grid_astar", "grid_astar"),
+        (mission_mod, "build_visibility_graph", "visgraphs"),
+        (_Core, "__init__", "cores"),
+        (_Core, "_classify", "lines"),
+        (mission_mod, "supercover_line", "sight_lines"),
+        (pathfind_mod, "supercover_line", "sight_lines"),
+    ):
+        setattr(owner, attr, counted(name, getattr(owner, attr)))
     gt = GroundTruth.from_parsed(parsed)
     t0 = time.perf_counter()
     report = Mission(gt).run()
@@ -73,7 +76,10 @@ def run_size(size: int) -> dict:
     return {
         "size": size,
         "wall_s": round(wall, 3),
-        "flood_fills": fills,
+        "flood_fills": counts["fills"],
+        "grid_astar_calls": counts["grid_astar"],
+        "visgraphs_built": counts["visgraphs"],
+        "sight_lines": counts["sight_lines"],
         "cores_built": counts["cores"],
         "core_lines": counts["lines"],
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),

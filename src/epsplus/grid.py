@@ -126,7 +126,6 @@ class CellGrid:
         self.changes = array("i")  # flat index of every state change, in order
         self._reach: bytearray | None = None  # reachable-unexplored mask, see reachable_unexplored
         self._vis_cores: dict = {}  # visibility-graph cores, kept by pathfind
-        self._sight_lines: dict = {}  # flat sight-line offsets per cell delta, kept by pathfind
 
     # -- indexing -----------------------------------------------------------
 

@@ -449,12 +449,13 @@ class Mission:
             if wp is None:
                 return "done"
             route = self._route_for(wp)
-            l_rest = path_length(route)
-            step_cost = energy.coverage_rate * l_rest
-            if len(route) == 2:
+            if len(route) == 2:  # math.fsum of one term is that term
+                l_rest = math.dist(route[0], route[1])
                 est = self.dfield.neighbor_estimate(wp)
             else:
+                l_rest = path_length(route)
                 est = l_rest + self.dfield.distance(self.pos)
+            step_cost = energy.coverage_rate * l_rest
             if not energy.can_continue(step_cost, energy.travel_rate * est):
                 return "recharge"
             nxt = route[1]

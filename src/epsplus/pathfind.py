@@ -41,12 +41,14 @@ the start and goal edges, and walks no line from an endpoint that is the
 station.
 
 Grid walks (obstacle vertices, grid A*, the distance field) index the
-grid's bordered flat state bytes; a passability mask is one translation.
-Sight lines are checked on such a mask too: a supercover line is
-translation-invariant, so each cell delta maps to one list of flat offsets,
-memoized per grid. A sight line touches the same cells in both directions,
-so lines are walked from their lower endpoint and one offset list serves
-both.
+grid's bordered flat state bytes and compare them to plain ints; a
+passability mask is one translation. Sight lines are checked on such a mask
+too: a supercover line is translation-invariant, so each cell delta maps to
+one list of flat offsets, which depends only on the delta and the grid's
+stride. One bounded table per process holds them, so missions on grids of
+the same height share it. A sight line touches the same cells in both
+directions, so lines are walked from their lower endpoint and one offset
+list serves both.
 """
 
 from __future__ import annotations
@@ -124,34 +126,39 @@ def supercover_line(a: Cell, b: Cell) -> list[Cell]:
     return cells
 
 
-# sight lines memoized per grid: more than the 4,901 cell deltas a line of a
-# 50 x 50 grid can have (walked from its lower endpoint, so columns only
-# grow), so the bundled and tight-budget maps never reach it; on a larger
-# grid the memo starts over when full
+# sight-line offsets per (stride, dc, dr), one table for every grid in the
+# process: more than the 4,901 cell deltas a line of a 50 x 50 grid can have
+# (walked from its lower endpoint, so columns only grow), and than the 3,218
+# lines the twelve tight-budget maps walk together, so the bundled and
+# tight-budget maps never reach it; on larger grids the table starts over
+# when full
 _SIGHT_LINES_CAP = 5000
+_sight_lines: dict[tuple[int, int, int], array] = {}
 
 
-def _line_offsets(grid: CellGrid, dc: int, dr: int) -> array:
+def _line_offsets(stride: int, dc: int, dr: int) -> array:
     """Flat-index offsets of ``supercover_line((0, 0), (dc, dr))``, in order.
 
     A supercover line is translation-invariant and ``grid.flat`` is
     column-major, so cell ``(c, r)`` of the line lies ``c * stride + r``
-    bytes from its first cell. The offsets are memoized per grid, as
-    compact arrays (a memo of tuples of ints costs several times the
-    memory), for at most ``_SIGHT_LINES_CAP`` lines at a time.
+    bytes from its first cell. The offsets depend only on the delta and the
+    stride, so one table serves every grid; it holds compact arrays (a memo
+    of tuples of ints costs several times the memory), at most
+    ``_SIGHT_LINES_CAP`` of them. Entries are never modified, so sharing
+    them cannot change a result.
     """
-    lines = grid._sight_lines
-    offsets = lines.get((dc, dr))
+    key = (stride, dc, dr)
+    offsets = _sight_lines.get(key)
     if offsets is None:
-        if len(lines) >= _SIGHT_LINES_CAP:
-            lines.clear()
-        stride = grid.stride
+        if len(_sight_lines) >= _SIGHT_LINES_CAP:
+            _sight_lines.clear()
         cells = supercover_line((0, 0), (dc, dr))
-        offsets = lines[dc, dr] = array("i", [c * stride + r for c, r in cells])
+        offsets = _sight_lines[key] = array("i", [c * stride + r for c, r in cells])
     return offsets
 
 
 _UNEXPLORED = int(CellState.UNEXPLORED)
+_EXPLORED = int(CellState.EXPLORED)
 _OBSTACLE = int(CellState.OBSTACLE)
 
 
@@ -425,7 +432,7 @@ class _Core:
         ok = self.ok
         exempt = -1 if key >= _PAIR else self.nodes[0][0]  # a station line: the station passes
         first = second = -1
-        for o in _line_offsets(grid, v[0] - u[0], v[1] - u[1]):
+        for o in _line_offsets(grid.stride, v[0] - u[0], v[1] - u[1]):
             if not ok[lo + o] and lo + o != exempt:
                 if first >= 0:
                     second = lo + o
@@ -536,9 +543,9 @@ def build_visibility_graph(
         for v in walk:
             dc, dr = v[0] - ec, v[1] - er
             at = base
-            if v < e:  # walk the line from v, as the core does: same cells, one memo entry
+            if v < e:  # walk the line from v, as the core does: same cells, one table entry
                 at, dc, dr = base + dc * stride + dr, -dc, -dr
-            for o in _line_offsets(grid, dc, dr):
+            for o in _line_offsets(stride, dc, dr):
                 if not ok[at + o] and at + o != exempt:
                     break
             else:
@@ -628,47 +635,51 @@ def grid_astar(
     an out-of-bounds goal has no path. Cells are searched as flat grid
     indices over one passability mask built per call; since those indices
     order like ``(col, row)`` tuples, heap ties break as they would on cells.
+    A flat index's bordered column and row are its cell's plus one, so the
+    heuristic takes their differences to the goal's straight from
+    ``divmod``, and cells are built only along the returned chain. A cell
+    is closed by clearing its mask byte.
     """
     _require_passing_start(grid, start, traversable)
     if not grid.in_bounds(goal):
         return None
+    if start == goal:
+        return PathResult([start], 0.0)
     ok = _passability(grid, traversable)
+    stride = grid.stride
     s_idx = grid.index(start)
     g_idx = grid.index(goal)
     ok[g_idx] = 1
-    if start == goal:
-        return PathResult([start], 0.0)
     steps = grid.steps
-    cell_at = grid.cell_at
     hypot = math.hypot
     heappush, heappop = heapq.heappush, heapq.heappop
-    gc, gr = goal
-    g = {s_idx: 0.0}
-    parent = {s_idx: -1}
+    gc, gr = divmod(g_idx, stride)
+    g = [math.inf] * len(ok)
+    g[s_idx] = 0.0
+    parent = [-1] * len(ok)
     heap = [(math.dist(start, goal), s_idx)]
-    closed = bytearray(len(ok))
     while heap:
         _, u = heappop(heap)
-        if closed[u]:
+        if not ok[u]:
             continue
-        closed[u] = 1
+        ok[u] = 0
         if u == g_idx:
             cells = []
             while u != -1:
-                cells.append(cell_at(u))
+                cells.append(grid.cell_at(u))
                 u = parent[u]
             cells.reverse()
             return PathResult(cells, path_length(cells))
         gu = g[u]
         for off, w in steps:
             v = u + off
-            if not ok[v] or closed[v]:
+            if not ok[v]:
                 continue
             ng = gu + w
-            if ng < g.get(v, math.inf):
+            if ng < g[v]:
                 g[v] = ng
                 parent[v] = u
-                vc, vr = cell_at(v)
+                vc, vr = divmod(v, stride)
                 heappush(heap, (ng + hypot(gc - vc, gr - vr), v))
     return None
 
@@ -705,20 +716,21 @@ class DistanceField:
             return
         dist[i] = base
         flat = grid.flat
-        explored = int(CellState.EXPLORED)
+        steps = grid.steps
+        heappush, heappop = heapq.heappush, heapq.heappop
         heap = [(base, i)]
         while heap:
-            d, u = heapq.heappop(heap)
+            d, u = heappop(heap)
             if d > dist[u]:
                 continue
-            for off, w in grid.steps:
+            for off, w in steps:
                 v = u + off
-                if flat[v] != explored:
+                if flat[v] != _EXPLORED:
                     continue
                 nd = d + w
                 if nd < dist[v]:
                     dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
+                    heappush(heap, (nd, v))
 
     def explored_walk(self, start: Cell, goal: Cell) -> float | None:
         """Length of the shortest explored-only walk from the start to the goal.
@@ -751,9 +763,13 @@ class DistanceField:
     def neighbor_estimate(self, cell: Cell) -> float:
         """Upper bound on the retreat length from a not-yet-explored cell."""
         grid = self.grid
+        flat, dist = grid.flat, self._dist
         i = grid.index(cell)
         best = 0.0 if cell == grid.station else math.inf
         for off, w in grid.steps:
-            if grid.flat[i + off] == CellState.EXPLORED:
-                best = min(best, self._dist[i + off] + w)
+            j = i + off
+            if flat[j] == _EXPLORED:
+                d = dist[j] + w
+                if d < best:  # as min(): a tie keeps the earlier value
+                    best = d
         return best

@@ -45,8 +45,17 @@ import heapq
 import math
 from collections.abc import Iterator, Set
 
-from .grid import Cell, CellGrid, CellState
+from .grid import NEIGHBORS_8, Cell, CellGrid, CellState
 from .hierarchy import MapsHierarchy
+
+_UNEXPLORED = int(CellState.UNEXPLORED)
+
+
+# ring positions in waypoint order: the key (-b_field, step length, cell) of
+# an 8-neighbor orders like (dc, step length, dr), since b_field falls by one
+# per column and cells order by column, then row (and NEIGHBORS_8 by dr
+# within a column)
+_NEIGHBOR_ORDER = sorted(range(8), key=lambda k: (NEIGHBORS_8[k][0], math.hypot(*NEIGHBORS_8[k]), k))
 
 
 def next_waypoint(
@@ -55,18 +64,23 @@ def next_waypoint(
     current: Cell,
     excluded: Set[Cell] = frozenset(),
 ) -> Cell | None:
-    """Next navigation goal from the current cell, or None when coverage is done."""
+    """Next navigation goal from the current cell, or None when coverage is done.
+
+    The neighbors are scanned in key order over the grid's flat state bytes,
+    so the first unexplored one that is not excluded wins; the frame's
+    border byte is not the unexplored state, so off-grid cells never pass.
+    """
     if grid.state(current) is CellState.OBSTACLE:
         raise ValueError(f"current cell {current} is an obstacle")
-    best: tuple | None = None
-    for n in grid.neighbors8(current):
-        if grid.state(n) is not CellState.UNEXPLORED or n in excluded:
-            continue
-        key = (-grid.b_field(n), math.dist(current, n), n)
-        if best is None or key < best:
-            best = key
-    if best is not None:
-        return best[2]
+    flat, steps = grid.flat, grid.steps
+    i = grid.index(current)
+    col, row = current
+    for k in _NEIGHBOR_ORDER:
+        if flat[i + steps[k][0]] == _UNEXPLORED:
+            dc, dr = NEIGHBORS_8[k]
+            n = (col + dc, row + dr)
+            if not excluded or n not in excluded:
+                return n
     return restart_point(grid, hierarchy, current, excluded)
 
 

@@ -1,4 +1,10 @@
-"""Shared test oracles and map builders, independent of the library internals."""
+"""Shared test oracles and map builders, independent of the library internals.
+
+The ``dict_*`` kernels are the tuple- and dict-based forms of grid A*, the
+distance field and the waypoint step that the flat-int kernels in
+``epsplus`` replaced: the same expressions on the same operands in the same
+order, kept as references that the library must match bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,8 @@ import math
 from fractions import Fraction
 
 from epsplus.grid import CellGrid, CellState
-from epsplus.pathfind import supercover_line
+from epsplus.pathfind import PathResult, path_length, supercover_line
+from epsplus.planner import restart_point
 
 
 def flood_reachable(width, height, obstacles, station):
@@ -309,3 +316,106 @@ def random_belief_grid(rng, w, h):
         if c not in obstacles and (c == (0, 0) or rng.random() < explored_share):
             grid.mark_traversed(c)
     return grid
+
+
+def dict_grid_astar(grid, start, goal, traversable):
+    """Grid A* keeping ``g`` and ``parent`` in dicts and turning every relaxed
+    flat index back into a cell for its heuristic; ``grid_astar``'s contract."""
+    if not (grid.in_bounds(start) and traversable(grid.state(start))):
+        raise ValueError(f"start {start} must be an in-bounds cell that passes the predicate")
+    if not grid.in_bounds(goal):
+        return None
+    table = bytes(bool(traversable(s)) for s in CellState).ljust(256, b"\0")
+    ok = grid.flat.translate(table)
+    s_idx = grid.index(start)
+    g_idx = grid.index(goal)
+    ok[g_idx] = 1
+    if start == goal:
+        return PathResult([start], 0.0)
+    gc, gr = goal
+    g = {s_idx: 0.0}
+    parent = {s_idx: -1}
+    heap = [(math.dist(start, goal), s_idx)]
+    closed = bytearray(len(ok))
+    while heap:
+        _, u = heapq.heappop(heap)
+        if closed[u]:
+            continue
+        closed[u] = 1
+        if u == g_idx:
+            cells = []
+            while u != -1:
+                cells.append(grid.cell_at(u))
+                u = parent[u]
+            cells.reverse()
+            return PathResult(cells, path_length(cells))
+        gu = g[u]
+        for off, w in grid.steps:
+            v = u + off
+            if not ok[v] or closed[v]:
+                continue
+            ng = gu + w
+            if ng < g.get(v, math.inf):
+                g[v] = ng
+                parent[v] = u
+                vc, vr = grid.cell_at(v)
+                heapq.heappush(heap, (ng + math.hypot(gc - vc, gr - vr), v))
+    return None
+
+
+class DictDistanceField:
+    """Distance field comparing states as ``CellState`` members and taking
+    ``min()`` per neighbour; ``DistanceField``'s ``insert`` and
+    ``neighbor_estimate``."""
+
+    def __init__(self, grid):
+        self.grid = grid
+        self._dist = [math.inf] * len(grid.flat)
+
+    def insert(self, cell):
+        grid = self.grid
+        dist = self._dist
+        base = self.neighbor_estimate(cell)
+        i = grid.index(cell)
+        if base >= dist[i]:
+            return
+        dist[i] = base
+        heap = [(base, i)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for off, w in grid.steps:
+                v = u + off
+                if grid.flat[v] != CellState.EXPLORED:
+                    continue
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
+
+    def neighbor_estimate(self, cell):
+        grid = self.grid
+        i = grid.index(cell)
+        best = 0.0 if cell == grid.station else math.inf
+        for off, w in grid.steps:
+            if grid.flat[i + off] == CellState.EXPLORED:
+                best = min(best, self._dist[i + off] + w)
+        return best
+
+
+def dict_next_waypoint(grid, hierarchy, current, excluded=frozenset()):
+    """Waypoint step keying every in-bounds unexplored, non-excluded neighbour
+    by (-static field, step length, cell), else the library's coarse selection."""
+    if grid.state(current) is CellState.OBSTACLE:
+        raise ValueError(f"current cell {current} is an obstacle")
+    best = None
+    for n in grid.neighbors8(current):
+        if grid.state(n) is not CellState.UNEXPLORED or n in excluded:
+            continue
+        key = (-grid.b_field(n), math.dist(current, n), n)
+        if best is None or key < best:
+            best = key
+    if best is not None:
+        return best[2]
+    return restart_point(grid, hierarchy, current, excluded)

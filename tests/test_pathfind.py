@@ -6,10 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import epsplus.pathfind as pathfind
 from epsplus.grid import CellGrid, CellState
 from epsplus.mission import GRID_STRETCH
 from epsplus.pathfind import (
     DistanceField,
+    PathResult,
     _Core,
     _cached_core,
     _line_offsets,
@@ -24,6 +26,8 @@ from epsplus.pathfind import (
 )
 
 from helpers import (
+    DictDistanceField,
+    dict_grid_astar,
     dijkstra_on_graph,
     explored_grid,
     grid_dijkstra,
@@ -62,16 +66,41 @@ def test_supercover_matches_rational_oracle(ax, ay, bx, by):
 
 def test_line_offsets_map_back_to_supercover_lines():
     grid = CellGrid(7, 4, (0, 0))  # stride 6, not width + 2
-    assert list(_line_offsets(grid, 1, 1)) == [0, grid.stride, 1, grid.stride + 1]  # corner tie
+    assert list(_line_offsets(grid.stride, 1, 1)) == [0, grid.stride, 1, grid.stride + 1]  # corner tie
     for dc in range(1 - grid.width, grid.width):
         for dr in range(1 - grid.height, grid.height):
             a = (max(0, -dc), max(0, -dr))
             b = (a[0] + dc, a[1] + dr)
             base = grid.index(a)
-            cells = [grid.cell_at(base + o) for o in _line_offsets(grid, dc, dr)]
+            cells = [grid.cell_at(base + o) for o in _line_offsets(grid.stride, dc, dr)]
             assert cells == supercover_line(a, b), (dc, dr)
             # callers walk a line from its lower endpoint: the same cells
             assert set(supercover_line(b, a)) == set(cells), (dc, dr)
+
+
+def test_one_sight_line_table_serves_grids_of_every_height(monkeypatch):
+    monkeypatch.setattr(pathfind, "_sight_lines", {})
+    short, tall = CellGrid(9, 3, (0, 0)), CellGrid(9, 8, (0, 0))  # strides 5 and 10
+    deltas = [(4, 2), (1, 1), (8, -2), (0, 2), (3, -1)]
+    for dc, dr in deltas:
+        for grid in (short, tall):
+            a = (0, max(0, -dr))
+            base = grid.index(a)
+            cells = [grid.cell_at(base + o) for o in _line_offsets(grid.stride, dc, dr)]
+            assert cells == supercover_line(a, (dc, a[1] + dr)), (grid.stride, dc, dr)
+    assert set(pathfind._sight_lines) == {(g.stride, dc, dr) for g in (short, tall) for dc, dr in deltas}
+    assert _line_offsets(short.stride, 4, 2) is pathfind._sight_lines[short.stride, 4, 2]
+
+
+def test_sight_line_table_never_holds_more_than_its_cap(monkeypatch):
+    monkeypatch.setattr(pathfind, "_sight_lines", {})
+    cap = pathfind._SIGHT_LINES_CAP
+    stride = 103
+    for n in range(cap + 150):  # distinct deltas, more of them than the cap
+        dc, dr = divmod(n, 101)
+        offsets = _line_offsets(stride, dc, dr - 50)
+        assert len(pathfind._sight_lines) <= cap
+    assert list(offsets) == [c * stride + r for c, r in supercover_line((0, 0), (dc, dr - 50))]
 
 
 # -- line of sight -------------------------------------------------------------
@@ -660,6 +689,75 @@ def test_grid_astar_matches_dijkstra_with_unexplored_goal():
                 assert max(abs(u[0] - v[0]), abs(u[1] - v[1])) == 1
                 assert grid.in_bounds(v) and (pred(grid.state(v)) or v in extra)
     assert found and missed
+
+
+def test_grid_astar_answers_start_equals_goal_before_building_a_mask(monkeypatch):
+    grid = CellGrid(3, 3, (0, 0))
+    grid.mark_traversed((0, 0))
+
+    def refuse(*args):
+        raise AssertionError("passability mask built")
+
+    monkeypatch.setattr(pathfind, "_passability", refuse)
+    for pred in (explored_only, non_obstacle):
+        assert grid_astar(grid, (0, 0), (0, 0), pred) == PathResult([(0, 0)], 0.0)
+
+
+def cells_by_state(grid):
+    out = {s: [] for s in CellState}
+    for c in grid.cells():
+        out[grid.state(c)].append(c)
+    return out
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_grid_astar_matches_its_dict_form(seed):
+    # equal cells and bit-equal lengths for unexplored, explored, obstacle
+    # and out-of-bounds goals, under both predicates
+    rng = random.Random(seed)
+    grid = random_belief_grid(rng, rng.randint(1, 14), rng.randint(1, 14))
+    w, h = grid.width, grid.height
+    by_state = cells_by_state(grid)
+    goals = [rng.choice(cells) for cells in by_state.values() if cells]
+    goals += [(-1, rng.randrange(h)), (w, rng.randrange(h)), (rng.randrange(w), -1), (0, h), (w + 3, h)]
+    for pred in (explored_only, non_obstacle):
+        starts = [c for c in grid.cells() if pred(grid.state(c))]
+        for start in rng.sample(starts, min(3, len(starts))):
+            for goal in goals + [start]:
+                got = grid_astar(grid, start, goal, pred)
+                ref = dict_grid_astar(grid, start, goal, pred)
+                if ref is None:
+                    assert got is None, (start, goal)
+                else:
+                    assert got.cells == ref.cells, (start, goal)
+                    assert got.length.hex() == ref.length.hex(), (start, goal)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_distance_field_matches_its_dict_form(seed):
+    # cells are explored or turn out to be obstacles in random order, the
+    # station anywhere in it; every field value and estimate is bit-equal
+    rng = random.Random(seed)
+    w, h = rng.randint(1, 12), rng.randint(1, 12)
+    grid = CellGrid(w, h, (rng.randrange(w), rng.randrange(h)))
+    field, ref = DistanceField(grid), DictDistanceField(grid)
+    order = list(grid.cells())
+    rng.shuffle(order)
+    obstacle_share = rng.uniform(0.0, 0.4)
+    for cell in order[: rng.randint(1, len(order))]:
+        if cell != grid.station and rng.random() < obstacle_share:
+            grid.apply_sensor_update([cell])
+            continue
+        grid.mark_traversed(cell)
+        field.insert(cell)
+        ref.insert(cell)
+        assert [d.hex() for d in field._dist] == [d.hex() for d in ref._dist]
+        for c in rng.sample(order, min(4, len(order))):
+            assert field.neighbor_estimate(c).hex() == ref.neighbor_estimate(c).hex(), c
+    for c in grid.cells():
+        assert field.neighbor_estimate(c).hex() == ref.neighbor_estimate(c).hex(), c
 
 
 # -- one planning contract ---------------------------------------------------------

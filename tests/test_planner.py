@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epsplus.grid import CellGrid, CellState
 from epsplus.hierarchy import MapsHierarchy
@@ -9,6 +10,7 @@ from epsplus.planner import next_waypoint, restart_candidates, restart_point
 
 from helpers import (
     default_level_count,
+    dict_next_waypoint,
     reachable_cells,
     reference_coarse_select,
     reference_next_waypoint,
@@ -174,6 +176,24 @@ def test_argmax_correctness_on_random_beliefs():
         assert all(grid.b_field(n) <= b for n in positives)
         same = [n for n in positives if grid.b_field(n) == b]
         assert all(math.dist(current, wp) <= math.dist(current, n) for n in same)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_next_waypoint_matches_its_dict_form(seed):
+    # from random cells, border cells included, with random excluded sets
+    rng = random.Random(seed)
+    grid, h = random_belief(rng, rng.randint(1, 12), rng.randint(1, 12))
+    cells = list(grid.cells())
+    for current in rng.sample(cells, min(6, len(cells))):
+        share = rng.choice((0.0, 0.3, 0.7))
+        excluded = {c for c in cells if rng.random() < share}
+        if grid.state(current) is CellState.OBSTACLE:
+            with pytest.raises(ValueError):
+                next_waypoint(grid, h, current, excluded)
+            continue
+        assert next_waypoint(grid, h, current, excluded) == dict_next_waypoint(grid, h, current, excluded)
+        assert next_waypoint(grid, h, current) == dict_next_waypoint(grid, h, current)
 
 
 def test_done_iff_no_reachable_unexplored():
