@@ -13,8 +13,8 @@ back with ``parse_map_text``; the mission uses the default config. Each
 record holds the wall time of building and running the mission, the number
 of full flood fills of the reachable set, the planner calls (grid A*
 searches and visibility graphs built), the number of visibility-graph cores
-built from empty and of the sight lines their syncs walked (vertex pairs and
-station lines), the number of sight lines computed (``supercover_line``
+built from empty and of the sight lines their syncs walked (node pairs),
+the number of sight lines computed (``supercover_line``
 calls: offset-table misses and the mission's own polyline walks), the peak
 RSS, and whether the covered count equals the flood-fill oracle's. The last
 line of output is the JSON list of records.

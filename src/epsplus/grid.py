@@ -47,7 +47,8 @@ first call floods the map. After that every update keeps the mask exact:
 The static field ``b`` assigns every unexplored cell a positive integer
 potential that is constant along a column and strictly decreasing from left
 to right (``b(col) = width - col``), which biases the sweep into a
-left-to-right column pattern.
+left-to-right column pattern. The planner applies it through its neighbour
+order (``planner._NEIGHBOR_ORDER``), so the grid stores no field.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ _RING_SEEDS = tuple(_ring_seeds(free) for free in range(256))
 
 
 class CellGrid:
-    """Dense belief grid plus the static column-potential field."""
+    """Dense belief grid of cell states inside a one-cell border frame."""
 
     def __init__(self, width: int, height: int, station: Cell):
         if width < 1 or height < 1:
@@ -146,23 +147,10 @@ class CellGrid:
         # index() inlined: this is the most called accessor
         return _STATE_OF[self.flat[(cell[0] + 1) * self.stride + cell[1] + 1]]
 
-    def b_field(self, cell: Cell) -> int:
-        """Static potential of the cell's column."""
-        return self.width - cell[0]
-
     def cells(self) -> Iterator[Cell]:
         for row in range(self.height):
             for col in range(self.width):
                 yield (col, row)
-
-    def neighbors8(self, cell: Cell) -> list[Cell]:
-        col, row = cell
-        out = []
-        for dc, dr in NEIGHBORS_8:
-            n = (col + dc, row + dr)
-            if 0 <= n[0] < self.width and 0 <= n[1] < self.height:
-                out.append(n)
-        return out
 
     # -- updates ------------------------------------------------------------
 

@@ -12,24 +12,24 @@ take a start that passes the predicate and admit the goal whatever its
 state, so a sight-line path is always also a grid walk. The distance field
 below knows the shortest explored walk of every query with the station as
 an endpoint, which covers every retreat and every advance checked from the
-station: there the visibility graph runs first, and grid A* only when its
-walk could be the shorter. It also answers, without a search, an
-explored-only query from the station's explored component that has no
-path. Any other query runs grid A* first and builds the visibility graph
-only when it found a path. The unexplored cells still reachable from the
-station come from the belief grid's reachable mask, tested by flat index.
+station. Every query builds the visibility graph first, and runs grid A*
+too unless the sight-line path beats a known walk. The field also answers,
+without a search, an explored-only query from the station's explored
+component that has no path; every query of a mission starts in that
+component. The unexplored cells still reachable from the station come from
+the belief grid's reachable mask, tested by flat index.
 
 Reachability and path planning read caches owned by the belief grid. The
 reachable mask stays exact through every update:
 a new obstacle that is not a simple point clears only the pockets it cuts
 off, and only a cut that leaves the station in a finished pocket search
 drops the mask for a refill, so a mission floods the map about once (see
-``grid``). The visibility-graph cores (obstacle vertices, the sight lines
-among them and the station's lines to them, one per predicate) are built
-once per mission and then synced with the cells changed since their last
-use, so the many restart candidates an advance may try on a tight budget
-share one core, and each plan adds only its own start and goal edges (see
-``pathfind``).
+``grid``). The visibility-graph cores (one per predicate: the obstacle
+vertices and the station as nodes, and the sight lines among them) are
+built once per mission and then synced with the cells changed since their
+last use, so the many restart candidates an advance may try on a tight
+budget share one core, and each plan adds only its own start and goal
+edges (see ``pathfind``).
 
 The retreat-cost side of the energy gate uses an incrementally maintained
 explored-grid distance field instead of rebuilding the visibility graph on
@@ -376,27 +376,20 @@ class Mission:
         walk's length for queries with the station as an endpoint, and that
         no walk exists from a start in the station's explored component to a
         goal it neither holds nor borders (``DistanceField.explored_walk``).
-        A known miss returns at once. With a known length the visibility
-        graph runs first, and grid A* only when its walk could win: a
+        A known miss returns at once. Otherwise the visibility graph runs
+        first, and grid A* runs unless its walk is known to lose: a
         sight-line path shorter than the walk by more than the rounding
         margin (the field and ``path_length`` sum in different orders) is
         the answer, and anything inside the margin gets the exact
-        comparison. Otherwise grid A* runs first, and the visibility graph
-        is built only when it found a path.
+        comparison.
         """
         walk = self.dfield.explored_walk(start, goal) if traversable is explored_only else None
         if walk == math.inf:
             return None
-        sight = None
-        if walk is not None:
-            sight = astar(build_visibility_graph(self.grid, start, goal, traversable), start, goal)
-            if sight is not None and sight.length < walk * (1.0 - 1e-9):
-                return sight
+        sight = astar(build_visibility_graph(self.grid, start, goal, traversable), start, goal)
+        if walk is not None and sight is not None and sight.length < walk * (1.0 - 1e-9):
+            return sight
         found = grid_astar(self.grid, start, goal, traversable)
-        if found is None:
-            return None
-        if walk is None:
-            sight = astar(build_visibility_graph(self.grid, start, goal, traversable), start, goal)
         return found if sight is None else min((sight, found), key=lambda p: (p.length, p.cells))
 
     def _plan_retreat(self, from_cell: Cell) -> PathResult:

@@ -28,17 +28,18 @@ Grid A* admits every such step, so under either predicate the shortest grid
 walk is at most that factor times the shortest sight-line path, and the
 shorter of the two planners is never below the walk divided by it.
 
-Visibility graphs are assembled per query from a cached core: the obstacle
-vertices, the sight-line edges among them, and for each vertex pair blocked
-by a single cell, that cell; the station's lines to the vertices are kept
-the same way. The belief grid holds at most one core per predicate, keyed
-by its truth table over the cell states. A core is built from empty once
-and then kept in sync with the grid: the grid logs every changed cell
+Visibility graphs are assembled per query from a cached core. Its nodes
+are the cells that pass the predicate and are obstacle vertices or the
+station, the hub of every retreat and advance; it holds the sight-line
+edges among them and, for each node pair blocked by a single cell, that
+cell. The belief grid holds at most one core per predicate, keyed by its
+truth table over the cell states. A core is built from empty once and then
+kept in sync with the grid: the grid logs every changed cell
 (``CellGrid.changes``), and a sync reads only the cells logged since the
-last one, re-testing vertex status around them and walking again only the
+last one, re-testing node status around them and walking again only the
 lines that a changed cell can affect (``_Core``). A query then adds only
-the start and goal edges, and walks no line from an endpoint that is the
-station.
+the start and goal edges, and walks no line from an endpoint that is a
+core node.
 
 Grid walks (obstacle vertices, grid A*, the distance field) index the
 grid's bordered flat state bytes and compare them to plain ints; a
@@ -207,9 +208,9 @@ class PathResult:
 
 
 class VisibilityGraph:
-    """Undirected graph over {start, goal, obstacle vertices} with sight-line edges.
+    """Undirected graph over {start, goal, core nodes} with sight-line edges.
 
-    Adjacency lists of obstacle vertices may be shared with the grid's cached
+    Adjacency lists of core nodes may be shared with the grid's cached
     core, which the next sync updates; callers must not modify them, and a
     graph is valid until the grid changes.
     """
@@ -225,28 +226,25 @@ _PAIR = 1 << 32  # a pair's key: its lower node serial times this, plus the high
 class _Core:
     """The part of a visibility graph that depends only on the belief grid.
 
-    ``adjacency`` holds the sight-line edges among the obstacle vertices;
-    ``blocked_by`` maps a cell to the vertex pairs ``(u, v, w)`` whose sight
-    line that cell alone blocks. The station's lines to the vertices are
-    kept the same way: ``station_edges`` maps each vertex the station sees
-    to the edge weight, and ``station_blocked_by`` maps a cell to the
-    vertices whose line to the station that cell alone blocks. The station
-    never blocks its own lines. Every weight is ``math.dist(u, v)`` with
-    ``u < v``.
+    The core's nodes are the cells that pass the predicate and are obstacle
+    vertices or the station. ``adjacency`` holds the sight-line edges among
+    them; ``blocked_by`` maps a cell to the node pairs ``(u, v, w)`` whose
+    sight line that cell alone blocks. Every weight is ``math.dist(u, v)``
+    with ``u < v``.
 
     A core is kept in sync with the grid by :meth:`sync`, which reads only
     the cells in ``grid.changes`` past ``read``; building one is a sync
     from the core of the grid as created, where no cell is an obstacle and
-    so no cell is a vertex. ``ok`` is the predicate's passability mask as of
-    the last sync. Every transition leaves the unexplored state, so under a
-    predicate that fails unexplored cells (``explored_only``) cells only
-    start passing, and under one that passes them (``non_obstacle``) cells
-    only start failing. A sync
-    - re-tests vertex status on each changed cell whose passability
-      flipped, and on the 8 neighbours of each new obstacle;
-    - drops the pairs of the vertices that are gone;
+    so the only node is the station, if it passes. ``ok`` is the
+    predicate's passability mask as of the last sync. Every transition
+    leaves the unexplored state, so under a predicate that fails unexplored
+    cells (``explored_only``) cells only start passing, and under one that
+    passes them (``non_obstacle``) cells only start failing. A sync
+    - re-tests node status on each changed cell whose passability flipped,
+      and on the 8 neighbours of each new obstacle;
+    - drops the pairs of the nodes that are gone;
     - re-files an old pair only when a cell it depends on flipped (below);
-    - walks the lines of each new vertex to the others and to the station.
+    - walks the lines of each new node to the others.
 
     Where cells only start passing, a pair with blockers watches the first
     two failing cells of its line that are still unexplored (``watch``, a
@@ -258,15 +256,14 @@ class _Core:
     pair dies or gains its blocker when a new failing cell lies on its
     line, which a closed-square test tells without walking it.
 
-    Each vertex takes a new serial when it appears (``nodes`` maps serials
-    to flat indices and cells, serial 0 being the station's lines), and a
-    pair's key is made of its serials, so the watches of a vertex that is
-    gone lapse without a search.
+    Each node takes a new serial when it appears (``nodes`` maps serials
+    to flat indices and cells), and a pair's key is made of its serials, so
+    the watches of a node that is gone lapse without a search.
     """
 
     __slots__ = (
-        "table", "gains", "ok", "read", "ring", "diagonals", "serial", "nodes",
-        "adjacency", "blocked_by", "station_edges", "station_blocked_by", "watch",
+        "table", "gains", "ok", "read", "ring", "diagonals", "station", "serial", "nodes",
+        "adjacency", "blocked_by", "watch",
     )
 
     def __init__(self, grid: CellGrid, traversable: StatePredicate):
@@ -279,13 +276,14 @@ class _Core:
         self.read = 0
         self.ring = [o for o, _ in grid.steps]
         self.diagonals = _diagonals(grid)
-        self.serial: dict[int, int] = {}  # flat index of a vertex -> its serial
-        self.nodes = [(grid.index(grid.station), grid.station)]
+        self.station = grid.index(grid.station)
+        self.serial: dict[int, int] = {}  # flat index of a node -> its serial
+        self.nodes: list[tuple[int, Cell]] = []
         self.adjacency: dict[Cell, list[tuple[Cell, float]]] = {}
         self.blocked_by: dict[Cell, set[tuple[Cell, Cell, float]]] = {}
-        self.station_edges: dict[Cell, float] = {}
-        self.station_blocked_by: dict[Cell, set[Cell]] = {}
         self.watch: dict[int, list[int]] = {}
+        if ok[self.station]:
+            self._add(grid, [self.station])
         self.sync(grid)
 
     def sync(self, grid: CellGrid) -> None:
@@ -297,7 +295,7 @@ class _Core:
         self.read = len(changes)
         flat, ok, table, ring = grid.flat, self.ok, self.table, self.ring
         flips = []
-        near = set()  # the cells whose vertex status may have changed
+        near = set()  # the cells whose node status may have changed
         for i in fresh:
             if ok[i] != table[flat[i]]:
                 ok[i] ^= 1
@@ -305,10 +303,10 @@ class _Core:
                 near.add(i)
             if flat[i] == _OBSTACLE:  # the corners around it may have moved
                 near.update([i + o for o in ring])
-        serial, diagonals = self.serial, self.diagonals
+        serial, diagonals, station = self.serial, self.diagonals, self.station
         gone, born = [], []
         for i in near:
-            if _is_vertex(flat, ok, i, diagonals):
+            if _is_vertex(flat, ok, i, diagonals) or (i == station and ok[i]):
                 if i not in serial:
                     born.append(i)
             elif i in serial:
@@ -329,17 +327,12 @@ class _Core:
         touched = set()
         for u in cells:
             touched.update(v for v, _ in adjacency.pop(u))
-            self.station_edges.pop(u, None)
         for v in touched - cells:
             adjacency[v] = [e for e in adjacency[v] if e[0] not in cells]
         for x, pairs in list(self.blocked_by.items()):
             pairs -= {p for p in pairs if p[0] in cells or p[1] in cells}
             if not pairs:
                 del self.blocked_by[x]
-        for x, vs in list(self.station_blocked_by.items()):
-            vs -= cells
-            if not vs:
-                del self.station_blocked_by[x]
 
     def _regain(self, grid: CellGrid, flips: list[int]) -> None:
         """Walk again the pairs that watch a cell which started passing."""
@@ -350,30 +343,26 @@ class _Core:
                     hits[key].append(i)
                 else:
                     hits[key] = [i]
-        serial, nodes = self.serial, self.nodes
+        serial, nodes, blocked_by = self.serial, self.nodes, self.blocked_by
         for key, flipped in hits.items():
             s, t = divmod(key, _PAIR)
             (a, ca), (b, cb) = nodes[s], nodes[t]
-            if serial.get(b) != t or (s and serial.get(a) != s):
-                continue  # a vertex of the pair has gone since
+            if serial.get(a) != s or serial.get(b) != t:
+                continue  # a node of the pair has gone since
             lo, u, v = (a, ca, cb) if a < b else (b, cb, ca)
             if len(flipped) == 1:  # it may have been this cell's single-blocker pair
                 x = grid.cell_at(flipped[0])
-                if s:
-                    pairs, pair = self.blocked_by.get(x), (u, v, math.dist(u, v))
-                else:
-                    pairs, pair = self.station_blocked_by.get(x), cb
+                pairs, pair = blocked_by.get(x), (u, v, math.dist(u, v))
                 if pairs is not None and pair in pairs:
                     pairs.remove(pair)
                     if not pairs:
-                        del (self.blocked_by if s else self.station_blocked_by)[x]
+                        del blocked_by[x]
             # a watched cell that did not flip is still watched, and first
             self._classify(grid, key, lo, u, v, 2 - len(flipped))
 
     def _cut(self, grid: CellGrid, flips: list[int]) -> None:
         """Kill or re-file the edges and single-blocker pairs that a cell which started failing lies on."""
         xs = [grid.cell_at(i) for i in flips]
-        station = grid.station
         adjacency, blocked_by = self.adjacency, self.blocked_by
         for x, pairs in list(blocked_by.items()):
             pairs -= {p for p in pairs if _crossed(p[0], p[1], xs)}
@@ -389,22 +378,10 @@ class _Core:
             adjacency[v] = [e for e in adjacency[v] if e[0] != u]
             if len(on) == 1:
                 blocked_by.setdefault(on[0], set()).add((u, v, w))
-        xs = [x for x in xs if x != station]  # the station never blocks its own lines
-        for x, vs in list(self.station_blocked_by.items()):
-            vs -= {v for v in vs if _crossed(min(station, v), max(station, v), xs)}
-            if not vs:
-                del self.station_blocked_by[x]
-        for v in list(self.station_edges):
-            on = _crossed(min(station, v), max(station, v), xs)
-            if on:
-                del self.station_edges[v]
-                if len(on) == 1:
-                    self.station_blocked_by.setdefault(on[0], set()).add(v)
 
     def _add(self, grid: CellGrid, born: list[int]) -> None:
-        """Walk the lines of each new vertex to the other vertices and to the station."""
+        """Walk the lines of each new node to the other nodes."""
         serial, nodes, classify = self.serial, self.nodes, self._classify
-        station, station_cell = nodes[0]
         others = [nodes[t] + (t,) for t in serial.values()]
         for i in born:
             u = grid.cell_at(i)
@@ -416,10 +393,6 @@ class _Core:
                     classify(grid, t * _PAIR + s, j, v, u)
                 else:
                     classify(grid, t * _PAIR + s, i, u, v)
-            if i < station:
-                classify(grid, s, i, u, station_cell)
-            elif i > station:
-                classify(grid, s, station, station_cell, u)
             others.append((i, u, s))
 
     def _classify(self, grid: CellGrid, key: int, lo: int, u: Cell, v: Cell, skip: int = 0) -> None:
@@ -430,29 +403,21 @@ class _Core:
         on are watched if still unexplored.
         """
         ok = self.ok
-        exempt = -1 if key >= _PAIR else self.nodes[0][0]  # a station line: the station passes
         first = second = -1
         for o in _line_offsets(grid.stride, v[0] - u[0], v[1] - u[1]):
-            if not ok[lo + o] and lo + o != exempt:
+            if not ok[lo + o]:
                 if first >= 0:
                     second = lo + o
                     break
                 first = lo + o
+        if first < 0:
+            w = math.dist(u, v)
+            self.adjacency[u].append((v, w))
+            self.adjacency[v].append((u, w))
+            return
         if second < 0:
-            if key >= _PAIR:
-                if first < 0:
-                    w = math.dist(u, v)
-                    self.adjacency[u].append((v, w))
-                    self.adjacency[v].append((u, w))
-                else:
-                    self.blocked_by.setdefault(grid.cell_at(first), set()).add((u, v, math.dist(u, v)))
-            else:
-                other = v if lo == exempt else u
-                if first < 0:
-                    self.station_edges[other] = math.dist(u, v)
-                else:
-                    self.station_blocked_by.setdefault(grid.cell_at(first), set()).add(other)
-        if self.gains and first >= 0:
+            self.blocked_by.setdefault(grid.cell_at(first), set()).add((u, v, math.dist(u, v)))
+        if self.gains:
             flat, watch = grid.flat, self.watch
             for j in (first, second)[skip:]:
                 if j >= 0 and flat[j] == _UNEXPLORED:  # explored and obstacle cells never change again
@@ -502,17 +467,18 @@ def build_visibility_graph(
     goal: Cell,
     traversable: StatePredicate,
 ) -> VisibilityGraph:
-    """Pairwise-visibility graph over the start, the goal and obstacle vertices.
+    """Pairwise-visibility graph over the start, the goal and the core nodes.
 
-    The start must pass the predicate (``ValueError`` otherwise); the goal
-    is admitted as a node whatever its state, and sight lines may cross it.
-    All other cells a sight line touches must pass the predicate. An
-    out-of-bounds goal is a node without edges, so it has no path.
+    The core nodes are the obstacle vertices and the station, each when it
+    passes the predicate. The start must pass the predicate (``ValueError``
+    otherwise); the goal is admitted as a node whatever its state, and
+    sight lines may cross it. All other cells a sight line touches must
+    pass the predicate. An out-of-bounds goal is a node without edges, so
+    it has no path.
 
-    Edges among obstacle vertices, and the station's lines to them, come
-    from the grid's core, so a query walks lines only from an endpoint that
-    is neither a vertex nor the station; it adds the vertex pairs, and the
-    station lines, blocked by nothing but a goal that fails the predicate.
+    Edges among the core nodes come from the grid's core, so a query walks
+    lines only from an endpoint that is not a core node; it adds the core
+    pairs blocked by nothing but a goal that fails the predicate.
     """
     _require_passing_start(grid, start, traversable)
     core = _cached_core(grid, traversable)
@@ -520,7 +486,6 @@ def build_visibility_graph(
     targets = list(shared)
     adjacency = dict(shared)
     ok = core.ok  # the start passes already
-    station = grid.station
     if grid.in_bounds(goal):
         exempt = grid.index(goal)  # admitted whatever its state
         ends = sorted({start, goal})
@@ -533,14 +498,9 @@ def build_visibility_graph(
     for e in ends:
         if e in shared:
             continue
-        walk = targets
-        if e == station:
-            edges += [(e, v, w) for v, w in core.station_edges.items()]
-            edges += [(e, v, math.dist(e, v)) for v in core.station_blocked_by.get(goal, ())]
-            walk = targets[len(shared) :]  # the other endpoint, if it was walked first
         ec, er = e
         base = grid.index(e)
-        for v in walk:
+        for v in targets:
             dc, dr = v[0] - ec, v[1] - er
             at = base
             if v < e:  # walk the line from v, as the core does: same cells, one table entry

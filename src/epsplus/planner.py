@@ -51,10 +51,10 @@ from .hierarchy import MapsHierarchy
 _UNEXPLORED = int(CellState.UNEXPLORED)
 
 
-# ring positions in waypoint order: the key (-b_field, step length, cell) of
-# an 8-neighbor orders like (dc, step length, dr), since b_field falls by one
-# per column and cells order by column, then row (and NEIGHBORS_8 by dr
-# within a column)
+# ring positions in waypoint order: the key (-b, step length, cell) of an
+# 8-neighbor, with b = width - col, orders like (dc, step length, dr), since
+# b falls by one per column and cells order by column, then row (and
+# NEIGHBORS_8 by dr within a column)
 _NEIGHBOR_ORDER = sorted(range(8), key=lambda k: (NEIGHBORS_8[k][0], math.hypot(*NEIGHBORS_8[k]), k))
 
 

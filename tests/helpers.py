@@ -12,9 +12,20 @@ import heapq
 import math
 from fractions import Fraction
 
-from epsplus.grid import CellGrid, CellState
+from epsplus.grid import NEIGHBORS_8, CellGrid, CellState
 from epsplus.pathfind import PathResult, path_length, supercover_line
 from epsplus.planner import restart_point
+
+
+def b_field(grid, cell):
+    """Static potential of the cell's column: ``width - col`` (see ``grid``)."""
+    return grid.width - cell[0]
+
+
+def neighbors8(grid, cell):
+    """The cell's in-bounds 8-neighbours, in ``NEIGHBORS_8`` order."""
+    col, row = cell
+    return [(col + dc, row + dr) for dc, dr in NEIGHBORS_8 if grid.in_bounds((col + dc, row + dr))]
 
 
 def flood_reachable(width, height, obstacles, station):
@@ -204,7 +215,7 @@ def potential_level0(grid, cell):
         return -1.0
     if st is CellState.EXPLORED:
         return 0.0
-    return float(grid.b_field(cell))
+    return float(b_field(grid, cell))
 
 
 def default_level_count(width, height):
@@ -252,11 +263,11 @@ def reference_next_waypoint(grid, current, excluded, levels):
     """Reference waypoint: the best unexplored, non-excluded 8-neighbor by
     (-static field, step length, (col, row)), else the coarse selection."""
     near = [
-        n for n in grid.neighbors8(current)
+        n for n in neighbors8(grid, current)
         if grid.state(n) is CellState.UNEXPLORED and n not in excluded
     ]
     if near:
-        return min(near, key=lambda n: (-grid.b_field(n), math.dist(current, n), n))
+        return min(near, key=lambda n: (-b_field(grid, n), math.dist(current, n), n))
     return reference_coarse_select(grid, current, excluded, levels)
 
 
@@ -410,10 +421,10 @@ def dict_next_waypoint(grid, hierarchy, current, excluded=frozenset()):
     if grid.state(current) is CellState.OBSTACLE:
         raise ValueError(f"current cell {current} is an obstacle")
     best = None
-    for n in grid.neighbors8(current):
+    for n in neighbors8(grid, current):
         if grid.state(n) is not CellState.UNEXPLORED or n in excluded:
             continue
-        key = (-grid.b_field(n), math.dist(current, n), n)
+        key = (-b_field(grid, n), math.dist(current, n), n)
         if best is None or key < best:
             best = key
     if best is not None:

@@ -15,6 +15,7 @@ from epsplus.pathfind import astar, build_visibility_graph, explored_only
 from epsplus.sim import GroundTruth
 
 from helpers import (
+    b_field,
     dijkstra_on_graph,
     explored_grid,
     flood_reachable,
@@ -170,13 +171,13 @@ def test_criterion_5_potential_conformance():
                 violations += 1
             elif state is CellState.EXPLORED and p != 0.0:
                 violations += 1
-            elif state is CellState.UNEXPLORED and p != grid.b_field(cell):
+            elif state is CellState.UNEXPLORED and p != b_field(grid, cell):
                 violations += 1
         for col in range(w):
-            plateau = {grid.b_field((col, row)) for row in range(h)}
+            plateau = {b_field(grid, (col, row)) for row in range(h)}
             if len(plateau) != 1:
                 violations += 1
-            if col and grid.b_field((col - 1, 0)) <= grid.b_field((col, 0)):
+            if col and b_field(grid, (col - 1, 0)) <= b_field(grid, (col, 0)):
                 violations += 1
     _report(5, violations == 0, f"{checked} cells checked, {violations} violations")
 

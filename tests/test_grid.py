@@ -4,26 +4,26 @@ from hypothesis import example, given, strategies as st
 from epsplus.errors import MapConflictError, MapFormatError
 from epsplus.grid import _RING_SEEDS, BORDER, NEIGHBORS_8, CellGrid, CellState, parse_map_text
 
-from helpers import flood_reachable, map_text, reachable_cells, ring_components
+from helpers import b_field, flood_reachable, map_text, neighbors8, reachable_cells, ring_components
 
 
 def test_new_grid_50x50():
     grid = CellGrid(50, 50, (0, 0))
     assert all(grid.state(c) is CellState.UNEXPLORED for c in grid.cells())
-    assert grid.b_field((0, 0)) == 50
-    assert grid.b_field((49, 17)) == 1
+    assert b_field(grid, (0, 0)) == 50
+    assert b_field(grid, (49, 17)) == 1
 
 
 def test_new_grid_degenerate():
     grid = CellGrid(1, 1, (0, 0))
     assert grid.state((0, 0)) is CellState.UNEXPLORED
-    assert grid.b_field((0, 0)) == 1
+    assert b_field(grid, (0, 0)) == 1
 
 
 def test_new_grid_column_plateaus():
     grid = CellGrid(3, 2, (0, 0))
-    assert [grid.b_field((c, 0)) for c in range(3)] == [3, 2, 1]
-    assert [grid.b_field((c, 1)) for c in range(3)] == [3, 2, 1]
+    assert [b_field(grid, (c, 0)) for c in range(3)] == [3, 2, 1]
+    assert [b_field(grid, (c, 1)) for c in range(3)] == [3, 2, 1]
 
 
 def test_new_grid_station_out_of_bounds():
@@ -77,7 +77,7 @@ def test_flat_index_round_trip():
     for cell in [(0, 0), (4, 2), (2, 1)]:
         moved = [(cell[0] + dc, cell[1] + dr) for dc, dr in NEIGHBORS_8]
         assert [grid.cell_at(grid.index(cell) + off) for off, _ in grid.steps] == moved
-        assert grid.neighbors8(cell) == [n for n in moved if grid.in_bounds(n)]
+        assert neighbors8(grid, cell) == [n for n in moved if grid.in_bounds(n)]
     with pytest.raises(ValueError):
         grid.mark_traversed((5, 0))
 
@@ -153,12 +153,12 @@ def test_parse_map_errors(text, fragment):
 def test_b_field_invariants_direct_scan():
     grid = CellGrid(17, 9, (0, 0))
     for col in range(17):
-        plateau = {grid.b_field((col, row)) for row in range(9)}
+        plateau = {b_field(grid, (col, row)) for row in range(9)}
         assert len(plateau) == 1
         b = plateau.pop()
         assert 1 <= b <= grid.width
         if col > 0:
-            assert grid.b_field((col - 1, 0)) > b
+            assert b_field(grid, (col - 1, 0)) > b
 
 
 def assert_blocks_whole(grid, reachable):

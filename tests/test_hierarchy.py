@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from epsplus.grid import CellGrid, CellState
 from epsplus.hierarchy import MapsHierarchy
 
-from helpers import potential_level0
+from helpers import b_field, potential_level0
 
 
 def block_cells(grid, ci, cj):
@@ -53,7 +53,7 @@ def test_potential_case_totality():
         elif st_ is CellState.EXPLORED:
             assert p == 0.0
         else:
-            assert p == grid.b_field(cell) > 0
+            assert p == b_field(grid, cell) > 0
 
 
 def test_coarse_potential_extremes():

@@ -32,6 +32,7 @@ from helpers import (
     explored_grid,
     grid_dijkstra,
     los_clear,
+    neighbors8,
     random_belief_grid,
     random_rect_obstacles,
     supercover_oracle,
@@ -309,7 +310,7 @@ def test_distance_field_matches_dijkstra_after_growth():
         grid.mark_traversed(station)
         field.insert(station)
         # grow the explored region cell by cell, connected to the station
-        frontier = [c for c in grid.neighbors8(station) if grid.state(c) is not CellState.OBSTACLE]
+        frontier = [c for c in neighbors8(grid, station) if grid.state(c) is not CellState.OBSTACLE]
         seen = {station}
         while frontier:
             cell = frontier.pop(rng.randrange(len(frontier)))
@@ -318,7 +319,7 @@ def test_distance_field_matches_dijkstra_after_growth():
             seen.add(cell)
             grid.mark_traversed(cell)
             field.insert(cell)
-            for n in grid.neighbors8(cell):
+            for n in neighbors8(grid, cell):
                 if n not in seen and grid.state(n) is not CellState.OBSTACLE:
                     frontier.append(n)
         oracle = grid_dijkstra(grid, station, explored_only, cut_corners=True)
@@ -401,10 +402,18 @@ def test_explored_walk_is_exact_for_station_queries(seed):
 
 # -- visibility-graph cache ------------------------------------------------------
 
+def core_nodes(grid, traversable):
+    """Obstacle vertices, plus the station when it passes the predicate."""
+    nodes = set(obstacle_vertices(grid, traversable))
+    if traversable(grid.state(grid.station)):
+        nodes.add(grid.station)
+    return nodes
+
+
 def pairwise_visibility(grid, start, goal, traversable):
     """From-scratch reference build: sight-line checks over every node pair."""
     exempt = frozenset((start, goal))
-    nodes = sorted({start, goal} | set(obstacle_vertices(grid, traversable)))
+    nodes = sorted({start, goal} | core_nodes(grid, traversable))
     edges = set()
     for i, u in enumerate(nodes):
         for v in nodes[i + 1 :]:
@@ -502,15 +511,13 @@ def test_visibility_edges_through_a_failing_endpoint():
 
 
 def core_contents(core):
-    """Vertices, edges, single-blocker pairs and station lines of a core, as sets."""
+    """Nodes, edges and single-blocker pairs of a core, as sets."""
     edges = [(u, v, w) for u, adjacent in core.adjacency.items() for v, w in adjacent]
     assert len(edges) == len(set(edges)), "duplicate edge"
     return {
-        "vertices": set(core.adjacency),
+        "nodes": set(core.adjacency),
         "edges": set(edges),
         "blocked_by": {x: set(pairs) for x, pairs in core.blocked_by.items()},
-        "station_edges": dict(core.station_edges),
-        "station_blocked_by": {x: set(vs) for x, vs in core.station_blocked_by.items()},
     }
 
 
@@ -542,7 +549,7 @@ def test_synced_core_equals_a_fresh_build(data):
                 grid.apply_sensor_update(data.draw(st.lists(st.sampled_from(near), max_size=6)))
         else:
             # mostly a step of the vehicle: an unexplored neighbour of the last cell
-            unexplored = [c for c in grid.neighbors8(last[0]) if grid.state(c) is CellState.UNEXPLORED]
+            unexplored = [c for c in neighbors8(grid, last[0]) if grid.state(c) is CellState.UNEXPLORED]
             if not unexplored or data.draw(st.integers(0, 3), label="jump") == 0:
                 unexplored = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
             if unexplored:
@@ -560,7 +567,7 @@ def test_synced_core_equals_a_fresh_build(data):
             fresh = copy.deepcopy(grid)
             fresh._vis_cores.clear()
             assert core_contents(core) == core_contents(_Core(fresh, pred))
-            assert core_contents(core)["vertices"] == set(obstacle_vertices(grid, pred))
+            assert core_contents(core)["nodes"] == core_nodes(grid, pred)
 
 
 def test_core_watches_the_next_blocker_when_both_watched_cells_flip():
@@ -578,6 +585,20 @@ def test_core_watches_the_next_blocker_when_both_watched_cells_flip():
     assert ((2, 1), (6, 1), 4.0) in _cached_core(grid, explored_only).blocked_by[(5, 1)]
     grid.mark_traversed((5, 1))
     assert ((6, 1), 4.0) in _cached_core(grid, explored_only).adjacency[(2, 1)]
+
+
+def test_paths_between_other_cells_may_bend_at_the_station():
+    # only the two sight lines from the station (5, 0) are explored, so the
+    # shortest explored-only path from (0, 2) to (10, 2) bends there
+    grid = CellGrid(12, 8, (5, 0))
+    for end in ((0, 2), (10, 2)):
+        for c in supercover_line((5, 0), end):
+            grid.mark_traversed(c)
+    graph = build_visibility_graph(grid, (0, 2), (10, 2), explored_only)
+    path = astar(graph, (0, 2), (10, 2))
+    assert path is not None  # a station outside the graph leaves no sight-line path
+    assert path.cells == [(0, 2), (5, 0), (10, 2)]
+    assert path.length == 2 * math.sqrt(29)
 
 
 def test_visibility_cache_keeps_one_core_per_predicate():

@@ -9,8 +9,10 @@ from epsplus.hierarchy import MapsHierarchy
 from epsplus.planner import next_waypoint, restart_candidates, restart_point
 
 from helpers import (
+    b_field,
     default_level_count,
     dict_next_waypoint,
+    neighbors8,
     reachable_cells,
     reference_coarse_select,
     reference_next_waypoint,
@@ -166,15 +168,15 @@ def test_argmax_correctness_on_random_beliefs():
         if grid.state(current) is CellState.OBSTACLE:
             continue
         wp = next_waypoint(grid, h, current)
-        positives = [n for n in grid.neighbors8(current) if grid.state(n) is CellState.UNEXPLORED]
+        positives = [n for n in neighbors8(grid, current) if grid.state(n) is CellState.UNEXPLORED]
         if not positives:
             if wp is not None:
                 assert chebyshev(wp, current) != 1  # the coarse step chose it
             continue
         assert wp is not None and chebyshev(wp, current) == 1
-        b = grid.b_field(wp)
-        assert all(grid.b_field(n) <= b for n in positives)
-        same = [n for n in positives if grid.b_field(n) == b]
+        b = b_field(grid, wp)
+        assert all(b_field(grid, n) <= b for n in positives)
+        same = [n for n in positives if b_field(grid, n) == b]
         assert all(math.dist(current, wp) <= math.dist(current, n) for n in same)
 
 
@@ -233,7 +235,7 @@ def test_one_coarse_level_matches_the_k_level_reference():
         unexplored = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
         excluded = set(rng.sample(unexplored, rng.randint(0, len(unexplored))))
         if rng.random() < 0.5:  # force the coarse selection from the origin
-            excluded |= set(grid.neighbors8(origin))
+            excluded |= set(neighbors8(grid, origin))
         excluded = frozenset(excluded)
         wp = next_waypoint(grid, hier, origin, excluded)
         rp = restart_point(grid, hier, station, excluded)
