@@ -51,9 +51,9 @@ def run_size(size: int) -> dict:
     counts = dict.fromkeys(("fills", "grid_astar", "visgraphs", "cores", "lines", "sight_lines"), 0)
 
     def counted(name, fn):
-        def call(*args):
+        def call(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return call
 

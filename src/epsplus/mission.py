@@ -12,11 +12,13 @@ take a start that passes the predicate and admit the goal whatever its
 state, so a sight-line path is always also a grid walk. The distance field
 below knows the shortest explored walk of every query with the station as
 an endpoint, which covers every retreat and every advance checked from the
-station. Every query builds the visibility graph first, and runs grid A*
-too unless the sight-line path beats a known walk. The field also answers,
-without a search, an explored-only query from the station's explored
-component that has no path; every query of a mission starts in that
-component. The unexplored cells still reachable from the station come from
+station. Such a query is bounded by its walk, since no answer is longer
+(see ``pathfind`` for searches bounded by a length). Every query builds
+the visibility graph first, and runs grid A* too unless the sight-line path
+beats a known walk or the walk exceeds the query's limit. The field also
+answers, without a search, an explored-only query from the station's
+explored component that has no path; every query of a mission starts in
+that component. The unexplored cells still reachable from the station come from
 the belief grid's reachable mask, tested by flat index.
 
 Reachability and path planning read caches owned by the belief grid. The
@@ -56,9 +58,15 @@ plan: its explored-only plan is no shorter than the field's walk divided by
 ``GRID_STRETCH``, and a plan that exists is never replaced by a
 ``non_obstacle`` one. A candidate whose walk floor fails the budget is
 rejected without a search, and, like any rejection of an explored-only
-plan, not recorded. The candidates of one advance phase come from one
-ranked stream (``planner.restart_candidates``): each is drawn once, in the
-order repeated restart selections would return them.
+plan, not recorded. Every other candidate is planned bounded by the budget
+(``_plan_candidate``): with a walk, over explored cells up to the longest
+affordable length; without one, over non-obstacle cells up to that length
+times ``GRID_STRETCH``, so a search that finds nothing leaves a floor that
+fails the budget, and the target is recorded as above. A bounded search
+returns the unbounded plan whenever that plan fits, so only the searches
+of rejected candidates get cheaper. The candidates of one advance phase
+come from one ranked stream (``planner.restart_candidates``): each is drawn
+once, in the order repeated restart selections would return them.
 
 The vehicle senses each pose once. A pose's detections are fixed, and
 once they are marked on the belief grid a repeat sensing there marks
@@ -256,11 +264,12 @@ class Mission:
         self._sensed[i] = 1
         return new
 
-    def _mark_explored(self, cell: Cell) -> None:
+    def _mark_explored(self, cell: Cell, estimate: float | None = None) -> None:
+        """Mark an unexplored cell explored; ``estimate`` is its field estimate, if known."""
         if self.grid.state(cell) is CellState.UNEXPLORED:
             self.grid.mark_traversed(cell)
             self.hier.on_state_change(cell, CellState.UNEXPLORED, CellState.EXPLORED)
-            self.dfield.insert(cell)
+            self.dfield.insert(cell, estimate)
 
     # -- trajectory bookkeeping ------------------------------------------------
 
@@ -316,10 +325,10 @@ class Mission:
 
     # -- motion -----------------------------------------------------------------
 
-    def _coverage_move(self, nxt: Cell) -> None:
+    def _coverage_move(self, nxt: Cell, estimate: float | None) -> None:
         assert self.gt.validate_move(self.pos, nxt)
         self._book(self.pos, nxt, SegmentKind.COVERAGE)
-        self._mark_explored(nxt)
+        self._mark_explored(nxt, estimate)
         self._visits[nxt] = self._visits.get(nxt, 0) + 1
 
     def _execute_polyline(self, nodes: list[Cell], kind: SegmentKind):
@@ -368,29 +377,38 @@ class Mission:
 
     # -- path planning -----------------------------------------------------------
 
-    def _shortest(self, start: Cell, goal: Cell, traversable: StatePredicate) -> PathResult | None:
+    def _shortest(
+        self, start: Cell, goal: Cell, traversable: StatePredicate, limit: float = math.inf
+    ) -> PathResult | None:
         """The shorter of visibility-graph A* and grid A* (ties: lower cell list).
 
-        Every sight-line path is also a grid walk, so without a walk there
-        is no path. Under ``explored_only`` the distance field knows the
-        walk's length for queries with the station as an endpoint, and that
-        no walk exists from a start in the station's explored component to a
+        Returns None when that path is longer than ``limit``. Every
+        sight-line path is also a grid walk, so without a walk there is no
+        path. Under ``explored_only`` the distance field knows the walk's
+        length for queries with the station as an endpoint, and that no
+        walk exists from a start in the station's explored component to a
         goal it neither holds nor borders (``DistanceField.explored_walk``).
-        A known miss returns at once. Otherwise the visibility graph runs
+        A known miss returns at once. A known walk caps the limit, since
+        grid A* finds it, widened by the rounding margin (the field and
+        ``path_length`` sum in different orders). The visibility graph runs
         first, and grid A* runs unless its walk is known to lose: a
-        sight-line path shorter than the walk by more than the rounding
-        margin (the field and ``path_length`` sum in different orders) is
-        the answer, and anything inside the margin gets the exact
-        comparison.
+        sight-line path shorter than the walk by more than the margin is the
+        answer, a walk longer than the limit by more than the margin cannot
+        fit, and anything inside the margin gets the exact comparison.
         """
         walk = self.dfield.explored_walk(start, goal) if traversable is explored_only else None
         if walk == math.inf:
             return None
-        sight = astar(build_visibility_graph(self.grid, start, goal, traversable), start, goal)
-        if walk is not None and sight is not None and sight.length < walk * (1.0 - 1e-9):
+        bound = limit if walk is None else min(limit, walk * (1.0 + 1e-9))
+        graph = build_visibility_graph(self.grid, start, goal, traversable, bound)
+        sight = astar(graph, start, goal, bound)
+        if walk is not None and (
+            walk * (1.0 - 1e-9) > limit or (sight is not None and sight.length < walk * (1.0 - 1e-9))
+        ):
             return sight
-        found = grid_astar(self.grid, start, goal, traversable)
-        return found if sight is None else min((sight, found), key=lambda p: (p.length, p.cells))
+        found = grid_astar(self.grid, start, goal, traversable, bound)
+        fits = [p for p in (sight, found) if p is not None]
+        return min(fits, key=lambda p: (p.length, p.cells), default=None)
 
     def _plan_retreat(self, from_cell: Cell) -> PathResult:
         plan = self._shortest(from_cell, self.grid.station, explored_only)
@@ -404,6 +422,26 @@ class Mission:
         if plan is not None:
             return plan, explored_only
         return self._shortest(start, target, non_obstacle), non_obstacle
+
+    def _plan_candidate(
+        self, target: Cell, walk: float, longest: float
+    ) -> tuple[PathResult | None, StatePredicate]:
+        """Plan an advance from the station to a restart candidate, bounded by the budget.
+
+        ``walk`` is the field's explored walk from the station to the
+        target, and ``longest`` a length no affordable advance exceeds. A
+        finite walk means an explored-only plan exists, so None means it is
+        longer than ``longest``. Otherwise only a ``non_obstacle`` plan
+        exists (the candidate is reachable), and None means it is longer
+        than ``longest`` times ``GRID_STRETCH``: its floor fails the budget.
+        Returns the plan as ``_plan_advance`` would, when it fits, and the
+        predicate used.
+        """
+        station = self.grid.station
+        if walk < math.inf:
+            return self._shortest(station, target, explored_only, longest), explored_only
+        limit = longest * GRID_STRETCH * (1.0 + 1e-9)
+        return self._shortest(station, target, non_obstacle, limit), non_obstacle
 
     def _route_for(self, target: Cell) -> list[Cell]:
         """Cell route from the vehicle to the waypoint (adjacent or planned chain)."""
@@ -442,9 +480,10 @@ class Mission:
             if wp is None:
                 return "done"
             route = self._route_for(wp)
+            estimate = None  # the waypoint's neighbor_estimate, when it is the next cell
             if len(route) == 2:  # math.fsum of one term is that term
                 l_rest = math.dist(route[0], route[1])
-                est = self.dfield.neighbor_estimate(wp)
+                est = estimate = self.dfield.neighbor_estimate(wp)
             else:
                 l_rest = path_length(route)
                 est = l_rest + self.dfield.distance(self.pos)
@@ -456,7 +495,8 @@ class Mission:
                 self._add_obstacles([nxt])
                 yield MissionEvent.SENSED
                 continue
-            self._coverage_move(nxt)
+            # the move changes only nxt's own state, which the estimate does not read
+            self._coverage_move(nxt, estimate)
             yield MissionEvent.MOVED
 
     def _return_home(self, recharge: bool):
@@ -480,6 +520,9 @@ class Mission:
         capacity = self.energy.capacity
         travel = self.energy.travel_rate
         step_energy = self.energy.coverage_rate * SQRT2
+        # no length above this is affordable; the margin on the capacity is
+        # far wider than the rounding of unaffordable()
+        longest = (capacity * (1.0 + 1e-9) - step_energy) / (2.0 * travel)
 
         def unaffordable(length: float) -> bool:
             return capacity < 2.0 * travel * length + step_energy
@@ -497,19 +540,16 @@ class Mission:
             if unaffordable(math.dist(station, target)):
                 self.infeasible.add(target)
                 continue
-            walk = self.dfield.explored_walk(station, target)
-            if walk is not None and walk < math.inf and unaffordable(walk / GRID_STRETCH):
+            walk = self.dfield.explored_walk(station, target)  # not None: the station is explored
+            if walk < math.inf and unaffordable(walk / GRID_STRETCH):
                 # an explored-only plan exists and is no shorter than this floor
                 continue
-            plan, used = self._plan_advance(station, target)
+            plan, used = self._plan_candidate(target, walk, longest)
             if plan is None or unaffordable(plan.length):
                 # a non_obstacle plan from the station, divided by GRID_STRETCH,
-                # is a floor on every later plan to this target
-                if (
-                    used is non_obstacle
-                    and plan is not None
-                    and unaffordable(plan.length / GRID_STRETCH)
-                ):
+                # is a floor on every later plan to this target; no plan within
+                # the limit puts that floor past the budget too
+                if used is non_obstacle and (plan is None or unaffordable(plan.length / GRID_STRETCH)):
                     self._out_of_reach.add(target)
                 continue
             self._start_trajectory()

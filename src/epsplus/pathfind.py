@@ -28,6 +28,17 @@ Grid A* admits every such step, so under either predicate the shortest grid
 walk is at most that factor times the shortest sight-line path, and the
 shorter of the two planners is never below the walk divided by it.
 
+Both A* searches (and ``build_visibility_graph``) take a trailing
+``limit``, ``math.inf`` by default: a search returns what the unbounded
+search returns when that path is at most ``limit`` long, and None
+otherwise. It neither records nor pushes a state whose f = g + h exceeds
+the limit by more than a rounding margin (``_MARGIN``), so a search that
+cannot succeed ends early. A path that fits is unchanged: the straight-line
+heuristic is consistent, so every state the unbounded search pops before
+the goal has f at most the goal's g, which is the path's length up to
+rounding; all of those states are kept, and the bounded search pops them in
+the same order and returns the same cells with a bit-equal length.
+
 Visibility graphs are assembled per query from a cached core. Its nodes
 are the cells that pass the predicate and are obstacle vertices or the
 station, the hub of every retreat and advance; it holds the sight-line
@@ -58,6 +69,7 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .grid import Cell, CellGrid, CellState, NEIGHBORS_8
@@ -131,8 +143,8 @@ def supercover_line(a: Cell, b: Cell) -> list[Cell]:
 # process: more than the 4,901 cell deltas a line of a 50 x 50 grid can have
 # (walked from its lower endpoint, so columns only grow), and than the 3,218
 # lines the twelve tight-budget maps walk together, so the bundled and
-# tight-budget maps never reach it; on larger grids the table starts over
-# when full
+# tight-budget maps never reach it; on larger grids a full table drops its
+# longer half, keeping the short deltas that most lines reuse
 _SIGHT_LINES_CAP = 5000
 _sight_lines: dict[tuple[int, int, int], array] = {}
 
@@ -145,18 +157,25 @@ def _line_offsets(stride: int, dc: int, dr: int) -> array:
     bytes from its first cell. The offsets depend only on the delta and the
     stride, so one table serves every grid; it holds compact arrays (a memo
     of tuples of ints costs several times the memory), at most
-    ``_SIGHT_LINES_CAP`` of them. Entries are never modified, so sharing
-    them cannot change a result.
+    ``_SIGHT_LINES_CAP`` of them; a full table evicts its longer half (by
+    offset count). Entries are never modified, so sharing them cannot
+    change a result.
     """
     key = (stride, dc, dr)
     offsets = _sight_lines.get(key)
     if offsets is None:
         if len(_sight_lines) >= _SIGHT_LINES_CAP:
-            _sight_lines.clear()
+            by_length = sorted(_sight_lines, key=lambda k: len(_sight_lines[k]))
+            for k in by_length[_SIGHT_LINES_CAP // 2 :]:
+                del _sight_lines[k]
         cells = supercover_line((0, 0), (dc, dr))
         offsets = _sight_lines[key] = array("i", [c * stride + r for c, r in cells])
     return offsets
 
+
+# a bounded search keeps the states whose f = g + h is within the limit by
+# this factor, far wider than the rounding of a g summed edge by edge
+_MARGIN = 1.0 + 1e-9
 
 _UNEXPLORED = int(CellState.UNEXPLORED)
 _EXPLORED = int(CellState.EXPLORED)
@@ -212,12 +231,16 @@ class VisibilityGraph:
 
     Adjacency lists of core nodes may be shared with the grid's cached
     core, which the next sync updates; callers must not modify them, and a
-    graph is valid until the grid changes.
+    graph is valid until the grid changes. ``nodes`` is sorted on first
+    read, since search reads only ``adjacency``.
     """
 
-    def __init__(self, nodes: list[Cell], adjacency: dict[Cell, list[tuple[Cell, float]]]):
-        self.nodes = nodes
+    def __init__(self, adjacency: dict[Cell, list[tuple[Cell, float]]]):
         self.adjacency = adjacency
+
+    @cached_property
+    def nodes(self) -> list[Cell]:
+        return sorted(self.adjacency)
 
 
 _PAIR = 1 << 32  # a pair's key: its lower node serial times this, plus the higher
@@ -466,6 +489,7 @@ def build_visibility_graph(
     start: Cell,
     goal: Cell,
     traversable: StatePredicate,
+    limit: float = math.inf,
 ) -> VisibilityGraph:
     """Pairwise-visibility graph over the start, the goal and the core nodes.
 
@@ -478,7 +502,12 @@ def build_visibility_graph(
 
     Edges among the core nodes come from the grid's core, so a query walks
     lines only from an endpoint that is not a core node; it adds the core
-    pairs blocked by nothing but a goal that fails the predicate.
+    pairs blocked by nothing but a goal that fails the predicate. It walks
+    the line from such an endpoint to a node v only when
+    ``dist(start, v) + dist(v, goal)`` is within ``limit`` by the search's
+    rounding margin: no path through v can fit the limit otherwise, and
+    ``astar`` with that limit would not push v along that edge (see
+    ``astar``). The graph's edges are a subset of the unbounded graph's.
     """
     _require_passing_start(grid, start, traversable)
     core = _cached_core(grid, traversable)
@@ -495,12 +524,16 @@ def build_visibility_graph(
         adjacency[goal] = []
     edges = list(core.blocked_by.get(goal, ()))  # only failing cells block pairs
     stride = grid.stride
+    bound = limit * _MARGIN
+    dist = math.dist
     for e in ends:
         if e in shared:
             continue
         ec, er = e
         base = grid.index(e)
         for v in targets:
+            if bound < math.inf and dist(start, v) + dist(v, goal) > bound:
+                continue  # no path through v fits the limit
             dc, dr = v[0] - ec, v[1] - er
             at = base
             if v < e:  # walk the line from v, as the core does: same cells, one table entry
@@ -509,7 +542,7 @@ def build_visibility_graph(
                 if not ok[at + o] and at + o != exempt:
                     break
             else:
-                edges.append((e, v, math.dist(e, v)))
+                edges.append((e, v, dist(e, v)))
         targets.append(e)
         adjacency[e] = []
     for u, v, w in edges:
@@ -518,18 +551,26 @@ def build_visibility_graph(
                 adjacency[a] = adjacency[a] + [(b, w)]  # copy, so the core stays intact
             else:
                 adjacency[a].append((b, w))
-    return VisibilityGraph(sorted(adjacency), adjacency)
+    return VisibilityGraph(adjacency)
 
 
-def astar(graph: VisibilityGraph, start: Cell, goal: Cell) -> PathResult | None:
-    """Minimum-length node path on a visibility graph (straight-line heuristic)."""
+def astar(graph: VisibilityGraph, start: Cell, goal: Cell, limit: float = math.inf) -> PathResult | None:
+    """Minimum-length node path on a visibility graph (straight-line heuristic).
+
+    Returns None when no path is at most ``limit`` long; see the module
+    docstring for why a path that fits is the unbounded search's.
+    """
     if start not in graph.adjacency or goal not in graph.adjacency:
         raise ValueError("start and goal must be graph nodes")
     if start == goal:
-        return PathResult([start], 0.0)
+        return PathResult([start], 0.0) if limit >= 0.0 else None
+    bound = limit * _MARGIN
+    f = math.dist(start, goal)
+    if f > bound:
+        return None
     g = {start: 0.0}
     parent: dict[Cell, Cell | None] = {start: None}
-    heap = [(math.dist(start, goal), start)]
+    heap = [(f, start)]
     closed: set[Cell] = set()
     while heap:
         _, u = heapq.heappop(heap)
@@ -537,16 +578,20 @@ def astar(graph: VisibilityGraph, start: Cell, goal: Cell) -> PathResult | None:
             continue
         closed.add(u)
         if u == goal:
-            return _reconstruct(parent, goal)
+            path = _reconstruct(parent, goal)
+            return path if path.length <= limit else None
         gu = g[u]
         for v, w in graph.adjacency[u]:
             if v in closed:
                 continue
             ng = gu + w
             if ng < g.get(v, math.inf):
+                f = ng + math.dist(v, goal)
+                if f > bound:
+                    continue
                 g[v] = ng
                 parent[v] = u
-                heapq.heappush(heap, (ng + math.dist(v, goal), v))
+                heapq.heappush(heap, (f, v))
     return None
 
 
@@ -587,13 +632,15 @@ def grid_astar(
     start: Cell,
     goal: Cell,
     traversable: StatePredicate,
+    limit: float = math.inf,
 ) -> PathResult | None:
     """Shortest 8-connected cell path; diagonal squeezes between blocked cells allowed.
 
     The start must pass the predicate (``ValueError`` otherwise); the goal
     is admitted whatever its state (typically an unexplored waypoint), and
-    an out-of-bounds goal has no path. Cells are searched as flat grid
-    indices over one passability mask built per call; since those indices
+    an out-of-bounds goal has no path, nor has a goal whose shortest path is
+    longer than ``limit`` (see the module docstring). Cells are searched as
+    flat grid indices over one passability mask built per call; since those indices
     order like ``(col, row)`` tuples, heap ties break as they would on cells.
     A flat index's bordered column and row are its cell's plus one, so the
     heuristic takes their differences to the goal's straight from
@@ -604,7 +651,11 @@ def grid_astar(
     if not grid.in_bounds(goal):
         return None
     if start == goal:
-        return PathResult([start], 0.0)
+        return PathResult([start], 0.0) if limit >= 0.0 else None
+    bound = limit * _MARGIN
+    f = math.dist(start, goal)
+    if f > bound:
+        return None
     ok = _passability(grid, traversable)
     stride = grid.stride
     s_idx = grid.index(start)
@@ -617,7 +668,7 @@ def grid_astar(
     g = [math.inf] * len(ok)
     g[s_idx] = 0.0
     parent = [-1] * len(ok)
-    heap = [(math.dist(start, goal), s_idx)]
+    heap = [(f, s_idx)]
     while heap:
         _, u = heappop(heap)
         if not ok[u]:
@@ -629,7 +680,8 @@ def grid_astar(
                 cells.append(grid.cell_at(u))
                 u = parent[u]
             cells.reverse()
-            return PathResult(cells, path_length(cells))
+            length = path_length(cells)
+            return PathResult(cells, length) if length <= limit else None
         gu = g[u]
         for off, w in steps:
             v = u + off
@@ -637,10 +689,13 @@ def grid_astar(
                 continue
             ng = gu + w
             if ng < g[v]:
+                vc, vr = divmod(v, stride)
+                f = ng + hypot(gc - vc, gr - vr)
+                if f > bound:
+                    continue
                 g[v] = ng
                 parent[v] = u
-                vc, vr = divmod(v, stride)
-                heappush(heap, (ng + hypot(gc - vc, gr - vr), v))
+                heappush(heap, (f, v))
     return None
 
 
@@ -667,10 +722,15 @@ class DistanceField:
     def distance(self, cell: Cell) -> float:
         return self._dist[self.grid.index(cell)]
 
-    def insert(self, cell: Cell) -> None:
+    def insert(self, cell: Cell, estimate: float | None = None) -> None:
+        """Add a newly explored cell; ``estimate``, if given, is its current ``neighbor_estimate``.
+
+        The estimate reads only the cell's neighbours, so a caller that
+        computed it before marking the cell may pass it on.
+        """
         grid = self.grid
         dist = self._dist
-        base = self.neighbor_estimate(cell)
+        base = self.neighbor_estimate(cell) if estimate is None else estimate
         i = grid.index(cell)
         if base >= dist[i]:
             return

@@ -13,7 +13,7 @@ from epsplus.energy import SegmentKind
 from epsplus.grid import CellGrid, CellState, parse_map_text
 import epsplus.mission as mission_mod
 import epsplus.pathfind as pathfind_mod
-from epsplus.mission import Mission, MissionEvent, log_to_csv, report_to_text, run_mission
+from epsplus.mission import GRID_STRETCH, Mission, MissionEvent, log_to_csv, report_to_text, run_mission
 from epsplus.pathfind import (
     DistanceField,
     astar,
@@ -244,14 +244,32 @@ def test_station_walks_skip_grid_astar_on_field_a(monkeypatch):
     calls = []
     search = mission_mod.grid_astar
 
-    def counting(grid, start, goal, traversable):
+    def counting(grid, start, goal, traversable, limit=math.inf):
         calls.append(traversable)
-        return search(grid, start, goal, traversable)
+        return search(grid, start, goal, traversable, limit)
 
     monkeypatch.setattr(mission_mod, "grid_astar", counting)
     run_mission(gt_from_text((SCENARIOS / "field_a.txt").read_text()))
     assert len(calls) == 11
     assert all(pred is non_obstacle for pred in calls)
+
+
+def test_adjacent_moves_hand_the_gate_estimate_to_the_field(monkeypatch):
+    # the gate's neighbor_estimate of an adjacent waypoint is the one the
+    # field's insert would compute once the vehicle stands there: marking
+    # the cell changes only its own state, which the estimate does not read
+    handed = []
+    insert = DistanceField.insert
+
+    def checked(field, cell, estimate=None):
+        if estimate is not None:
+            assert estimate.hex() == field.neighbor_estimate(cell).hex(), cell
+            handed.append(cell)
+        insert(field, cell, estimate)
+
+    monkeypatch.setattr(DistanceField, "insert", checked)
+    report = run_mission(gt_from_text((SCENARIOS / "field_a.txt").read_text()))
+    assert len(handed) > report.covered_cell_count // 2
 
 
 def test_waypoint_invalidation_replans():
@@ -364,22 +382,28 @@ def test_shortest_is_the_shorter_of_both_planners():
         for c in cells:
             if grid.state(c) is CellState.EXPLORED:
                 dfield.insert(c)
+        mission = SimpleNamespace(grid=grid, dfield=dfield)
         for pred in (explored_only, non_obstacle):
             start = rng.choice([c for c in cells if pred(grid.state(c))])
             goal = rng.choice(cells)
-            vis = astar(build_visibility_graph(grid, start, goal, pred), start, goal)
-            walk = grid_astar(grid, start, goal, pred)
-            if vis is not None:
-                # a sight-line path is a chain of 8-adjacent admitted cells
-                assert walk is not None, (start, goal)
-                compared += 1
-            found = [p for p in (vis, walk) if p is not None]
-            expected = min(found, key=lambda p: (p.length, p.cells), default=None)
-            got = Mission._shortest(SimpleNamespace(grid=grid, dfield=dfield), start, goal, pred)
-            if expected is None:
-                assert got is None
-            else:
-                assert (got.cells, got.length) == (expected.cells, expected.length)
+            # station queries also read the field's walk
+            for start, goal in ((start, goal), (grid.station, goal), (start, grid.station)):
+                vis = astar(build_visibility_graph(grid, start, goal, pred), start, goal)
+                walk = grid_astar(grid, start, goal, pred)
+                if vis is not None:
+                    # a sight-line path is a chain of 8-adjacent admitted cells
+                    assert walk is not None, (start, goal)
+                    compared += 1
+                found = [p for p in (vis, walk) if p is not None]
+                expected = min(found, key=lambda p: (p.length, p.cells), default=None)
+                length = 1.0 if expected is None else expected.length
+                # bounded: the same path when it fits, else none
+                for limit in (math.inf, length, math.nextafter(length, 0.0), length / 2):
+                    got = Mission._shortest(mission, start, goal, pred, limit)
+                    if expected is None or expected.length > limit:
+                        assert got is None, (start, goal, limit)
+                    else:
+                        assert (got.cells, got.length) == (expected.cells, expected.length), limit
     assert compared
 
 
@@ -399,12 +423,21 @@ def tight_budget_maps():
         yield gt, cfg, dist
 
 
+def unaffordable(energy, length):
+    """Whether no charge pays for an advance of this length, the way back and one coverage step."""
+    return energy.capacity < 2.0 * energy.travel_rate * length + energy.coverage_rate * math.sqrt(2.0)
+
+
 class PlanCounting(Mission):
     """Counts advance plans (the advance phase's checks and in-flight re-plans)."""
 
     def __init__(self, gt, config):
         self.advance_plans = 0
         super().__init__(gt, config)
+
+    def _plan_candidate(self, target, walk, longest):
+        self.advance_plans += 1
+        return super()._plan_candidate(target, walk, longest)
 
     def _plan_advance(self, start, target):
         self.advance_plans += 1
@@ -418,15 +451,17 @@ class WithoutFloor(PlanCounting):
 
 
 class FloorChecked(Mission):
-    """Plans every target that a floor keeps from being planned.
+    """Plans every target that a floor or a bound keeps from being planned in full.
 
     Two floors skip advance plans: the recorded advance floor keeps targets
     out of a restart selection, and the distance field's walk floor rejects
-    a drawn candidate before planning it.
+    a drawn candidate before planning it. The budget bounds the plan of
+    every other candidate, and a bounded plan that finds nothing rejects it.
     """
 
     def __init__(self, gt, config):
         self.walk_floored = 0
+        self.bound_rejected = 0
         self._planning = False
         self._unplanned = None  # the last candidate asked for its walk floor, until planned
         super().__init__(gt, config)
@@ -451,12 +486,8 @@ class FloorChecked(Mission):
         target, self._unplanned = self._unplanned, None
         if target is not None:
             plan, used = self._plan_advance(self.grid.station, target)
-            assert used is explored_only and self._rejects(plan.length), target
+            assert used is explored_only and unaffordable(self.energy, plan.length), target
             self.walk_floored += 1
-
-    def _rejects(self, length):
-        energy = self.energy
-        return energy.capacity < 2.0 * energy.travel_rate * length + energy.coverage_rate * math.sqrt(2.0)
 
     def _plan_advance(self, start, target):
         if (start, target) == (self.grid.station, self._unplanned):
@@ -464,6 +495,23 @@ class FloorChecked(Mission):
         planning, self._planning = self._planning, True
         try:
             return super()._plan_advance(start, target)
+        finally:
+            self._planning = planning
+
+    def _plan_candidate(self, target, walk, longest):
+        if target == self._unplanned:
+            self._unplanned = None
+        planning, self._planning = self._planning, True
+        try:
+            plan, used = super()._plan_candidate(target, walk, longest)
+            if plan is None:
+                # the unbounded plan must be rejected too, and a non_obstacle
+                # one must put the target out of reach
+                full, full_used = self._plan_advance(self.grid.station, target)
+                assert full_used is used and unaffordable(self.energy, full.length), target
+                assert used is explored_only or unaffordable(self.energy, full.length / GRID_STRETCH), target
+                self.bound_rejected += 1
+            return plan, used
         finally:
             self._planning = planning
 
@@ -478,7 +526,7 @@ class FloorChecked(Mission):
         for target in self._floored:
             if target in selectable and (target, stamp) not in self.rejected:
                 plan, _ = self._plan_advance(grid.station, target)
-                assert self._rejects(plan.length), (target, plan.length)
+                assert unaffordable(self.energy, plan.length), (target, plan.length)
                 self.rejected.add((target, stamp))
         return self._floored
 
@@ -492,23 +540,65 @@ def test_tight_budget_leaves_only_infeasible_cells_uncovered():
     # a reachable cell may stay uncovered only if no charge pays for flying
     # there and back along the true shortest path plus one coverage step;
     # and no restart target is skipped that a plan would have accepted
-    skipped = rejected = walk_floored = 0
+    skipped = rejected = walk_floored = bound_rejected = 0
     for i, (gt, cfg, dist) in enumerate(tight_budget_maps()):
         mission = FloorChecked(gt, cfg)
         mission.run()
         mission.check_walk_floor()
         rejected += len(mission.rejected)
         walk_floored += mission.walk_floored
+        bound_rejected += mission.bound_rejected
         min_step = cfg.coverage_rate * math.sqrt(2.0)
         for cell, d in dist.items():
             if mission.grid.state(cell) is not CellState.EXPLORED:
                 skipped += 1
                 assert 2.0 * cfg.travel_rate * d + min_step > cfg.capacity_e0, (i, cell, d)
-    assert skipped and rejected and walk_floored
+    assert skipped and rejected and walk_floored and bound_rejected
+
+
+class CandidateSearches(Mission):
+    """Records each planned restart candidate's explored walk and its grid A* calls."""
+
+    def __init__(self, gt, config, calls):
+        self.calls = calls
+        self.candidates = []
+        super().__init__(gt, config)
+
+    def _plan_candidate(self, target, walk, longest):
+        before = len(self.calls)
+        try:
+            return super()._plan_candidate(target, walk, longest)
+        finally:
+            self.candidates.append((walk, len(self.calls) - before))
+
+
+def test_no_grid_astar_for_a_candidate_whose_walk_fails_the_budget(monkeypatch):
+    # grid A* would find the explored walk, which no charge pays for; only
+    # a shorter sight-line path could still win
+    calls = []
+    search = mission_mod.grid_astar
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(mission_mod, "grid_astar", counting)
+    over = under = 0
+    for i, (gt, cfg, _) in enumerate(tight_budget_maps()):
+        mission = CandidateSearches(gt, cfg, calls)
+        mission.run()
+        for walk, searches in mission.candidates:
+            # beyond the planners' rounding margin
+            if walk < math.inf and unaffordable(mission.energy, walk * (1.0 - 1e-8)):
+                assert searches == 0, (i, walk)
+                over += 1
+            else:
+                under += searches > 0
+    assert over and under
 
 
 def test_advance_floor_saves_plans_and_changes_no_log_row():
-    # map 16 of the 40 runs 117 advance plans with the floor, 641 without
+    # map 16 of the 40 runs 110 advance plans with the floor, 634 without
     gt, cfg, _ = next(islice(tight_budget_maps(), 16, None))
     with_floor, without = PlanCounting(gt, cfg), WithoutFloor(gt, cfg)
     with_floor.run()

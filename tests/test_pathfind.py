@@ -104,6 +104,26 @@ def test_sight_line_table_never_holds_more_than_its_cap(monkeypatch):
     assert list(offsets) == [c * stride + r for c, r in supercover_line((0, 0), (dc, dr - 50))]
 
 
+def test_a_full_sight_line_table_keeps_its_shorter_half(monkeypatch):
+    monkeypatch.setattr(pathfind, "_sight_lines", {})
+    cap = pathfind._SIGHT_LINES_CAP
+    stride = 103
+    short = {(dc, dr): _line_offsets(stride, dc, dr) for dc in range(3) for dr in range(-2, 3)}
+    n = 0
+    while len(pathfind._sight_lines) < cap:  # longer lines, in no order of length
+        dc, dr = divmod(n * 37 % 10_000, 100)
+        _line_offsets(stride, dc + 3, dr - 50)
+        n += 1
+    before = dict(pathfind._sight_lines)
+    _line_offsets(stride, 60, 61)  # one more line overflows the table
+    kept = set(pathfind._sight_lines) - {(stride, 60, 61)}
+    assert len(kept) == cap // 2
+    evicted = before.keys() - kept
+    assert max(len(before[k]) for k in kept) <= min(len(before[k]) for k in evicted)
+    for (dc, dr), offsets in short.items():
+        assert _line_offsets(stride, dc, dr) is offsets, (dc, dr)
+
+
 # -- line of sight -------------------------------------------------------------
 
 def test_los_same_cell():
@@ -812,3 +832,42 @@ def test_out_of_bounds_goal_has_no_path():
             nodes, edges = pairwise_visibility(grid, start, start, pred)
             assert graph.nodes == sorted(nodes + [goal])
             assert graph_edges(graph) == edges
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_bounded_searches_return_the_unbounded_path_when_it_fits(seed):
+    # limits below, exactly at and above the unbounded length: a path that
+    # fits comes back with the same cells and a bit-equal length, any other
+    # search finds nothing; the pruned graph only drops edges
+    rng = random.Random(seed)
+    grid = random_belief_grid(rng, rng.randint(1, 14), rng.randint(1, 14))
+    cells = list(grid.cells())
+    for pred in (explored_only, non_obstacle):
+        starts = [c for c in cells if pred(grid.state(c))]
+        for start in rng.sample(starts, min(3, len(starts))):
+            goal = rng.choice(cells + [start])
+            full_graph = build_visibility_graph(grid, start, goal, pred)
+            full_edges = graph_edges(full_graph)
+            for full, bounded in (
+                (grid_astar(grid, start, goal, pred), lambda limit: grid_astar(grid, start, goal, pred, limit)),
+                (astar(full_graph, start, goal), None),
+            ):
+                length = math.dist(start, goal) if full is None else full.length
+                limits = [
+                    -1.0, 0.0, length / 2, math.nextafter(length, 0.0), length,
+                    math.nextafter(length, math.inf), length * 1.0000001, length + 1.0, math.inf,
+                ]
+                for limit in limits:
+                    if bounded is None:
+                        graph = build_visibility_graph(grid, start, goal, pred, limit)
+                        assert graph_edges(graph) <= full_edges, limit
+                        got = astar(graph, start, goal, limit)
+                    else:
+                        got = bounded(limit)
+                    if full is not None and full.length <= limit:
+                        assert got is not None, (start, goal, limit)
+                        assert got.cells == full.cells, (start, goal, limit)
+                        assert got.length.hex() == full.length.hex(), (start, goal, limit)
+                    else:
+                        assert got is None, (start, goal, limit)
