@@ -35,15 +35,19 @@ class MapsHierarchy:
 
     def __init__(self, grid: CellGrid):
         self.grid = grid
-        self._shapes: dict[int, tuple[float, float, int]] | None = None  # see _block_shapes
+        self._shapes: dict[int, tuple[float, float, int]] | None = None  # see block_shapes
         self.rebuild_counts()
 
-    def _block_shapes(self) -> dict[int, tuple[float, float, int]]:
+    def block_shapes(self) -> dict[int, tuple[float, float, int]]:
         """Per block key: the extent center in cell units and the number of cells.
 
-        Built on the first selection, not in set-up. A block clipped at the
-        far edge is one cell wide (or high) there.
+        A block's potential is its unexplored count divided by its number
+        of cells, and its center breaks ties by distance. Built on the
+        first selection, not in set-up. A block clipped at the far edge is
+        one cell wide (or high) there.
         """
+        if self._shapes is not None:
+            return self._shapes
         s, w, h = self.grid.stride, self.grid.width, self.grid.height
         self._shapes = shapes = {}
         for c0 in range(0, w, 2):
@@ -52,14 +56,6 @@ class MapsHierarchy:
                 cy, ny = (r0 + 0.5, 2) if r0 + 1 < h else (float(r0), 1)
                 shapes[(c0 + 1) * s + r0 + 1] = (cx, cy, nx * ny)
         return shapes
-
-    def center(self, key: int) -> tuple[float, float]:
-        """Extent center in cell units (for distance tie-breaking)."""
-        cx, cy, _ = (self._shapes or self._block_shapes())[key]
-        return cx, cy
-
-    def potential(self, key: int) -> float:
-        return self.unexplored_count.get(key, 0) / (self._shapes or self._block_shapes())[key][2]
 
     def rebuild_counts(self) -> None:
         """Recompute every counter from a fresh scan of the grid states."""

@@ -64,13 +64,21 @@ affordable length; without one, over non-obstacle cells up to that length
 times ``GRID_STRETCH``, so a search that finds nothing leaves a floor that
 fails the budget, and the target is recorded as above. A bounded search
 returns the unbounded plan whenever that plan fits, so only the searches
-of rejected candidates get cheaper. The candidates of one advance phase
-come from one ranked stream (``planner.restart_candidates``): each is drawn
-once, in the order repeated restart selections would return them.
+of rejected candidates get cheaper. A re-plan during an advance is bounded
+the same way, by the longest plan the remaining energy still pays for, and
+falls back to ``non_obstacle`` only when the target has no explored walk.
+The candidates of one advance phase come from one ranked stream
+(``planner.restart_candidates``): each is drawn once, in the order repeated
+restart selections would return them.
 
 The vehicle senses each pose once. A pose's detections are fixed, and
 once they are marked on the belief grid a repeat sensing there marks
-nothing, so a per-mission flag per cell skips it.
+nothing, so a per-mission flag per cell skips it. The mission also keeps
+one target mask (``GroundTruth.targets``), built on its first sense: a
+reading reports only obstacles not reported before, and clears them. Every
+report is marked, so a cell the mask hides is already an obstacle on the
+belief grid, and the cells each update newly marks are those of a full
+reading. A reading that reports nothing skips the update.
 
 Ground truth backstop: sonar rays cannot see past corner contacts, so a
 planned cell may turn out to hold an obstacle. Stepping into it is refused
@@ -206,6 +214,7 @@ class Mission:
         )
         self.sensor = SensorModel(self.config.sensor_range)
         self._sensed = bytearray(len(self.grid.flat))  # per flat grid index: pose sensed
+        self._targets: bytearray | None = None  # obstacles not yet reported; first sense builds it
         self.pos: Cell = gt.station
         self.dfield = DistanceField(self.grid)
         self.trajectories: list[Trajectory] = []
@@ -260,9 +269,11 @@ class Mission:
         i = self.grid.index(self.pos)
         if self._sensed[i]:
             return []
-        new = self._add_obstacles(self.gt.sense(self.sensor, self.pos))
+        if self._targets is None:
+            self._targets = self.gt.targets(self.sensor)
+        detected = self.gt.sense(self.sensor, self.pos, self._targets)
         self._sensed[i] = 1
-        return new
+        return self._add_obstacles(detected) if detected else []
 
     def _mark_explored(self, cell: Cell, estimate: float | None = None) -> None:
         """Mark an unexplored cell explored; ``estimate`` is its field estimate, if known."""
@@ -416,12 +427,22 @@ class Mission:
             raise PlanningError(f"no retreat path from {from_cell}")
         return plan
 
-    def _plan_advance(self, start: Cell, target: Cell) -> tuple[PathResult | None, StatePredicate]:
-        """Plan over explored cells, else also over unexplored ones; returns the predicate used."""
-        plan = self._shortest(start, target, explored_only)
-        if plan is not None:
+    def _plan_advance(
+        self, start: Cell, target: Cell, limit: float
+    ) -> tuple[PathResult | None, StatePredicate]:
+        """Plan over explored cells, else also over unexplored ones; returns the predicate used.
+
+        Returns None when the plan is longer than ``limit``. The start lies
+        in the station's explored component. Only a target with no explored
+        walk (``DistanceField.explored_walk`` is ``math.inf``) is planned
+        over unexplored cells: a bounded explored miss may mean a walk that
+        is too long, and then None is the answer, as the unbounded plan
+        would be.
+        """
+        plan = self._shortest(start, target, explored_only, limit)
+        if plan is not None or self.dfield.explored_walk(start, target) != math.inf:
             return plan, explored_only
-        return self._shortest(start, target, non_obstacle), non_obstacle
+        return self._shortest(start, target, non_obstacle, limit), non_obstacle
 
     def _plan_candidate(
         self, target: Cell, walk: float, longest: float
@@ -434,8 +455,8 @@ class Mission:
         longer than ``longest``. Otherwise only a ``non_obstacle`` plan
         exists (the candidate is reachable), and None means it is longer
         than ``longest`` times ``GRID_STRETCH``: its floor fails the budget.
-        Returns the plan as ``_plan_advance`` would, when it fits, and the
-        predicate used.
+        Returns the plan as an unbounded ``_plan_advance`` would, when it
+        fits, and the predicate used.
         """
         station = self.grid.station
         if walk < math.inf:
@@ -565,7 +586,8 @@ class Mission:
             candidates = selection()
 
     def _advance_exec(self, target: Cell, plan: PathResult):
-        travel = self.energy.travel_rate
+        energy = self.energy
+        travel = energy.travel_rate
         while True:
             status = yield from self._execute_polyline(plan.cells, SegmentKind.ADVANCE)
             if status == "arrived":
@@ -578,12 +600,16 @@ class Mission:
                 target = next_waypoint(self.grid, self.hier, self.pos, excluded=self.infeasible)
                 if target is None:
                     return False
-            new_plan, _ = self._plan_advance(self.pos, target)
+            # no longer re-plan passes the gate below; the margin is far wider
+            # than its rounding
+            d = self.dfield.distance(self.pos)
+            limit = (energy.remaining * (1.0 + 1e-9) / travel - d) / 2.0
+            new_plan, _ = self._plan_advance(self.pos, target, limit)
             if new_plan is None:
                 return False
-            if not self.energy.can_continue(
+            if not energy.can_continue(
                 travel * new_plan.length,
-                travel * (new_plan.length + self.dfield.distance(self.pos)),
+                travel * (new_plan.length + d),
             ):
                 return False
             plan = new_plan

@@ -119,14 +119,16 @@ def restart_candidates(
             key = ((col & -2) + 1) * s + (row & -2) + 1  # the hierarchy's block key
             taken[key] = taken.get(key, 0) + 1
     ox, oy = origin
+    shapes = hierarchy.block_shapes()
     ranked = []
     for k, n in hierarchy.unexplored_count.items():
         # by the 2x2 fact (module docstring), one mask byte tells for the whole block
         if n > taken.get(k, 0) and (
             reachable[k] or reachable[k + 1] or reachable[k + s] or reachable[k + s + 1]
         ):
-            cx, cy = hierarchy.center(k)
-            ranked.append((-hierarchy.potential(k), (cx - ox) ** 2 + (cy - oy) ** 2, k))
+            cx, cy, size = shapes[k]
+            # rank (-potential, squared center distance, key)
+            ranked.append((-(n / size), (cx - ox) ** 2 + (cy - oy) ** 2, k))
     heapq.heapify(ranked)
     while ranked:
         # a ranked block is reachable, so all its unexplored cells are

@@ -9,7 +9,7 @@ seen from a better vantage point.
 
 Ranges are in meters and cells are 1 m squares. ``supercover_line`` is
 translation-invariant, so the rays of one range are the same from every
-pose: on the first ``sense`` at a range, the ground truth builds the ray
+pose: on the first use of a range, the ground truth builds the ray
 templates of that range once. They index a copy of the obstacle map as
 flat bytes, with a border wide enough that no target off the map wraps onto
 another row. The disk's targets in one row are a run of adjacent bytes, so
@@ -21,8 +21,19 @@ obstacle target.
 
 The disk is clipped to the map's extent: no offset reaches further than the
 map is wide or tall, so a range beyond the map's diagonal senses the whole
-map without enumerating a disk larger than it. Nothing is memoized per
-pose; a mission senses each pose once (see ``mission``).
+map without enumerating a disk larger than it.
+
+Nothing is memoized per pose. Instead a caller keeps a target mask: a copy
+of the templates' bytes of the obstacles some ray can reach
+(``GroundTruth.targets``), from which ``sense`` clears every target it
+reports. A ray's last cell before its target is a 4-neighbour of the
+target, so an obstacle whose 4-neighbours on the map are all obstacles is
+never detected and never a target. The byte search runs over the mask,
+and occlusion is still tested on the true obstacle bytes, so a reading
+reports exactly what a fresh mask would, minus the cells reported before
+under the same mask. A mission keeps one mask and marks every report on
+its belief grid, so what the mask hides is already marked, and most senses
+walk no occluders at all (see ``mission``).
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ class SensorModel:
 class _RayTemplates:
     """The ray templates of one sensor range over one map, and the bytes they index."""
 
-    __slots__ = ("stride", "origin", "obstacle", "rows")
+    __slots__ = ("stride", "origin", "obstacle", "visible", "rows")
 
     def __init__(self, gt: "GroundTruth", range_m: float):
         reach = math.floor(range_m)
@@ -56,9 +67,22 @@ class _RayTemplates:
         # below holds every in-range target of every pose on the map
         self.stride = stride = gt.width + 2 * reach_c
         self.origin = reach_r * stride + reach_c  # flat index of cell (0, 0)
-        self.obstacle = bytearray(stride * (gt.height + 2 * reach_r))
+        self.obstacle = obstacle = bytearray(stride * (gt.height + 2 * reach_r))
         for c, r in gt.obstacles:
-            self.obstacle[self.origin + r * stride + c] = 1
+            obstacle[self.origin + r * stride + c] = 1
+        # the obstacles some ray can reach: those with a free 4-neighbour on
+        # the map (module docstring)
+        self.visible = visible = bytearray(len(obstacle))
+        last_c, last_r = gt.width - 1, gt.height - 1
+        for c, r in gt.obstacles:
+            i = self.origin + r * stride + c
+            if (
+                (c > 0 and not obstacle[i - 1])
+                or (c < last_c and not obstacle[i + 1])
+                or (r > 0 and not obstacle[i - stride])
+                or (r < last_r and not obstacle[i + stride])
+            ):
+                visible[i] = 1
         limit = range_m * range_m + 1e-12
         rows = []
         for dr in range(-reach_r, reach_r + 1):
@@ -80,7 +104,7 @@ class GroundTruth:
     """True map used by the simulator; never read by the planner.
 
     The map never changes. The ray templates of a sensor range are derived
-    from it on the first ``sense`` at that range.
+    from it on the first ``targets`` or ``sense`` at that range.
     """
 
     def __init__(
@@ -112,20 +136,32 @@ class GroundTruth:
     def is_obstacle(self, cell: Cell) -> bool:
         return cell in self.obstacles
 
-    def sense(self, sensor: SensorModel, pose: Cell) -> frozenset[Cell]:
-        """Obstacle cells visible from the pose cell (in range, not occluded)."""
+    def _rays(self, range_m: float) -> _RayTemplates:
+        rays = self._templates.get(range_m)
+        if rays is None:
+            rays = self._templates[range_m] = _RayTemplates(self, range_m)
+        return rays
+
+    def targets(self, sensor: SensorModel) -> bytearray:
+        """A fresh target mask for ``sense``: every obstacle a ray can reach is still to be reported."""
+        return bytearray(self._rays(sensor.range_m).visible)
+
+    def sense(self, sensor: SensorModel, pose: Cell, targets: bytearray) -> frozenset[Cell]:
+        """Obstacle cells visible from the pose cell (in range, not occluded) and set in ``targets``.
+
+        ``targets`` is a mask from ``targets(sensor)``; each reported cell is
+        cleared from it, so a later reading with the same mask leaves it out.
+        """
         col, row = pose
         if not (0 <= col < self.width and 0 <= row < self.height):
             raise ValueError(f"sensor pose {pose} is off the map")
         if self.is_obstacle(pose):
             raise ValueError(f"sensor pose {pose} is inside an obstacle")
-        rays = self._templates.get(sensor.range_m)
-        if rays is None:
-            rays = self._templates[sensor.range_m] = _RayTemplates(self, sensor.range_m)
+        rays = self._rays(sensor.range_m)
         obstacle = rays.obstacle
         base = rays.origin + row * rays.stride + col  # flat index of the pose
         detected = []
-        find = obstacle.find
+        find = targets.find
         for lo, hi, dc0, dr, between in rays.rows:
             lo += base
             hi += base
@@ -136,6 +172,7 @@ class GroundTruth:
                         break
                 else:
                     detected.append((col + dc0 + i - lo, row + dr))
+                    targets[i] = 0
                 i = find(1, i + 1, hi)
         return frozenset(detected)
 

@@ -22,6 +22,17 @@ def b_field(grid, cell):
     return grid.width - cell[0]
 
 
+def block_potential(hierarchy, key):
+    """A 2x2 block's potential: its share of unexplored cells (see ``hierarchy``)."""
+    return hierarchy.unexplored_count.get(key, 0) / hierarchy.block_shapes()[key][2]
+
+
+def block_center(hierarchy, key):
+    """A 2x2 block's extent center in cell units."""
+    cx, cy, _ = hierarchy.block_shapes()[key]
+    return cx, cy
+
+
 def neighbors8(grid, cell):
     """The cell's in-bounds 8-neighbours, in ``NEIGHBORS_8`` order."""
     col, row = cell
@@ -79,6 +90,11 @@ def los_clear(grid, a, b, traversable, exempt=frozenset()):
     the predicate or is in ``exempt`` (a goal admitted whatever its state)."""
     state = grid.state
     return all(traversable(state(c)) or c in exempt for c in supercover_line(a, b))
+
+
+def full_sense(gt, sensor, pose):
+    """A full reading: ``GroundTruth.sense`` with a fresh target mask."""
+    return gt.sense(sensor, pose, gt.targets(sensor))
 
 
 def reference_sense(gt, range_m, pose):

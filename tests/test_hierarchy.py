@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from epsplus.grid import CellGrid, CellState
 from epsplus.hierarchy import MapsHierarchy
 
-from helpers import b_field, potential_level0
+from helpers import b_field, block_center, block_potential, potential_level0
 
 
 def block_cells(grid, ci, cj):
@@ -59,12 +59,12 @@ def test_potential_case_totality():
 def test_coarse_potential_extremes():
     grid = CellGrid(8, 8, (0, 0))
     h = MapsHierarchy(grid)
-    assert h.potential(block_key(grid, 0, 0)) == 1.0
+    assert block_potential(h, block_key(grid, 0, 0)) == 1.0
     for c in range(2):
         for r in range(2):
             grid.mark_traversed((c, r))
             h.on_state_change((c, r), CellState.UNEXPLORED, CellState.EXPLORED)
-    assert h.potential(block_key(grid, 0, 0)) == 0.0
+    assert block_potential(h, block_key(grid, 0, 0)) == 0.0
 
 
 def test_coarse_potential_fraction_vs_recount():
@@ -78,7 +78,7 @@ def test_coarse_potential_fraction_vs_recount():
     oracle = brute_counts(grid)
     assert sum(oracle.values()) == sum(h.unexplored_count.values()) == 37
     for (ci, cj), n in oracle.items():
-        assert h.potential(block_key(grid, ci, cj)) == n / 4
+        assert block_potential(h, block_key(grid, ci, cj)) == n / 4
 
 
 def test_rebuild_counts_matches_incremental():
@@ -119,8 +119,8 @@ def test_counters_match_brute_force(flips):
     assert MapsHierarchy(grid).unexplored_count == h.unexplored_count
     for (ci, cj), n in oracle.items():
         key = block_key(grid, ci, cj)
-        assert h.potential(key) == n / len(block_cells(grid, ci, cj))
-        assert h.center(key) == (
+        assert block_potential(h, key) == n / len(block_cells(grid, ci, cj))
+        assert block_center(h, key) == (
             sum(c for c, _ in block_cells(grid, ci, cj)) / len(block_cells(grid, ci, cj)),
             sum(r for _, r in block_cells(grid, ci, cj)) / len(block_cells(grid, ci, cj)),
         )

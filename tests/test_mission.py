@@ -22,11 +22,12 @@ from epsplus.pathfind import (
     grid_astar,
     non_obstacle,
 )
-from epsplus.sim import GroundTruth
+from epsplus.sim import GroundTruth, SensorModel
 
 from helpers import (
     explored_grid,
     flood_reachable,
+    full_sense,
     grid_dijkstra,
     map_text,
     random_belief_grid,
@@ -439,9 +440,9 @@ class PlanCounting(Mission):
         self.advance_plans += 1
         return super()._plan_candidate(target, walk, longest)
 
-    def _plan_advance(self, start, target):
+    def _plan_advance(self, start, target, limit):
         self.advance_plans += 1
-        return super()._plan_advance(start, target)
+        return super()._plan_advance(start, target, limit)
 
 
 class WithoutFloor(PlanCounting):
@@ -457,11 +458,15 @@ class FloorChecked(Mission):
     out of a restart selection, and the distance field's walk floor rejects
     a drawn candidate before planning it. The budget bounds the plan of
     every other candidate, and a bounded plan that finds nothing rejects it.
+    The remaining energy bounds every re-plan during an advance; each is
+    planned unbounded too, as explored-only and else ``non_obstacle``.
     """
 
     def __init__(self, gt, config):
         self.walk_floored = 0
         self.bound_rejected = 0
+        self.replans_kept = 0
+        self.replans_bound_rejected = 0
         self._planning = False
         self._unplanned = None  # the last candidate asked for its walk floor, until planned
         super().__init__(gt, config)
@@ -485,18 +490,40 @@ class FloorChecked(Mission):
         """
         target, self._unplanned = self._unplanned, None
         if target is not None:
-            plan, used = self._plan_advance(self.grid.station, target)
+            plan, used = self._plan_advance(self.grid.station, target, math.inf)
             assert used is explored_only and unaffordable(self.energy, plan.length), target
             self.walk_floored += 1
 
-    def _plan_advance(self, start, target):
+    def _plan_advance(self, start, target, limit):
         if (start, target) == (self.grid.station, self._unplanned):
             self._unplanned = None
         planning, self._planning = self._planning, True
         try:
-            return super()._plan_advance(start, target)
+            plan, used = super()._plan_advance(start, target, limit)
+            if limit < math.inf:
+                self.check_replan(start, target, plan, used)
+            return plan, used
         finally:
             self._planning = planning
+
+    def check_replan(self, start, target, bounded, used):
+        """A bounded re-plan is the unbounded one if the gate passes that, else the gate fails both.
+
+        A target with an explored walk is never planned over unexplored cells.
+        """
+        full, full_used = self._shortest(start, target, explored_only), explored_only
+        if full is None:
+            full, full_used = self._shortest(start, target, non_obstacle), non_obstacle
+        assert used is full_used, (start, target)
+        travel = self.energy.travel_rate
+        d = self.dfield.distance(start)
+        if full is not None and self.energy.can_continue(travel * full.length, travel * (full.length + d)):
+            assert (bounded.cells, bounded.length) == (full.cells, full.length), (start, target)
+            self.replans_kept += 1
+        elif bounded is None:
+            self.replans_bound_rejected += full is not None
+        else:
+            assert (bounded.cells, bounded.length) == (full.cells, full.length), (start, target)
 
     def _plan_candidate(self, target, walk, longest):
         if target == self._unplanned:
@@ -507,7 +534,7 @@ class FloorChecked(Mission):
             if plan is None:
                 # the unbounded plan must be rejected too, and a non_obstacle
                 # one must put the target out of reach
-                full, full_used = self._plan_advance(self.grid.station, target)
+                full, full_used = self._plan_advance(self.grid.station, target, math.inf)
                 assert full_used is used and unaffordable(self.energy, full.length), target
                 assert used is explored_only or unaffordable(self.energy, full.length / GRID_STRETCH), target
                 self.bound_rejected += 1
@@ -525,7 +552,7 @@ class FloorChecked(Mission):
         stamp = tuple(grid.counts().values())  # plans change only with the cell states
         for target in self._floored:
             if target in selectable and (target, stamp) not in self.rejected:
-                plan, _ = self._plan_advance(grid.station, target)
+                plan, _ = self._plan_advance(grid.station, target, math.inf)
                 assert unaffordable(self.energy, plan.length), (target, plan.length)
                 self.rejected.add((target, stamp))
         return self._floored
@@ -540,7 +567,7 @@ def test_tight_budget_leaves_only_infeasible_cells_uncovered():
     # a reachable cell may stay uncovered only if no charge pays for flying
     # there and back along the true shortest path plus one coverage step;
     # and no restart target is skipped that a plan would have accepted
-    skipped = rejected = walk_floored = bound_rejected = 0
+    skipped = rejected = walk_floored = bound_rejected = replans_kept = replans_bound_rejected = 0
     for i, (gt, cfg, dist) in enumerate(tight_budget_maps()):
         mission = FloorChecked(gt, cfg)
         mission.run()
@@ -548,12 +575,15 @@ def test_tight_budget_leaves_only_infeasible_cells_uncovered():
         rejected += len(mission.rejected)
         walk_floored += mission.walk_floored
         bound_rejected += mission.bound_rejected
+        replans_kept += mission.replans_kept
+        replans_bound_rejected += mission.replans_bound_rejected
         min_step = cfg.coverage_rate * math.sqrt(2.0)
         for cell, d in dist.items():
             if mission.grid.state(cell) is not CellState.EXPLORED:
                 skipped += 1
                 assert 2.0 * cfg.travel_rate * d + min_step > cfg.capacity_e0, (i, cell, d)
     assert skipped and rejected and walk_floored and bound_rejected
+    assert replans_kept and replans_bound_rejected
 
 
 class CandidateSearches(Mission):
@@ -608,17 +638,29 @@ def test_advance_floor_saves_plans_and_changes_no_log_row():
 
 
 class SensingEveryVisit(Mission):
-    """Senses at every visit of a pose, not only at the first."""
+    """Takes a full reading at every visit of a pose, not only at the first.
+
+    At each first visit it also reads through one mask of its own, as the
+    mission does, and checks that reading against the full one: it must
+    leave out exactly the cells the mask reported before.
+    """
 
     def __init__(self, gt, config):
         self.repeats = 0
         self._seen = set()
+        self._mask = gt.targets(SensorModel(config.sensor_range))
+        self._reported = set()
         super().__init__(gt, config)
 
     def _sense_here(self):
         self.repeats += self.pos in self._seen
+        full = full_sense(self.gt, self.sensor, self.pos)
+        if self.pos not in self._seen:
+            masked = self.gt.sense(self.sensor, self.pos, self._mask)
+            assert masked == full - self._reported, self.pos
+            self._reported |= masked
         self._seen.add(self.pos)
-        return self._add_obstacles(self.gt.sense(self.sensor, self.pos))
+        return self._add_obstacles(full)
 
 
 def test_sensing_each_pose_once_changes_no_log_row_or_report():
@@ -632,3 +674,15 @@ def test_sensing_each_pose_once_changes_no_log_row_or_report():
         assert report_to_text(shipped_report) == report_to_text(every_report), name
         repeats += every.repeats
     assert repeats
+
+
+def test_missions_on_one_ground_truth_do_not_share_a_mask():
+    # the mask of unreported obstacles belongs to the mission: a second
+    # mission on the same ground truth must sense as the first did
+    for name, text, cfg in islice(retreat_cases(), 4):
+        gt = gt_from_text(text)
+        first, second = Mission(gt, cfg), Mission(gt, cfg)
+        first_report = first.run()
+        second_report = second.run()
+        assert first.log_rows == second.log_rows, name
+        assert report_to_text(first_report) == report_to_text(second_report), name

@@ -10,6 +10,7 @@ from epsplus.planner import next_waypoint, restart_candidates, restart_point
 
 from helpers import (
     b_field,
+    block_potential,
     default_level_count,
     dict_next_waypoint,
     neighbors8,
@@ -111,7 +112,9 @@ def test_restart_prefers_higher_potential_cell():
     # 2x2 block (1,0) keeps 3 unexplored cells (0.75), block (3,3) one (0.25)
     h = explore_all_but(grid, {(2, 0), (3, 0), (2, 1), (7, 7)})
     potentials = {
-        (ci, cj): h.potential(grid.index((2 * ci, 2 * cj))) for cj in range(4) for ci in range(4)
+        (ci, cj): block_potential(h, grid.index((2 * ci, 2 * cj)))
+        for cj in range(4)
+        for ci in range(4)
     }
     best = max(potentials.values())
     winners = {k for k, v in potentials.items() if v == best}

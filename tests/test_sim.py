@@ -9,7 +9,7 @@ from epsplus.config import MissionConfig
 from epsplus.grid import parse_map_text
 from epsplus.sim import GroundTruth, SensorModel
 
-from helpers import map_text, random_rect_obstacles, reference_sense, supercover_oracle
+from helpers import full_sense, map_text, random_rect_obstacles, reference_sense, supercover_oracle
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -42,18 +42,18 @@ def test_from_parsed_and_validation():
 
 def test_sense_empty_world():
     gt = GroundTruth(5, 5, frozenset(), (0, 0))
-    assert gt.sense(SensorModel(2.5), (2, 2)) == frozenset()
+    assert full_sense(gt, SensorModel(2.5), (2, 2)) == frozenset()
 
 
 def test_sense_single_obstacle_in_range():
     gt = GroundTruth(5, 5, frozenset({(3, 2)}), (0, 0))
-    assert gt.sense(SensorModel(1.5), (2, 2)) == frozenset({(3, 2)})
-    assert gt.sense(SensorModel(0.5), (2, 2)) == frozenset()
+    assert full_sense(gt, SensorModel(1.5), (2, 2)) == frozenset({(3, 2)})
+    assert full_sense(gt, SensorModel(0.5), (2, 2)) == frozenset()
 
 
 def test_sense_occlusion_behind_obstacle():
     gt = GroundTruth(7, 3, frozenset({(3, 1), (5, 1)}), (0, 0))
-    detected = gt.sense(SensorModel(6.0), (1, 1))
+    detected = full_sense(gt, SensorModel(6.0), (1, 1))
     assert detected == frozenset({(3, 1)})
     assert detected == oracle_sense(gt, 6.0, (1, 1))
 
@@ -61,7 +61,7 @@ def test_sense_occlusion_behind_obstacle():
 def test_sense_diagonal_squeeze_hides_cell():
     # flanking obstacles block the corner-grazing ray to the diagonal cell
     gt = GroundTruth(4, 4, frozenset({(1, 2), (2, 1), (2, 2)}), (0, 0))
-    detected = gt.sense(SensorModel(3.0), (1, 1))
+    detected = full_sense(gt, SensorModel(3.0), (1, 1))
     assert (2, 2) not in detected
     assert detected == oracle_sense(gt, 3.0, (1, 1))
 
@@ -75,7 +75,7 @@ def test_sense_matches_oracle_on_random_maps():
         free = [(c, r) for r in range(h) for c in range(w) if (c, r) not in obstacles]
         pose = free[rng.randrange(len(free))]
         range_m = rng.choice([1.5, 2.5, 4.0])
-        detected = gt.sense(SensorModel(range_m), pose)
+        detected = full_sense(gt, SensorModel(range_m), pose)
         assert detected == oracle_sense(gt, range_m, pose)
         # soundness and range
         for cell in detected:
@@ -93,10 +93,10 @@ def test_occlusion_monotonicity():
         gt = GroundTruth(w, h, frozenset(obstacles), (0, 0))
         pose = min((c, r) for c in range(w) for r in range(h) if (c, r) not in obstacles)
         sensor = SensorModel(5.0)
-        base = gt.sense(sensor, pose)
+        base = full_sense(gt, sensor, pose)
         removed = sorted(obstacles)[0]
         gt2 = GroundTruth(w, h, frozenset(obstacles - {removed}), (0, 0))
-        after = gt2.sense(sensor, pose)
+        after = full_sense(gt2, sensor, pose)
         assert (base - {removed}) <= after
 
 
@@ -133,7 +133,7 @@ def test_templated_sense_matches_reference_on_every_free_pose(name):
     sensor = SensorModel(range_m)
     poses = [(c, r) for r in range(gt.height) for c in range(gt.width) if not gt.is_obstacle((c, r))]
     for pose in poses:
-        assert gt.sense(sensor, pose) == reference_sense(gt, range_m, pose), pose
+        assert full_sense(gt, sensor, pose) == reference_sense(gt, range_m, pose), pose
 
 
 @st.composite
@@ -160,11 +160,34 @@ def test_templated_sense_matches_reference_on_random_maps(shape):
     for range_m in ranges:
         sensor = SensorModel(range_m)
         for pose in ((c, r) for r in range(h) for c in range(w) if (c, r) not in obstacles):
-            assert gt.sense(sensor, pose) == reference_sense(gt, range_m, pose), (range_m, pose)
+            assert full_sense(gt, sensor, pose) == reference_sense(gt, range_m, pose), (range_m, pose)
+
+
+@given(small_maps(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_shared_mask_reports_only_cells_not_reported_before(shape, data):
+    # each reading under one mask is the full reading minus every cell
+    # reported before, and the mask loses exactly the reported cells' bytes
+    w, h, obstacles = shape
+    gt = GroundTruth(w, h, obstacles, (0, 0))
+    sensor = SensorModel(data.draw(st.sampled_from((1.0, 1.5, 2.5, 4.0)), label="range"))
+    free = [(c, r) for r in range(h) for c in range(w) if (c, r) not in obstacles]
+    poses = data.draw(st.lists(st.sampled_from(free), max_size=12), label="poses")
+    fresh = gt.targets(sensor)
+    mask = gt.targets(sensor)
+    reported = set()
+    for pose in poses:
+        report = gt.sense(sensor, pose, mask)
+        assert report == full_sense(gt, sensor, pose) - reported, pose
+        reported |= report
+    rays = gt._templates[sensor.range_m]
+    cleared = {i for i, (a, b) in enumerate(zip(fresh, mask)) if a != b}
+    assert cleared == {rays.origin + r * rays.stride + c for c, r in reported}
+    assert all(a >= b for a, b in zip(fresh, mask))  # bytes are only cleared
 
 
 def test_sense_rejects_a_pose_off_the_map():
     gt = GroundTruth(3, 2, frozenset(), (0, 0))
     for pose in ((-1, 0), (3, 0), (0, 2), (0, -1)):
         with pytest.raises(ValueError):
-            gt.sense(SensorModel(1.5), pose)
+            full_sense(gt, SensorModel(1.5), pose)
