@@ -71,6 +71,14 @@ The candidates of one advance phase come from one ranked stream
 (``planner.restart_candidates``): each is drawn once, in the order repeated
 restart selections would return them.
 
+A candidate's ``non_obstacle`` plan from the station reads obstacle cells
+only (see ``pathfind``), and its limit is fixed per mission, so the mission
+keeps one entry per target: its last such plan (or None) and the number of
+cells marked obstacle when it was made. Cells only become obstacles, so an
+equal count means the same obstacle set, and the entry is returned without
+a search; any newly marked obstacle invalidates every entry. Re-plans during
+an advance do not use it.
+
 The vehicle senses each pose once. A pose's detections are fixed, and
 once they are marked on the belief grid a repeat sensing there marks
 nothing, so a per-mission flag per cell skips it. The mission also keeps
@@ -228,15 +236,27 @@ class Mission:
         self._cum_length = 0.0
         self._route: list[Cell] = []  # remaining cells of the planned coverage route
         self._traj_start_unexplored = 0
+        self._obstacles = 0  # cells marked obstacle on the belief grid
+        # per restart target: (self._obstacles, plan) of its last non_obstacle plan from the station
+        self._station_plans: dict[Cell, tuple[int, PathResult | None]] = {}
         self._start_trajectory()
         self._coverage_enter(self.pos)
         self._log_row()
-        self._events = self._run()
+        # created on the first step() or run(): the generator's frame refers to
+        # the mission, so a mission dropped before then is freed by refcount
+        self._events = None
 
     # -- public API ----------------------------------------------------------
 
     def step(self) -> MissionEvent:
-        """Advance the mission by one event; raises once completed."""
+        """Advance the mission by one event; raises once completed.
+
+        A completed mission is freed without the cyclic GC. One dropped
+        after its first step and before completing still needs the GC,
+        since its suspended event generator refers to it.
+        """
+        if self._events is None:
+            self._events = self._run()
         try:
             event = next(self._events)
         except StopIteration:
@@ -249,6 +269,8 @@ class Mission:
 
     def run(self) -> MissionReport:
         """Run the mission to completion and return the report."""
+        if self._events is None:
+            self._events = self._run()
         for _ in self._events:
             pass
         assert self.report is not None
@@ -259,6 +281,7 @@ class Mission:
     def _add_obstacles(self, detected: "frozenset[Cell] | list[Cell] | set[Cell]") -> list[Cell]:
         new = self.grid.apply_sensor_update(detected)
         if new:
+            self._obstacles += len(new)
             for c in new:
                 self.hier.on_state_change(c, CellState.UNEXPLORED, CellState.OBSTACLE)
             self._route = []
@@ -405,7 +428,10 @@ class Mission:
         first, and grid A* runs unless its walk is known to lose: a
         sight-line path shorter than the walk by more than the margin is the
         answer, a walk longer than the limit by more than the margin cannot
-        fit, and anything inside the margin gets the exact comparison.
+        fit, and anything inside the margin gets the exact comparison. A
+        sight-line path that was found caps grid A* at its length, widened
+        by the same margin: a longer walk cannot win, and one of equal
+        length still reaches the ``(length, cells)`` comparison.
         """
         walk = self.dfield.explored_walk(start, goal) if traversable is explored_only else None
         if walk == math.inf:
@@ -417,6 +443,9 @@ class Mission:
             walk * (1.0 - 1e-9) > limit or (sight is not None and sight.length < walk * (1.0 - 1e-9))
         ):
             return sight
+        if sight is not None:
+            # a longer walk loses the comparison below; one of equal length may win on cells
+            bound = min(bound, sight.length * (1.0 + 1e-9))
         found = grid_astar(self.grid, start, goal, traversable, bound)
         fits = [p for p in (sight, found) if p is not None]
         return min(fits, key=lambda p: (p.length, p.cells), default=None)
@@ -457,12 +486,22 @@ class Mission:
         than ``longest`` times ``GRID_STRETCH``: its floor fails the budget.
         Returns the plan as an unbounded ``_plan_advance`` would, when it
         fits, and the predicate used.
+
+        A ``non_obstacle`` plan from the station reads only obstacle cells
+        (see ``pathfind``), and ``longest`` is fixed per mission, so while
+        no cell has been marked obstacle since a target's last such plan,
+        that plan is the answer again and is returned without a search.
         """
         station = self.grid.station
         if walk < math.inf:
             return self._shortest(station, target, explored_only, longest), explored_only
+        made = self._station_plans.get(target)
+        if made is not None and made[0] == self._obstacles:
+            return made[1], non_obstacle
         limit = longest * GRID_STRETCH * (1.0 + 1e-9)
-        return self._shortest(station, target, non_obstacle, limit), non_obstacle
+        plan = self._shortest(station, target, non_obstacle, limit)
+        self._station_plans[target] = (self._obstacles, plan)
+        return plan, non_obstacle
 
     def _route_for(self, target: Cell) -> list[Cell]:
         """Cell route from the vehicle to the waypoint (adjacent or planned chain)."""

@@ -50,7 +50,23 @@ kept in sync with the grid: the grid logs every changed cell
 last one, re-testing node status around them and walking again only the
 lines that a changed cell can affect (``_Core``). A query then adds only
 the start and goal edges, and walks no line from an endpoint that is a
-core node.
+core node. Where cells only start failing, a sync tests the lines a new
+failing cell may lie on only when their bounding box meets the box of the
+sync's new failing cells.
+
+Under ``non_obstacle`` every input of a query but its endpoints depends on
+obstacle cells only: a cell passes unless it is an obstacle, an obstacle
+vertex is defined by obstacles and passability, and the station always
+passes, so the core's nodes and sight lines and grid A*'s passability mask
+read nothing else. A traversal does not flip a cell's passability and marks
+no obstacle, so the synced core is left as it was; both planners then
+return the same path for the same endpoints and limit until a cell is next
+marked obstacle.
+
+``Mission._shortest`` runs both planners. Once the sight-line search has
+found a path, grid A* is bounded by that path's length widened by the
+rounding margin: a longer walk loses the ``(length, cells)`` comparison,
+and a walk of equal length is still returned to take part in it.
 
 Grid walks (obstacle vertices, grid A*, the distance field) index the
 grid's bordered flat state bytes and compare them to plain ints; a
@@ -69,7 +85,7 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from .grid import Cell, CellGrid, CellState, NEIGHBORS_8
@@ -384,17 +400,38 @@ class _Core:
             self._classify(grid, key, lo, u, v, 2 - len(flipped))
 
     def _cut(self, grid: CellGrid, flips: list[int]) -> None:
-        """Kill or re-file the edges and single-blocker pairs that a cell which started failing lies on."""
+        """Kill or re-file the edges and single-blocker pairs that a cell which started failing lies on.
+
+        A line touches only cells inside its endpoints' bounding box, so a
+        pair whose box misses the box of the new failing cells is skipped
+        before ``_crossed``. Pairs are ``u < v``, so u's column is the lower.
+        """
         xs = [grid.cell_at(i) for i in flips]
+        c0 = min(c for c, _ in xs)
+        c1 = max(c for c, _ in xs)
+        r0 = min(r for _, r in xs)
+        r1 = max(r for _, r in xs)
         adjacency, blocked_by = self.adjacency, self.blocked_by
         for x, pairs in list(blocked_by.items()):
-            pairs -= {p for p in pairs if _crossed(p[0], p[1], xs)}
+            pairs -= {
+                p for p in pairs
+                if p[0][0] <= c1 and p[1][0] >= c0
+                and (p[0][1] >= r0 or p[1][1] >= r0) and (p[0][1] <= r1 or p[1][1] <= r1)
+                and _crossed(p[0], p[1], xs)
+            }
             if not pairs:
                 del blocked_by[x]
         cut = []
         for u, edges in adjacency.items():
+            uc, ur = u
+            if uc > c1:
+                continue  # every v > u lies right of the box too
             for v, w in edges:
-                if u < v and (on := _crossed(u, v, xs)):
+                if (
+                    u < v and v[0] >= c0
+                    and (ur >= r0 or v[1] >= r0) and (ur <= r1 or v[1] <= r1)
+                    and (on := _crossed(u, v, xs))
+                ):
                     cut.append((u, v, w, on))
         for u, v, w, on in cut:
             adjacency[u] = [e for e in adjacency[u] if e[0] != v]
@@ -471,11 +508,11 @@ def _crossed(u: Cell, v: Cell, cells: list[Cell]) -> list[Cell]:
 def _cached_core(grid: CellGrid, traversable: StatePredicate) -> _Core:
     """The grid's core for this predicate, synced with the grid's changes.
 
-    Cores are keyed by the predicate's truth table over the cell states, so
-    equivalent predicates share one entry. Each is built once per grid and
-    then synced on every use, reading only the cells changed since.
+    Cores are keyed by the predicate's pass table, so equivalent predicates
+    share one entry. Each is built once per grid and then synced on every
+    use, reading only the cells changed since.
     """
-    key = tuple(traversable(s) for s in CellState)
+    key = _pass_table(traversable)
     core = grid._vis_cores.get(key)
     if core is None:
         core = grid._vis_cores[key] = _Core(grid, traversable)
@@ -613,8 +650,13 @@ def _require_passing_start(grid: CellGrid, start: Cell, traversable: StatePredic
         raise ValueError(f"start {start} must be an in-bounds cell that passes the predicate")
 
 
+@lru_cache(maxsize=16)
 def _pass_table(traversable: StatePredicate) -> bytes:
-    """Translation table from state bytes: 1 for a passing state, 0 for any other byte."""
+    """Translation table from state bytes: 1 for a passing state, 0 for any other byte.
+
+    Built once per predicate (the cache holds the few a process uses), so
+    the same bytes object serves every passability mask and every core key.
+    """
     return bytes(bool(traversable(s)) for s in CellState).ljust(256, b"\0")
 
 

@@ -85,6 +85,19 @@ def test_completed_mission_is_freed_without_cyclic_gc():
             gc.enable()
 
 
+def test_unstepped_mission_is_freed_without_cyclic_gc():
+    m = Mission(gt_from_text(EMPTY_3X3), MissionConfig(capacity_e0=1e6))
+    ref = weakref.ref(m)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del m
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_step_replay_matches_run():
     text = map_text(9, 7, {(3, 3), (3, 4), (4, 3), (6, 1)}, (0, 0))
     gt1 = gt_from_text(text)
@@ -625,6 +638,53 @@ def test_no_grid_astar_for_a_candidate_whose_walk_fails_the_budget(monkeypatch):
             else:
                 under += searches > 0
     assert over and under
+
+
+class MemoChecked(Mission):
+    """Plans afresh every restart candidate that the station-plan memo answers.
+
+    A ``non_obstacle`` candidate plan that runs no search is a memo hit; it
+    must equal a plan made with the memo emptied, in cells, length and
+    predicate.
+    """
+
+    def __init__(self, gt, config):
+        self.searches = 0
+        self.hits = 0
+        super().__init__(gt, config)
+
+    def _shortest(self, start, goal, traversable, limit=math.inf):
+        self.searches += 1
+        return super()._shortest(start, goal, traversable, limit)
+
+    def _plan_candidate(self, target, walk, longest):
+        before = self.searches
+        plan, used = super()._plan_candidate(target, walk, longest)
+        if used is non_obstacle and self.searches == before:
+            memo, self._station_plans = self._station_plans, {}
+            try:
+                fresh, fresh_used = super()._plan_candidate(target, walk, longest)
+            finally:
+                self._station_plans = memo
+            assert fresh_used is used, target
+            assert (plan is None) == (fresh is None), target
+            if plan is not None:
+                assert (plan.cells, plan.length) == (fresh.cells, fresh.length), target
+            self.hits += 1
+        return plan, used
+
+
+def test_station_plan_memo_returns_what_a_fresh_plan_returns():
+    # the memo is per mission: a second mission on the same ground truth
+    # plans from empty and must fly the same log
+    hits = 0
+    for i, (gt, cfg, _) in enumerate(tight_budget_maps()):
+        checked, second = MemoChecked(gt, cfg), Mission(gt, cfg)
+        checked.run()
+        second.run()
+        assert checked.log_rows == second.log_rows, i
+        hits += checked.hits
+    assert hits
 
 
 def test_advance_floor_saves_plans_and_changes_no_log_row():

@@ -558,15 +558,24 @@ def test_synced_core_equals_a_fresh_build(data):
     last = [station]
 
     def update():
-        if data.draw(st.integers(0, 3), label="sense") == 0:
-            pc, pr = data.draw(cells, label="pose")
-            near = [
-                (c, r) for c in range(pc - 2, pc + 3) for r in range(pr - 2, pr + 3)
-                if grid.in_bounds((c, r)) and (c, r) != station
-                and grid.state((c, r)) is not CellState.EXPLORED
+        # sensor batches around a pose, spread across the map (so the box
+        # of the new failing cells that a non_obstacle sync tests covers
+        # most of it) or of a single cell; else a traversal
+        kind = data.draw(st.integers(0, 7), label="update")
+        if kind < 3:
+            if kind == 0:
+                pc, pr = data.draw(cells, label="pose")
+                span = [(c, r) for c in range(pc - 2, pc + 3) for r in range(pr - 2, pr + 3)]
+            else:
+                span = list(grid.cells())
+            free = [
+                c for c in span
+                if grid.in_bounds(c) and c != station and grid.state(c) is not CellState.EXPLORED
             ]
-            if near:
-                grid.apply_sensor_update(data.draw(st.lists(st.sampled_from(near), max_size=6)))
+            if free:
+                size = (0, 6) if kind < 2 else (1, 1)
+                batch = st.lists(st.sampled_from(free), min_size=size[0], max_size=size[1])
+                grid.apply_sensor_update(data.draw(batch, label="batch"))
         else:
             # mostly a step of the vehicle: an unexplored neighbour of the last cell
             unexplored = [c for c in neighbors8(grid, last[0]) if grid.state(c) is CellState.UNEXPLORED]
