@@ -9,7 +9,8 @@ cells (the shorter of visibility-graph A* and 8-connected grid A*, since no
 sight-line path may exist yet); advances may cross unexplored free space
 only when no explored corridor to the restart point exists. Both planners
 take a start that passes the predicate and admit the goal whatever its
-state, so a sight-line path is always also a grid walk. The distance field
+state, as a path's end only, so a sight-line path is always also a grid
+walk. The distance field
 below knows the shortest explored walk of every query with the station as
 an endpoint, which covers every retreat and every advance checked from the
 station. Such a query is bounded by its walk, since no answer is longer

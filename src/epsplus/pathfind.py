@@ -7,14 +7,17 @@ The traversability rules are parameterized by a predicate on cell states:
 retreat and advance paths may only cross explored cells, while routing to a
 distant coverage waypoint may also cross unexplored (non-obstacle) cells.
 
-Line of sight between two cell centers uses a supercover traversal: every
-cell the segment touches must be traversable, and a segment passing exactly
-through a lattice corner counts both flanking cells, so squeezing between
-two diagonally adjacent blocked cells is not a valid sight line.
+Line of sight between two cell centers uses a supercover traversal, and a
+segment passing exactly through a lattice corner counts both flanking
+cells, so squeezing between two diagonally adjacent blocked cells is not a
+valid sight line. One rule holds for every sight line: each cell it touches
+passes the predicate, except the line's own two ends.
 
 Both shortest-path planners, visibility-graph A* and grid A*, take the same
 inputs: the start must pass the predicate (else ``ValueError``), and the
-goal is admitted whatever its state; an out-of-bounds goal has no path.
+goal is admitted whatever its state, as a path's end only: a sight line may
+end at a failing goal but never crosses it, and a grid walk stops there.
+An out-of-bounds goal has no path.
 Consecutive cells of a supercover line are 8-adjacent, so every sight-line
 path is also a grid walk over admitted cells: when grid A* finds no path,
 neither does the visibility graph.
@@ -42,10 +45,12 @@ the same order and returns the same cells with a bit-equal length.
 Visibility graphs are assembled per query from a cached core. Its nodes
 are the cells that pass the predicate and are obstacle vertices or the
 station, the hub of every retreat and advance; it holds the sight-line
-edges among them and, for each node pair blocked by a single cell, that
-cell. The belief grid holds at most one core per predicate, keyed by its
-truth table over the cell states. A core is built from empty once and then
-kept in sync with the grid: the grid logs every changed cell
+edges among them. Both ends of such a line pass, so under the rule above
+it is an edge exactly when every cell it touches passes, whatever the
+query: a goal is never crossed, so it adds no edge among core nodes. The
+belief grid holds at most one core per predicate, keyed by its truth table
+over the cell states. A core is built from empty once and then kept in
+sync with the grid: the grid logs every changed cell
 (``CellGrid.changes``), and a sync reads only the cells logged since the
 last one, re-testing node status around them and walking again only the
 lines that a changed cell can affect (``_Core``). A query then adds only
@@ -267,9 +272,9 @@ class _Core:
 
     The core's nodes are the cells that pass the predicate and are obstacle
     vertices or the station. ``adjacency`` holds the sight-line edges among
-    them; ``blocked_by`` maps a cell to the node pairs ``(u, v, w)`` whose
-    sight line that cell alone blocks. Every weight is ``math.dist(u, v)``
-    with ``u < v``.
+    them, the pairs whose line touches only passing cells: a node passes,
+    so the ends of a line exempt nothing here (see the module docstring).
+    Every weight is ``math.dist(u, v)`` with ``u < v``.
 
     A core is kept in sync with the grid by :meth:`sync`, which reads only
     the cells in ``grid.changes`` past ``read``; building one is a sync
@@ -291,9 +296,9 @@ class _Core:
     never change again; a flip of a watched cell walks the pair again.
     The failing cells of a line only shrink, so a watched cell that did not
     flip stays first among them. Where cells only start failing, a pair
-    with two blockers is dead for good, and an edge or a single-blocker
-    pair dies or gains its blocker when a new failing cell lies on its
-    line, which a closed-square test tells without walking it.
+    with a blocker is dead for good, and an edge dies when a new failing
+    cell lies on its line, which a closed-square test tells without walking
+    it.
 
     Each node takes a new serial when it appears (``nodes`` maps serials
     to flat indices and cells), and a pair's key is made of its serials, so
@@ -302,7 +307,7 @@ class _Core:
 
     __slots__ = (
         "table", "gains", "ok", "read", "ring", "diagonals", "station", "serial", "nodes",
-        "adjacency", "blocked_by", "watch",
+        "adjacency", "watch",
     )
 
     def __init__(self, grid: CellGrid, traversable: StatePredicate):
@@ -319,7 +324,6 @@ class _Core:
         self.serial: dict[int, int] = {}  # flat index of a node -> its serial
         self.nodes: list[tuple[int, Cell]] = []
         self.adjacency: dict[Cell, list[tuple[Cell, float]]] = {}
-        self.blocked_by: dict[Cell, set[tuple[Cell, Cell, float]]] = {}
         self.watch: dict[int, list[int]] = {}
         if ok[self.station]:
             self._add(grid, [self.station])
@@ -368,76 +372,51 @@ class _Core:
             touched.update(v for v, _ in adjacency.pop(u))
         for v in touched - cells:
             adjacency[v] = [e for e in adjacency[v] if e[0] not in cells]
-        for x, pairs in list(self.blocked_by.items()):
-            pairs -= {p for p in pairs if p[0] in cells or p[1] in cells}
-            if not pairs:
-                del self.blocked_by[x]
 
     def _regain(self, grid: CellGrid, flips: list[int]) -> None:
         """Walk again the pairs that watch a cell which started passing."""
-        hits: dict[int, list[int]] = {}
+        hits: dict[int, int] = {}  # pair key -> how many of its watched cells flipped
         for i in flips:
             for key in self.watch.pop(i, ()):
-                if key in hits:
-                    hits[key].append(i)
-                else:
-                    hits[key] = [i]
-        serial, nodes, blocked_by = self.serial, self.nodes, self.blocked_by
+                hits[key] = hits.get(key, 0) + 1
+        serial, nodes = self.serial, self.nodes
         for key, flipped in hits.items():
             s, t = divmod(key, _PAIR)
             (a, ca), (b, cb) = nodes[s], nodes[t]
             if serial.get(a) != s or serial.get(b) != t:
                 continue  # a node of the pair has gone since
             lo, u, v = (a, ca, cb) if a < b else (b, cb, ca)
-            if len(flipped) == 1:  # it may have been this cell's single-blocker pair
-                x = grid.cell_at(flipped[0])
-                pairs, pair = blocked_by.get(x), (u, v, math.dist(u, v))
-                if pairs is not None and pair in pairs:
-                    pairs.remove(pair)
-                    if not pairs:
-                        del blocked_by[x]
             # a watched cell that did not flip is still watched, and first
-            self._classify(grid, key, lo, u, v, 2 - len(flipped))
+            self._classify(grid, key, lo, u, v, 2 - flipped)
 
     def _cut(self, grid: CellGrid, flips: list[int]) -> None:
-        """Kill or re-file the edges and single-blocker pairs that a cell which started failing lies on.
+        """Remove the edges that a cell which started failing lies on.
 
-        A line touches only cells inside its endpoints' bounding box, so a
-        pair whose box misses the box of the new failing cells is skipped
-        before ``_crossed``. Pairs are ``u < v``, so u's column is the lower.
+        A line touches only cells inside its endpoints' bounding box, so an
+        edge whose box misses the box of the new failing cells is skipped
+        before ``_crossed``. Edges are ``u < v``, so u's column is the lower.
         """
         xs = [grid.cell_at(i) for i in flips]
         c0 = min(c for c, _ in xs)
         c1 = max(c for c, _ in xs)
         r0 = min(r for _, r in xs)
         r1 = max(r for _, r in xs)
-        adjacency, blocked_by = self.adjacency, self.blocked_by
-        for x, pairs in list(blocked_by.items()):
-            pairs -= {
-                p for p in pairs
-                if p[0][0] <= c1 and p[1][0] >= c0
-                and (p[0][1] >= r0 or p[1][1] >= r0) and (p[0][1] <= r1 or p[1][1] <= r1)
-                and _crossed(p[0], p[1], xs)
-            }
-            if not pairs:
-                del blocked_by[x]
+        adjacency = self.adjacency
         cut = []
         for u, edges in adjacency.items():
             uc, ur = u
             if uc > c1:
                 continue  # every v > u lies right of the box too
-            for v, w in edges:
+            for v, _ in edges:
                 if (
                     u < v and v[0] >= c0
                     and (ur >= r0 or v[1] >= r0) and (ur <= r1 or v[1] <= r1)
-                    and (on := _crossed(u, v, xs))
+                    and _crossed(u, v, xs)
                 ):
-                    cut.append((u, v, w, on))
-        for u, v, w, on in cut:
+                    cut.append((u, v))
+        for u, v in cut:
             adjacency[u] = [e for e in adjacency[u] if e[0] != v]
             adjacency[v] = [e for e in adjacency[v] if e[0] != u]
-            if len(on) == 1:
-                blocked_by.setdefault(on[0], set()).add((u, v, w))
 
     def _add(self, grid: CellGrid, born: list[int]) -> None:
         """Walk the lines of each new node to the other nodes."""
@@ -458,11 +437,12 @@ class _Core:
     def _classify(self, grid: CellGrid, key: int, lo: int, u: Cell, v: Cell, skip: int = 0) -> None:
         """Walk the line between cells ``u < v`` (``lo`` is u's flat index) and file the pair.
 
-        No failing cell makes an edge, one a single-blocker pair; where
-        cells only start passing, the first two failing cells from ``skip``
-        on are watched if still unexplored.
+        No failing cell makes an edge. Where cells only start passing, the
+        first two failing cells from ``skip`` on are watched if still
+        unexplored; where they only start failing, a blocked pair is dead
+        for good, so the walk stops at its first failing cell.
         """
-        ok = self.ok
+        ok, gains = self.ok, self.gains
         first = second = -1
         for o in _line_offsets(grid.stride, v[0] - u[0], v[1] - u[1]):
             if not ok[lo + o]:
@@ -470,14 +450,13 @@ class _Core:
                     second = lo + o
                     break
                 first = lo + o
+                if not gains:
+                    break
         if first < 0:
             w = math.dist(u, v)
             self.adjacency[u].append((v, w))
             self.adjacency[v].append((u, w))
-            return
-        if second < 0:
-            self.blocked_by.setdefault(grid.cell_at(first), set()).add((u, v, math.dist(u, v)))
-        if self.gains:
+        elif gains:
             flat, watch = grid.flat, self.watch
             for j in (first, second)[skip:]:
                 if j >= 0 and flat[j] == _UNEXPLORED:  # explored and obstacle cells never change again
@@ -487,8 +466,8 @@ class _Core:
                         watch[j] = [key]
 
 
-def _crossed(u: Cell, v: Cell, cells: list[Cell]) -> list[Cell]:
-    """The cells among ``cells`` that the sight line between ``u < v`` touches.
+def _crossed(u: Cell, v: Cell, cells: list[Cell]) -> bool:
+    """Whether the sight line between ``u < v`` touches any of ``cells``.
 
     ``supercover_line`` touches exactly the cells whose closed unit square
     the segment between the centers meets: inside the bounding box of u and
@@ -497,12 +476,12 @@ def _crossed(u: Cell, v: Cell, cells: list[Cell]) -> list[Cell]:
     uc, ur = u
     vc, vr = v
     low, high = (ur, vr) if ur <= vr else (vr, ur)
-    box = [x for x in cells if uc <= x[0] <= vc and low <= x[1] <= high]
-    if not box:
-        return box
     dc, dr = vc - uc, vr - ur
     span = dc + abs(dr)
-    return [x for x in box if 2 * abs(dc * (x[1] - ur) - dr * (x[0] - uc)) <= span]
+    return any(
+        uc <= c <= vc and low <= r <= high and 2 * abs(dc * (r - ur) - dr * (c - uc)) <= span
+        for c, r in cells
+    )
 
 
 def _cached_core(grid: CellGrid, traversable: StatePredicate) -> _Core:
@@ -532,15 +511,15 @@ def build_visibility_graph(
 
     The core nodes are the obstacle vertices and the station, each when it
     passes the predicate. The start must pass the predicate (``ValueError``
-    otherwise); the goal is admitted as a node whatever its state, and
-    sight lines may cross it. All other cells a sight line touches must
-    pass the predicate. An out-of-bounds goal is a node without edges, so
-    it has no path.
+    otherwise); the goal is admitted as a node whatever its state. Every
+    cell a sight line touches must pass the predicate, except the line's
+    own two ends, so a line may end at a failing goal but never crosses
+    it. An out-of-bounds goal is a node without edges, so it has no path.
 
-    Edges among the core nodes come from the grid's core, so a query walks
-    lines only from an endpoint that is not a core node; it adds the core
-    pairs blocked by nothing but a goal that fails the predicate. It walks
-    the line from such an endpoint to a node v only when
+    Edges among the core nodes come from the grid's core as they are, so a
+    query walks lines only from an endpoint that is not a core node, and
+    exempts the goal only on the lines that end at it. It walks the line
+    from such an endpoint to a node v only when
     ``dist(start, v) + dist(v, goal)`` is within ``limit`` by the search's
     rounding margin: no path through v can fit the limit otherwise, and
     ``astar`` with that limit would not push v along that edge (see
@@ -553,13 +532,13 @@ def build_visibility_graph(
     adjacency = dict(shared)
     ok = core.ok  # the start passes already
     if grid.in_bounds(goal):
-        exempt = grid.index(goal)  # admitted whatever its state
+        at_goal = grid.index(goal)
         ends = sorted({start, goal})
     else:
-        exempt = -1
+        at_goal = -1
         ends = [start]
         adjacency[goal] = []
-    edges = list(core.blocked_by.get(goal, ()))  # only failing cells block pairs
+    edges = []
     stride = grid.stride
     bound = limit * _MARGIN
     dist = math.dist
@@ -575,6 +554,7 @@ def build_visibility_graph(
             at = base
             if v < e:  # walk the line from v, as the core does: same cells, one table entry
                 at, dc, dr = base + dc * stride + dr, -dc, -dr
+            exempt = at_goal if e == goal or v == goal else -1  # a line may end at the goal, not cross it
             for o in _line_offsets(stride, dc, dr):
                 if not ok[at + o] and at + o != exempt:
                     break
@@ -679,9 +659,10 @@ def grid_astar(
     """Shortest 8-connected cell path; diagonal squeezes between blocked cells allowed.
 
     The start must pass the predicate (``ValueError`` otherwise); the goal
-    is admitted whatever its state (typically an unexplored waypoint), and
-    an out-of-bounds goal has no path, nor has a goal whose shortest path is
-    longer than ``limit`` (see the module docstring). Cells are searched as
+    is admitted whatever its state (typically an unexplored waypoint), as
+    the path's end only, and an out-of-bounds goal has no path, nor has a
+    goal whose shortest path is longer than ``limit`` (see the module
+    docstring). Cells are searched as
     flat grid indices over one passability mask built per call; since those indices
     order like ``(col, row)`` tuples, heap ties break as they would on cells.
     A flat index's bordered column and row are its cell's plus one, so the

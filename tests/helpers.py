@@ -87,7 +87,7 @@ def ring_components(free):
 
 def los_clear(grid, a, b, traversable, exempt=frozenset()):
     """Tuple reference sight line: every cell the segment a->b touches passes
-    the predicate or is in ``exempt`` (a goal admitted whatever its state)."""
+    the predicate or is in ``exempt`` (an end of the line that may fail: a goal)."""
     state = grid.state
     return all(traversable(state(c)) or c in exempt for c in supercover_line(a, b))
 

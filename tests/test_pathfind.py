@@ -431,13 +431,15 @@ def core_nodes(grid, traversable):
 
 
 def pairwise_visibility(grid, start, goal, traversable):
-    """From-scratch reference build: sight-line checks over every node pair."""
-    exempt = frozenset((start, goal))
-    nodes = sorted({start, goal} | core_nodes(grid, traversable))
+    """From-scratch reference build: sight-line checks over every node pair.
+
+    A line exempts the start or goal only where it is one of its own ends."""
+    ends = {start, goal}
+    nodes = sorted(ends | core_nodes(grid, traversable))
     edges = set()
     for i, u in enumerate(nodes):
         for v in nodes[i + 1 :]:
-            if los_clear(grid, u, v, traversable, exempt):
+            if los_clear(grid, u, v, traversable, {u, v} & ends):
                 w = math.hypot(v[0] - u[0], v[1] - u[1])
                 edges.add((u, v, w))
                 edges.add((v, u, w))
@@ -512,33 +514,36 @@ def test_visibility_cache_matches_pairwise_build(data):
     query(non_obstacle)
 
 
-def test_visibility_edges_through_a_failing_endpoint():
+def test_a_goal_is_only_ever_an_end():
     # vertices around the single obstacle (3, 5): (2, 4)-(4, 4) is blocked
     # only by the unexplored goal (3, 4), (2, 4)-(4, 6) only by the obstacle
+    # goal (3, 5). A failing goal ends the lines to it but lets none
+    # through, between core nodes or from a start that is not one, (1, 4)
+    # and (5, 4), whose lines to the far vertex cross (3, 4)
     grid = CellGrid(7, 7, (0, 0))
     grid.apply_sensor_update([(3, 5)])
     for c in grid.cells():
         if c not in ((3, 5), (3, 4)):
             grid.mark_traversed(c)
-    for pred, goal, pair in (
-        (explored_only, (3, 4), ((2, 4), (4, 4))),
-        (non_obstacle, (3, 5), ((2, 4), (4, 6))),
+    for pred, start, goal, pair in (
+        (explored_only, (0, 0), (3, 4), ((2, 4), (4, 4))),
+        (non_obstacle, (0, 0), (3, 5), ((2, 4), (4, 6))),
+        (explored_only, (1, 4), (3, 4), ((1, 4), (4, 4))),
+        (explored_only, (5, 4), (3, 4), ((5, 4), (2, 4))),
     ):
         build_visibility_graph(grid, (0, 0), (6, 0), pred)  # caches the core
-        graph = build_visibility_graph(grid, (0, 0), goal, pred)
-        assert pair[1] in dict(graph.adjacency[pair[0]])
-        assert graph_edges(graph) == pairwise_visibility(grid, (0, 0), goal, pred)[1]
+        graph = build_visibility_graph(grid, start, goal, pred)
+        adjacent = dict(graph.adjacency[pair[0]])
+        assert pair[1] not in adjacent
+        assert goal in adjacent  # the line that ends at the goal
+        assert graph_edges(graph) == pairwise_visibility(grid, start, goal, pred)[1]
 
 
 def core_contents(core):
-    """Nodes, edges and single-blocker pairs of a core, as sets."""
+    """Nodes and edges of a core, as sets."""
     edges = [(u, v, w) for u, adjacent in core.adjacency.items() for v, w in adjacent]
     assert len(edges) == len(set(edges)), "duplicate edge"
-    return {
-        "nodes": set(core.adjacency),
-        "edges": set(edges),
-        "blocked_by": {x: set(pairs) for x, pairs in core.blocked_by.items()},
-    }
+    return {"nodes": set(core.adjacency), "edges": set(edges)}
 
 
 @given(st.data())
@@ -601,17 +606,16 @@ def test_synced_core_equals_a_fresh_build(data):
 
 def test_core_watches_the_next_blocker_when_both_watched_cells_flip():
     # (2, 1)-(6, 1) is blocked by three unexplored cells and watches the
-    # first two; both turn explored before one sync, so (5, 1) is its single
+    # first two; both turn explored before one sync, so (5, 1) is its last
     # blocker and must be watched, or the edge never appears
     grid = CellGrid(9, 3, (0, 0))
     grid.apply_sensor_update([(1, 2), (7, 2)])
     grid.mark_traversed((2, 1))
     grid.mark_traversed((6, 1))
-    core = _cached_core(grid, explored_only)
-    assert ((2, 1), (6, 1)) not in {(u, v) for u, v, _ in core.blocked_by.get((5, 1), ())}
+    _cached_core(grid, explored_only)
     grid.mark_traversed((3, 1))
     grid.mark_traversed((4, 1))
-    assert ((2, 1), (6, 1), 4.0) in _cached_core(grid, explored_only).blocked_by[(5, 1)]
+    _cached_core(grid, explored_only)  # one sync sees both watched cells flip
     grid.mark_traversed((5, 1))
     assert ((6, 1), 4.0) in _cached_core(grid, explored_only).adjacency[(2, 1)]
 
