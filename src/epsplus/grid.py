@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from array import array
 from enum import IntEnum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import MapConflictError, MapFormatError
 
@@ -146,11 +146,6 @@ class CellGrid:
     def state(self, cell: Cell) -> CellState:
         # index() inlined: this is the most called accessor
         return _STATE_OF[self.flat[(cell[0] + 1) * self.stride + cell[1] + 1]]
-
-    def cells(self) -> Iterator[Cell]:
-        for row in range(self.height):
-            for col in range(self.width):
-                yield (col, row)
 
     # -- updates ------------------------------------------------------------
 

@@ -55,9 +55,11 @@ sync with the grid: the grid logs every changed cell
 last one, re-testing node status around them and walking again only the
 lines that a changed cell can affect (``_Core``). A query then adds only
 the start and goal edges, and walks no line from an endpoint that is a
-core node. Where cells only start failing, a sync tests the lines a new
-failing cell may lie on only when their bounding box meets the box of the
-sync's new failing cells.
+core node. Cores and queries test a line the same way, walking its
+supercover offsets (below) up to the first cell that breaks the rule
+above. Where cells only start passing, a blocked core pair watches that
+one cell; where cells only start failing, a sync walks again only the
+edges whose bounding box meets the box of the sync's new failing cells.
 
 Under ``non_obstacle`` every input of a query but its endpoints depends on
 obstacle cells only: a cell passes unless it is an obstacle, an obstacle
@@ -290,15 +292,17 @@ class _Core:
     - re-files an old pair only when a cell it depends on flipped (below);
     - walks the lines of each new node to the others.
 
-    Where cells only start passing, a pair with blockers watches the first
-    two failing cells of its line that are still unexplored (``watch``, a
-    list of pair keys per flat index), since explored and obstacle cells
-    never change again; a flip of a watched cell walks the pair again.
-    The failing cells of a line only shrink, so a watched cell that did not
-    flip stays first among them. Where cells only start failing, a pair
-    with a blocker is dead for good, and an edge dies when a new failing
-    cell lies on its line, which a closed-square test tells without walking
-    it.
+    Every line is tested one way: its ``supercover_line`` offsets are
+    walked over ``ok`` up to its first failing cell. Where cells only start
+    passing, a blocked pair watches that cell if it is still unexplored
+    (``watch``, a list of pair keys per flat index) and is dead for good
+    otherwise, since explored and obstacle cells never change again. The
+    cells before it pass for good, so the pair can become an edge only when
+    that cell flips, and the flip walks the pair again from the start: a
+    live pair sits in at most one watch list. Where cells only start
+    failing, a blocked pair is dead for good, and a sync walks again the
+    edges whose bounding box meets the box of the new failing cells,
+    cutting each at its first failing cell.
 
     Each node takes a new serial when it appears (``nodes`` maps serials
     to flat indices and cells), and a pair's key is made of its serials, so
@@ -374,46 +378,46 @@ class _Core:
             adjacency[v] = [e for e in adjacency[v] if e[0] not in cells]
 
     def _regain(self, grid: CellGrid, flips: list[int]) -> None:
-        """Walk again the pairs that watch a cell which started passing."""
-        hits: dict[int, int] = {}  # pair key -> how many of its watched cells flipped
+        """Walk again, from the start, the pairs that watch a cell which started passing."""
+        serial, nodes, watch, classify = self.serial, self.nodes, self.watch, self._classify
         for i in flips:
-            for key in self.watch.pop(i, ()):
-                hits[key] = hits.get(key, 0) + 1
-        serial, nodes = self.serial, self.nodes
-        for key, flipped in hits.items():
-            s, t = divmod(key, _PAIR)
-            (a, ca), (b, cb) = nodes[s], nodes[t]
-            if serial.get(a) != s or serial.get(b) != t:
-                continue  # a node of the pair has gone since
-            lo, u, v = (a, ca, cb) if a < b else (b, cb, ca)
-            # a watched cell that did not flip is still watched, and first
-            self._classify(grid, key, lo, u, v, 2 - flipped)
+            for key in watch.pop(i, ()):
+                s, t = divmod(key, _PAIR)
+                (a, ca), (b, cb) = nodes[s], nodes[t]
+                if serial.get(a) != s or serial.get(b) != t:
+                    continue  # a node of the pair has gone since
+                if a < b:
+                    classify(grid, key, a, ca, cb)
+                else:
+                    classify(grid, key, b, cb, ca)
 
     def _cut(self, grid: CellGrid, flips: list[int]) -> None:
         """Remove the edges that a cell which started failing lies on.
 
         A line touches only cells inside its endpoints' bounding box, so an
-        edge whose box misses the box of the new failing cells is skipped
-        before ``_crossed``. Edges are ``u < v``, so u's column is the lower.
+        edge whose box misses the box of the new failing cells is skipped;
+        the others are walked over ``ok``, which already holds the flips,
+        and cut at their first failing cell. Edges are ``u < v``, so u's
+        column is the lower.
         """
         xs = [grid.cell_at(i) for i in flips]
         c0 = min(c for c, _ in xs)
         c1 = max(c for c, _ in xs)
         r0 = min(r for _, r in xs)
         r1 = max(r for _, r in xs)
-        adjacency = self.adjacency
+        adjacency, ok, stride = self.adjacency, self.ok, grid.stride
         cut = []
         for u, edges in adjacency.items():
             uc, ur = u
             if uc > c1:
                 continue  # every v > u lies right of the box too
+            lo = grid.index(u)
             for v, _ in edges:
-                if (
-                    u < v and v[0] >= c0
-                    and (ur >= r0 or v[1] >= r0) and (ur <= r1 or v[1] <= r1)
-                    and _crossed(u, v, xs)
-                ):
-                    cut.append((u, v))
+                if u < v and v[0] >= c0 and (ur >= r0 or v[1] >= r0) and (ur <= r1 or v[1] <= r1):
+                    for o in _line_offsets(stride, v[0] - uc, v[1] - ur):
+                        if not ok[lo + o]:
+                            cut.append((u, v))
+                            break
         for u, v in cut:
             adjacency[u] = [e for e in adjacency[u] if e[0] != v]
             adjacency[v] = [e for e in adjacency[v] if e[0] != u]
@@ -434,54 +438,23 @@ class _Core:
                     classify(grid, t * _PAIR + s, i, u, v)
             others.append((i, u, s))
 
-    def _classify(self, grid: CellGrid, key: int, lo: int, u: Cell, v: Cell, skip: int = 0) -> None:
+    def _classify(self, grid: CellGrid, key: int, lo: int, u: Cell, v: Cell) -> None:
         """Walk the line between cells ``u < v`` (``lo`` is u's flat index) and file the pair.
 
-        No failing cell makes an edge. Where cells only start passing, the
-        first two failing cells from ``skip`` on are watched if still
-        unexplored; where they only start failing, a blocked pair is dead
-        for good, so the walk stops at its first failing cell.
+        The walk stops at the line's first failing cell. No failing cell
+        makes an edge; where cells only start passing, the pair watches
+        that cell if it is still unexplored, and is dead for good otherwise.
         """
-        ok, gains = self.ok, self.gains
-        first = second = -1
+        ok = self.ok
         for o in _line_offsets(grid.stride, v[0] - u[0], v[1] - u[1]):
             if not ok[lo + o]:
-                if first >= 0:
-                    second = lo + o
-                    break
-                first = lo + o
-                if not gains:
-                    break
-        if first < 0:
-            w = math.dist(u, v)
-            self.adjacency[u].append((v, w))
-            self.adjacency[v].append((u, w))
-        elif gains:
-            flat, watch = grid.flat, self.watch
-            for j in (first, second)[skip:]:
-                if j >= 0 and flat[j] == _UNEXPLORED:  # explored and obstacle cells never change again
-                    if j in watch:
-                        watch[j].append(key)
-                    else:
-                        watch[j] = [key]
-
-
-def _crossed(u: Cell, v: Cell, cells: list[Cell]) -> bool:
-    """Whether the sight line between ``u < v`` touches any of ``cells``.
-
-    ``supercover_line`` touches exactly the cells whose closed unit square
-    the segment between the centers meets: inside the bounding box of u and
-    v, those within (|dc| + |dr|) / 2 of the line in the cross-product sense.
-    """
-    uc, ur = u
-    vc, vr = v
-    low, high = (ur, vr) if ur <= vr else (vr, ur)
-    dc, dr = vc - uc, vr - ur
-    span = dc + abs(dr)
-    return any(
-        uc <= c <= vc and low <= r <= high and 2 * abs(dc * (r - ur) - dr * (c - uc)) <= span
-        for c, r in cells
-    )
+                j = lo + o
+                if self.gains and grid.flat[j] == _UNEXPLORED:  # explored and obstacle cells never change again
+                    self.watch.setdefault(j, []).append(key)
+                return
+        w = math.dist(u, v)
+        self.adjacency[u].append((v, w))
+        self.adjacency[v].append((u, w))
 
 
 def _cached_core(grid: CellGrid, traversable: StatePredicate) -> _Core:

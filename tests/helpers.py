@@ -33,6 +33,13 @@ def block_center(hierarchy, key):
     return cx, cy
 
 
+def grid_cells(grid):
+    """Every cell of the grid, row by row."""
+    for row in range(grid.height):
+        for col in range(grid.width):
+            yield (col, row)
+
+
 def neighbors8(grid, cell):
     """The cell's in-bounds 8-neighbours, in ``NEIGHBORS_8`` order."""
     col, row = cell
@@ -339,7 +346,7 @@ def random_belief_grid(rng, w, h):
     if obstacles:
         grid.apply_sensor_update(obstacles)
     explored_share = rng.uniform(0.3, 1.0)
-    for c in grid.cells():
+    for c in grid_cells(grid):
         if c not in obstacles and (c == (0, 0) or rng.random() < explored_share):
             grid.mark_traversed(c)
     return grid

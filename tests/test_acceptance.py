@@ -19,6 +19,7 @@ from helpers import (
     dijkstra_on_graph,
     explored_grid,
     flood_reachable,
+    grid_cells,
     grid_dijkstra,
     potential_level0,
     random_rect_obstacles,
@@ -128,7 +129,7 @@ def test_criterion_4_shortest_path_oracle():
         h = rng.randint(10, 24)
         obstacles = random_rect_obstacles(rng, w, h, (0, 0), rng.uniform(0.05, 0.3))
         grid = explored_grid(w, h, obstacles, (0, 0))
-        free = sorted(c for c in grid.cells() if grid.state(c) is CellState.EXPLORED)
+        free = sorted(c for c in grid_cells(grid) if grid.state(c) is CellState.EXPLORED)
         if len(free) < 2:
             continue
         start, goal = rng.sample(free, 2)
@@ -157,13 +158,13 @@ def test_criterion_5_potential_conformance():
         w = rng.randint(3, 30)
         h = rng.randint(3, 30)
         grid = CellGrid(w, h, (0, 0))
-        for cell in list(grid.cells()):
+        for cell in list(grid_cells(grid)):
             r = rng.random()
             if r < 0.3 and cell != grid.station:
                 grid.apply_sensor_update({cell})
             elif r < 0.6:
                 grid.mark_traversed(cell)
-        for cell in grid.cells():
+        for cell in grid_cells(grid):
             checked += 1
             p = potential_level0(grid, cell)
             state = grid.state(cell)
@@ -195,7 +196,7 @@ def test_criterion_6_completeness_vs_flood_fill():
         cfg = MissionConfig(capacity_e0=e0, travel_rate=0.5, sensor_range=3.5)
         mission = Mission(gt, cfg)
         report = mission.run()
-        explored = {c for c in mission.grid.cells() if mission.grid.state(c) is CellState.EXPLORED}
+        explored = {c for c in grid_cells(mission.grid) if mission.grid.state(c) is CellState.EXPLORED}
         reachable = flood_reachable(w, h, obstacles, station)
         if explored != reachable:
             mismatches += 1

@@ -4,12 +4,20 @@ from hypothesis import example, given, strategies as st
 from epsplus.errors import MapConflictError, MapFormatError
 from epsplus.grid import _RING_SEEDS, BORDER, NEIGHBORS_8, CellGrid, CellState, parse_map_text
 
-from helpers import b_field, flood_reachable, map_text, neighbors8, reachable_cells, ring_components
+from helpers import (
+    b_field,
+    flood_reachable,
+    grid_cells,
+    map_text,
+    neighbors8,
+    reachable_cells,
+    ring_components,
+)
 
 
 def test_new_grid_50x50():
     grid = CellGrid(50, 50, (0, 0))
-    assert all(grid.state(c) is CellState.UNEXPLORED for c in grid.cells())
+    assert all(grid.state(c) is CellState.UNEXPLORED for c in grid_cells(grid))
     assert b_field(grid, (0, 0)) == 50
     assert b_field(grid, (49, 17)) == 1
 
@@ -67,10 +75,10 @@ def test_sensor_update_conflicts():
 
 def test_flat_index_round_trip():
     grid = CellGrid(5, 3, (0, 0))
-    indices = [grid.index(c) for c in grid.cells()]
-    assert [grid.cell_at(i) for i in indices] == list(grid.cells())
+    indices = [grid.index(c) for c in grid_cells(grid)]
+    assert [grid.cell_at(i) for i in indices] == list(grid_cells(grid))
     # flat indices order like (col, row) tuples
-    assert sorted(indices) == [grid.index(c) for c in sorted(grid.cells())]
+    assert sorted(indices) == [grid.index(c) for c in sorted(grid_cells(grid))]
     frame = set(range(len(grid.flat))) - set(indices)
     assert len(frame) == 2 * (5 + 3) + 4
     assert all(grid.flat[i] == BORDER for i in frame)
@@ -168,7 +176,7 @@ def assert_blocks_whole(grid, reachable):
     mask bytes and then takes every unexplored cell of the block.
     """
     blocks = {}
-    for c in grid.cells():
+    for c in grid_cells(grid):
         if grid.state(c) is CellState.UNEXPLORED:
             blocks.setdefault((c[0] // 2, c[1] // 2), []).append(c)
     for block, cells in blocks.items():
@@ -184,7 +192,7 @@ def assert_blocks_whole(grid, reachable):
 )
 def test_state_transitions_monotone(ops):
     grid = CellGrid(6, 6, (0, 0))
-    history = {c: [grid.state(c)] for c in grid.cells()}
+    history = {c: [grid.state(c)] for c in grid_cells(grid)}
     for kind, raw in ops:
         cell = (raw % 6, raw // 6)
         if kind == "sense":
@@ -193,15 +201,15 @@ def test_state_transitions_monotone(ops):
         else:
             if grid.state(cell) is not CellState.OBSTACLE:
                 grid.mark_traversed(cell)
-        for c in grid.cells():
+        for c in grid_cells(grid):
             if grid.state(c) is not history[c][-1]:
                 history[c].append(grid.state(c))
         # the frame around the cells stays BORDER, and counts match the cells
-        inside = {grid.index(c) for c in grid.cells()}
+        inside = {grid.index(c) for c in grid_cells(grid)}
         assert all(b == BORDER for i, b in enumerate(grid.flat) if i not in inside)
-        assert grid.counts() == {s: sum(grid.state(c) is s for c in grid.cells()) for s in CellState}
+        assert grid.counts() == {s: sum(grid.state(c) is s for c in grid_cells(grid)) for s in CellState}
         # the reachable mask must match a fresh flood after every op
-        obstacles = {c for c in grid.cells() if grid.state(c) is CellState.OBSTACLE}
+        obstacles = {c for c in grid_cells(grid) if grid.state(c) is CellState.OBSTACLE}
         expected = {
             c for c in flood_reachable(6, 6, obstacles, grid.station)
             if grid.state(c) is CellState.UNEXPLORED
@@ -311,7 +319,7 @@ def test_pocket_carving_keeps_mask_exact_and_blocks_whole(width, height, station
             ])
         elif grid.in_bounds((col, row)) and grid.state((col, row)) is not CellState.OBSTACLE:
             grid.mark_traversed((col, row))
-        obstacles = {c for c in grid.cells() if grid.state(c) is CellState.OBSTACLE}
+        obstacles = {c for c in grid_cells(grid) if grid.state(c) is CellState.OBSTACLE}
         expected = {
             c for c in flood_reachable(width, height, obstacles, station)
             if grid.state(c) is CellState.UNEXPLORED

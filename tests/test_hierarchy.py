@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from epsplus.grid import CellGrid, CellState
 from epsplus.hierarchy import MapsHierarchy
 
-from helpers import b_field, block_center, block_potential, potential_level0
+from helpers import b_field, block_center, block_potential, grid_cells, potential_level0
 
 
 def block_cells(grid, ci, cj):
@@ -45,7 +45,7 @@ def test_potential_case_totality():
     grid = CellGrid(8, 8, (0, 0))
     grid.apply_sensor_update({(1, 1)})
     grid.mark_traversed((2, 2))
-    for cell in grid.cells():
+    for cell in grid_cells(grid):
         p = potential_level0(grid, cell)
         st_ = grid.state(cell)
         if st_ is CellState.OBSTACLE:
@@ -71,7 +71,7 @@ def test_coarse_potential_fraction_vs_recount():
     grid = CellGrid(10, 10, (0, 0))
     h = MapsHierarchy(grid)
     rng = random.Random(7)
-    explored = rng.sample([c for c in grid.cells()], 63)
+    explored = rng.sample([c for c in grid_cells(grid)], 63)
     for cell in explored:
         grid.mark_traversed(cell)
         h.on_state_change(cell, CellState.UNEXPLORED, CellState.EXPLORED)

@@ -28,6 +28,7 @@ from helpers import (
     explored_grid,
     flood_reachable,
     full_sense,
+    grid_cells,
     grid_dijkstra,
     map_text,
     random_belief_grid,
@@ -391,7 +392,7 @@ def test_shortest_is_the_shorter_of_both_planners():
     compared = 0
     for _ in range(80):
         grid = random_belief_grid(rng, rng.randint(4, 14), rng.randint(4, 14))
-        cells = list(grid.cells())
+        cells = list(grid_cells(grid))
         dfield = DistanceField(grid)
         for c in cells:
             if grid.state(c) is CellState.EXPLORED:

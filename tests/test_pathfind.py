@@ -12,6 +12,7 @@ from epsplus.mission import GRID_STRETCH
 from epsplus.pathfind import (
     DistanceField,
     PathResult,
+    _PAIR,
     _Core,
     _cached_core,
     _line_offsets,
@@ -30,6 +31,7 @@ from helpers import (
     dict_grid_astar,
     dijkstra_on_graph,
     explored_grid,
+    grid_cells,
     grid_dijkstra,
     los_clear,
     neighbors8,
@@ -227,7 +229,7 @@ def test_astar_matches_dijkstra_on_random_graphs():
         station = (0, 0)
         obstacles = random_rect_obstacles(rng, w, h, station, rng.uniform(0.05, 0.25))
         grid = explored_grid(w, h, obstacles, station)
-        free = sorted(c for c in grid.cells() if grid.state(c) is CellState.EXPLORED)
+        free = sorted(c for c in grid_cells(grid) if grid.state(c) is CellState.EXPLORED)
         start, goal = rng.sample(free, 2)
         g = build_visibility_graph(grid, start, goal, explored_only)
         mine = astar(g, start, goal)
@@ -253,7 +255,7 @@ def test_visibility_length_bounded_by_grid_path():
         w, h = rng.randint(8, 18), rng.randint(8, 18)
         obstacles = random_rect_obstacles(rng, w, h, (0, 0), rng.uniform(0.05, 0.3))
         grid = explored_grid(w, h, obstacles, (0, 0))
-        free = sorted(c for c in grid.cells() if grid.state(c) is CellState.EXPLORED)
+        free = sorted(c for c in grid_cells(grid) if grid.state(c) is CellState.EXPLORED)
         start, goal = rng.sample(free, 2)
         lengths = grid_dijkstra(grid, start, explored_only, cut_corners=False)
         if goal not in lengths:
@@ -272,7 +274,7 @@ def test_grid_walk_stretches_a_sight_path_by_at_most_the_octile_bound(seed):
     assert math.sqrt(4.0 - 2.0 * math.sqrt(2.0)) < GRID_STRETCH
     rng = random.Random(seed)
     grid = random_belief_grid(rng, rng.randint(4, 14), rng.randint(4, 14))
-    cells = list(grid.cells())
+    cells = list(grid_cells(grid))
     for pred in (explored_only, non_obstacle):
         passing = [c for c in cells if pred(grid.state(c))]
         for _ in range(4):
@@ -343,7 +345,7 @@ def test_distance_field_matches_dijkstra_after_growth():
                 if n not in seen and grid.state(n) is not CellState.OBSTACLE:
                     frontier.append(n)
         oracle = grid_dijkstra(grid, station, explored_only, cut_corners=True)
-        for cell in grid.cells():
+        for cell in grid_cells(grid):
             if grid.state(cell) is CellState.EXPLORED:
                 assert field.distance(cell) == pytest.approx(oracle[cell], abs=1e-9)
 
@@ -368,14 +370,14 @@ def test_distance_field_predicts_explored_only_misses(ops):
         elif grid.state(cell) is not CellState.OBSTACLE:
             grid.mark_traversed(cell)
             field.insert(cell)
-        explored = [c for c in grid.cells() if grid.state(c) is CellState.EXPLORED]
+        explored = [c for c in grid_cells(grid) if grid.state(c) is CellState.EXPLORED]
         inside = [c for c in explored if field.distance(c) < math.inf]
         outside = [c for c in explored if field.distance(c) == math.inf]
         starts = {grid.station, inside[raw % len(inside)]}
         if outside:
             starts.add(outside[raw % len(outside)])
         for start in starts:
-            for goal in grid.cells():
+            for goal in grid_cells(grid):
                 rule = field.explored_walk(start, goal) == math.inf
                 if start in outside:
                     assert not rule, (start, goal)  # the field cannot tell there
@@ -397,7 +399,7 @@ def test_explored_walk_is_exact_for_station_queries(seed):
     if obstacles:
         grid.apply_sensor_update(obstacles)
     share = rng.uniform(0.3, 1.0)
-    explored = [c for c in grid.cells() if c not in obstacles and c != station and rng.random() < share]
+    explored = [c for c in grid_cells(grid) if c not in obstacles and c != station and rng.random() < share]
     if rng.random() < 0.8:
         explored.append(station)
     rng.shuffle(explored)
@@ -409,7 +411,7 @@ def test_explored_walk_is_exact_for_station_queries(seed):
     component = grid_dijkstra(grid, station, explored_only) if station in explored else {}
     queries = [(start, station) for start in explored]
     if station in explored:
-        queries += [(station, goal) for goal in grid.cells()]
+        queries += [(station, goal) for goal in grid_cells(grid)]
     for start, goal in queries:
         walk = field.explored_walk(start, goal)
         if start not in component:  # also every query of an unexplored station
@@ -481,12 +483,12 @@ def test_visibility_cache_matches_pairwise_build(data):
 
     def query(pred):
         kind = data.draw(st.sampled_from(QUERY_KINDS), label="kind")
-        passing = [c for c in grid.cells() if pred(grid.state(c))]  # the station always passes
+        passing = [c for c in grid_cells(grid) if pred(grid.state(c))]  # the station always passes
         start = data.draw(st.sampled_from(passing), label="start")
         goal = data.draw(cells, label="goal")
-        failing = [c for c in grid.cells() if not pred(grid.state(c))]
+        failing = [c for c in grid_cells(grid) if not pred(grid.state(c))]
         if kind == "unexplored_goal":
-            pool = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
+            pool = [c for c in grid_cells(grid) if grid.state(c) is CellState.UNEXPLORED]
         elif kind == "vertex_goal":
             pool = obstacle_vertices(grid, pred)
         elif kind == "failing_goal":
@@ -522,7 +524,7 @@ def test_a_goal_is_only_ever_an_end():
     # and (5, 4), whose lines to the far vertex cross (3, 4)
     grid = CellGrid(7, 7, (0, 0))
     grid.apply_sensor_update([(3, 5)])
-    for c in grid.cells():
+    for c in grid_cells(grid):
         if c not in ((3, 5), (3, 4)):
             grid.mark_traversed(c)
     for pred, start, goal, pair in (
@@ -539,11 +541,25 @@ def test_a_goal_is_only_ever_an_end():
         assert graph_edges(graph) == pairwise_visibility(grid, start, goal, pred)[1]
 
 
-def core_contents(core):
-    """Nodes and edges of a core, as sets."""
+def core_contents(core, grid):
+    """Nodes, edges and live watches of a core, as sets.
+
+    A watch is live while both nodes of its pair are the ones its key names
+    and the watched cell is still unexplored; it is held as (watched cell,
+    node pair).
+    """
     edges = [(u, v, w) for u, adjacent in core.adjacency.items() for v, w in adjacent]
     assert len(edges) == len(set(edges)), "duplicate edge"
-    return {"nodes": set(core.adjacency), "edges": set(edges)}
+    watches = []
+    for j, keys in core.watch.items():
+        for key in keys:
+            s, t = divmod(key, _PAIR)
+            (a, u), (b, v) = core.nodes[s], core.nodes[t]
+            if core.serial.get(a) == s and core.serial.get(b) == t and grid.flat[j] == CellState.UNEXPLORED:
+                watches.append((grid.cell_at(j), tuple(sorted((u, v)))))
+    pairs = [pair for _, pair in watches]
+    assert len(pairs) == len(set(pairs)), "pair watched twice"
+    return {"nodes": set(core.adjacency), "edges": set(edges), "watches": set(watches)}
 
 
 @given(st.data())
@@ -572,7 +588,7 @@ def test_synced_core_equals_a_fresh_build(data):
                 pc, pr = data.draw(cells, label="pose")
                 span = [(c, r) for c in range(pc - 2, pc + 3) for r in range(pr - 2, pr + 3)]
             else:
-                span = list(grid.cells())
+                span = list(grid_cells(grid))
             free = [
                 c for c in span
                 if grid.in_bounds(c) and c != station and grid.state(c) is not CellState.EXPLORED
@@ -585,7 +601,7 @@ def test_synced_core_equals_a_fresh_build(data):
             # mostly a step of the vehicle: an unexplored neighbour of the last cell
             unexplored = [c for c in neighbors8(grid, last[0]) if grid.state(c) is CellState.UNEXPLORED]
             if not unexplored or data.draw(st.integers(0, 3), label="jump") == 0:
-                unexplored = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
+                unexplored = [c for c in grid_cells(grid) if grid.state(c) is CellState.UNEXPLORED]
             if unexplored:
                 last[0] = data.draw(st.sampled_from(unexplored), label="traversed")
                 grid.mark_traversed(last[0])
@@ -600,14 +616,15 @@ def test_synced_core_equals_a_fresh_build(data):
             assert core is cores[pred]
             fresh = copy.deepcopy(grid)
             fresh._vis_cores.clear()
-            assert core_contents(core) == core_contents(_Core(fresh, pred))
-            assert core_contents(core)["nodes"] == core_nodes(grid, pred)
+            contents = core_contents(core, grid)
+            assert contents == core_contents(_Core(fresh, pred), fresh)
+            assert contents["nodes"] == core_nodes(grid, pred)
 
 
-def test_core_watches_the_next_blocker_when_both_watched_cells_flip():
+def test_core_watches_the_next_blocker_when_the_watched_cell_flips():
     # (2, 1)-(6, 1) is blocked by three unexplored cells and watches the
-    # first two; both turn explored before one sync, so (5, 1) is its last
-    # blocker and must be watched, or the edge never appears
+    # first; it and the next turn explored before one sync, so (5, 1) is
+    # its last blocker and must be watched, or the edge never appears
     grid = CellGrid(9, 3, (0, 0))
     grid.apply_sensor_update([(1, 2), (7, 2)])
     grid.mark_traversed((2, 1))
@@ -615,9 +632,46 @@ def test_core_watches_the_next_blocker_when_both_watched_cells_flip():
     _cached_core(grid, explored_only)
     grid.mark_traversed((3, 1))
     grid.mark_traversed((4, 1))
-    _cached_core(grid, explored_only)  # one sync sees both watched cells flip
+    _cached_core(grid, explored_only)  # one sync sees both blockers flip
     grid.mark_traversed((5, 1))
     assert ((6, 1), 4.0) in _cached_core(grid, explored_only).adjacency[(2, 1)]
+
+
+def test_a_blocked_pair_watches_only_its_first_failing_cell(monkeypatch):
+    # the vertices (2, 1) and (6, 1) of the obstacles (1, 2) and (7, 2) are
+    # the only nodes; the cells between them fail under explored_only
+    def watched(grid, core):
+        s, t = sorted(core.serial[grid.index(c)] for c in ((2, 1), (6, 1)))
+        return [grid.cell_at(j) for j, keys in core.watch.items() for key in keys if key == s * _PAIR + t]
+
+    def pair_grid(blockers):
+        grid = CellGrid(9, 3, (0, 0))
+        grid.apply_sensor_update([(1, 2), (7, 2)] + blockers)
+        grid.mark_traversed((2, 1))
+        grid.mark_traversed((6, 1))
+        return grid
+
+    grid = pair_grid([])
+    core = _cached_core(grid, explored_only)
+    assert watched(grid, core) == [(3, 1)]
+    walks = []
+    classify = _Core._classify
+
+    def counted(self, *args):
+        walks.append(args)
+        classify(self, *args)
+
+    monkeypatch.setattr(_Core, "_classify", counted)
+    grid.mark_traversed((4, 1))  # a later failing cell of the pair
+    _cached_core(grid, explored_only)
+    assert walks == []
+    assert watched(grid, core) == [(3, 1)]
+
+    # an obstacle is the first failing cell: the pair is dead for good
+    grid = pair_grid([(3, 1)])
+    core = _cached_core(grid, explored_only)
+    assert (2, 1) in core.adjacency and (6, 1) in core.adjacency
+    assert watched(grid, core) == []
 
 
 def test_paths_between_other_cells_may_bend_at_the_station():
@@ -674,7 +728,7 @@ def test_flat_walks_match_tuple_references():
         for pred in (explored_only, non_obstacle):
             assert obstacle_vertices(grid, pred) == sorted(reference_obstacle_vertices(grid, pred))
             ok = _passability(grid, pred)
-            passing = {c for c in grid.cells() if pred(grid.state(c))}
+            passing = {c for c in grid_cells(grid) if pred(grid.state(c))}
             assert {grid.cell_at(i) for i, b in enumerate(ok) if b} == passing
 
 
@@ -722,8 +776,8 @@ def test_grid_astar_matches_dijkstra_with_unexplored_goal():
     found = missed = 0
     for _ in range(60):
         grid = random_belief_grid(rng, rng.randint(5, 16), rng.randint(5, 16))
-        explored = [c for c in grid.cells() if grid.state(c) is CellState.EXPLORED]
-        unexplored = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
+        explored = [c for c in grid_cells(grid) if grid.state(c) is CellState.EXPLORED]
+        unexplored = [c for c in grid_cells(grid) if grid.state(c) is CellState.UNEXPLORED]
         start = rng.choice(explored)
         goal = rng.choice(unexplored) if unexplored else rng.choice(explored)
         extra = frozenset((goal,))  # the references admit the goal explicitly
@@ -759,7 +813,7 @@ def test_grid_astar_answers_start_equals_goal_before_building_a_mask(monkeypatch
 
 def cells_by_state(grid):
     out = {s: [] for s in CellState}
-    for c in grid.cells():
+    for c in grid_cells(grid):
         out[grid.state(c)].append(c)
     return out
 
@@ -776,7 +830,7 @@ def test_grid_astar_matches_its_dict_form(seed):
     goals = [rng.choice(cells) for cells in by_state.values() if cells]
     goals += [(-1, rng.randrange(h)), (w, rng.randrange(h)), (rng.randrange(w), -1), (0, h), (w + 3, h)]
     for pred in (explored_only, non_obstacle):
-        starts = [c for c in grid.cells() if pred(grid.state(c))]
+        starts = [c for c in grid_cells(grid) if pred(grid.state(c))]
         for start in rng.sample(starts, min(3, len(starts))):
             for goal in goals + [start]:
                 got = grid_astar(grid, start, goal, pred)
@@ -797,7 +851,7 @@ def test_distance_field_matches_its_dict_form(seed):
     w, h = rng.randint(1, 12), rng.randint(1, 12)
     grid = CellGrid(w, h, (rng.randrange(w), rng.randrange(h)))
     field, ref = DistanceField(grid), DictDistanceField(grid)
-    order = list(grid.cells())
+    order = list(grid_cells(grid))
     rng.shuffle(order)
     obstacle_share = rng.uniform(0.0, 0.4)
     for cell in order[: rng.randint(1, len(order))]:
@@ -810,7 +864,7 @@ def test_distance_field_matches_its_dict_form(seed):
         assert [d.hex() for d in field._dist] == [d.hex() for d in ref._dist]
         for c in rng.sample(order, min(4, len(order))):
             assert field.neighbor_estimate(c).hex() == ref.neighbor_estimate(c).hex(), c
-    for c in grid.cells():
+    for c in grid_cells(grid):
         assert field.neighbor_estimate(c).hex() == ref.neighbor_estimate(c).hex(), c
 
 
@@ -833,7 +887,7 @@ def test_out_of_bounds_goal_has_no_path():
     w, h = 6, 4
     grid = CellGrid(w, h, (0, 0))
     grid.apply_sensor_update([(3, 2)])
-    for c in grid.cells():
+    for c in grid_cells(grid):
         if c not in ((3, 2), (1, 0)):
             grid.mark_traversed(c)
     start = (0, 0)
@@ -855,7 +909,7 @@ def test_bounded_searches_return_the_unbounded_path_when_it_fits(seed):
     # search finds nothing; the pruned graph only drops edges
     rng = random.Random(seed)
     grid = random_belief_grid(rng, rng.randint(1, 14), rng.randint(1, 14))
-    cells = list(grid.cells())
+    cells = list(grid_cells(grid))
     for pred in (explored_only, non_obstacle):
         starts = [c for c in cells if pred(grid.state(c))]
         for start in rng.sample(starts, min(3, len(starts))):

@@ -13,6 +13,7 @@ from helpers import (
     block_potential,
     default_level_count,
     dict_next_waypoint,
+    grid_cells,
     neighbors8,
     reachable_cells,
     reference_coarse_select,
@@ -34,7 +35,7 @@ def explore_all_but(grid, keep_unexplored, obstacles=()):
         grid.apply_sensor_update(set(obstacles))
         for c in obstacles:
             h.on_state_change(c, CellState.UNEXPLORED, CellState.OBSTACLE)
-    for cell in grid.cells():
+    for cell in grid_cells(grid):
         if cell in keep_unexplored or grid.state(cell) is not CellState.UNEXPLORED:
             continue
         grid.mark_traversed(cell)
@@ -77,7 +78,7 @@ def test_escape_to_distant_cell():
     current = (5, 5)
     wp = next_waypoint(grid, h, current)
     # oracle: exhaustive scan for the nearest unexplored cell
-    candidates = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
+    candidates = [c for c in grid_cells(grid) if grid.state(c) is CellState.UNEXPLORED]
     assert candidates == [(20, 7)]
     assert wp == (20, 7)
     assert chebyshev(wp, current) != 1  # the coarse step chose it
@@ -152,7 +153,7 @@ def test_current_on_obstacle_rejected():
 def random_belief(rng, w, h):
     grid = CellGrid(w, h, (0, 0))
     hier = MapsHierarchy(grid)
-    for cell in list(grid.cells()):
+    for cell in list(grid_cells(grid)):
         r = rng.random()
         if r < 0.2 and cell != grid.station:
             grid.apply_sensor_update({cell})
@@ -189,7 +190,7 @@ def test_next_waypoint_matches_its_dict_form(seed):
     # from random cells, border cells included, with random excluded sets
     rng = random.Random(seed)
     grid, h = random_belief(rng, rng.randint(1, 12), rng.randint(1, 12))
-    cells = list(grid.cells())
+    cells = list(grid_cells(grid))
     for current in rng.sample(cells, min(6, len(cells))):
         share = rng.choice((0.0, 0.3, 0.7))
         excluded = {c for c in cells if rng.random() < share}
@@ -225,7 +226,7 @@ def test_one_coarse_level_matches_the_k_level_reference():
         hier = MapsHierarchy(grid)
         obstacle_share = rng.uniform(0.0, 0.4)
         explored_share = rng.uniform(0.0, 1.0)
-        for cell in grid.cells():
+        for cell in grid_cells(grid):
             r = rng.random()
             if r < obstacle_share and cell != station:
                 grid.apply_sensor_update([cell])
@@ -233,9 +234,9 @@ def test_one_coarse_level_matches_the_k_level_reference():
             elif r < obstacle_share + explored_share * (1 - obstacle_share):
                 grid.mark_traversed(cell)
                 hier.on_state_change(cell, CellState.UNEXPLORED, CellState.EXPLORED)
-        free = [c for c in grid.cells() if grid.state(c) is not CellState.OBSTACLE]
+        free = [c for c in grid_cells(grid) if grid.state(c) is not CellState.OBSTACLE]
         origin = rng.choice(free)
-        unexplored = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
+        unexplored = [c for c in grid_cells(grid) if grid.state(c) is CellState.UNEXPLORED]
         excluded = set(rng.sample(unexplored, rng.randint(0, len(unexplored))))
         if rng.random() < 0.5:  # force the coarse selection from the origin
             excluded |= set(neighbors8(grid, origin))
@@ -267,7 +268,7 @@ def test_coarse_selection_scans_only_the_block_it_answers_from(monkeypatch):
     answered = 0
     for _ in range(200):
         grid, h = random_belief(rng, rng.randint(4, 16), rng.randint(4, 16))
-        unexplored = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
+        unexplored = [c for c in grid_cells(grid) if grid.state(c) is CellState.UNEXPLORED]
         share = rng.choice((0.8, 0.95, 1.0))
         excluded = frozenset(rng.sample(unexplored, int(share * len(unexplored))))
         scans = 0
@@ -284,9 +285,9 @@ def test_restart_candidates_match_repeated_selections():
     drawn = 0
     for _ in range(300):
         grid, h = random_belief(rng, rng.randint(1, 14), rng.randint(1, 14))
-        unexplored = [c for c in grid.cells() if grid.state(c) is CellState.UNEXPLORED]
+        unexplored = [c for c in grid_cells(grid) if grid.state(c) is CellState.UNEXPLORED]
         excluded = set(rng.sample(unexplored, rng.randint(0, len(unexplored))))
-        origin = rng.choice([c for c in grid.cells() if grid.state(c) is not CellState.OBSTACLE])
+        origin = rng.choice([c for c in grid_cells(grid) if grid.state(c) is not CellState.OBSTACLE])
         stream = list(restart_candidates(grid, h, origin, frozenset(excluded)))
         assert set(stream) == reachable_cells(grid) - excluded
         repeated = []
