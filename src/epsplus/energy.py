@@ -62,4 +62,6 @@ class EnergyState:
         """True while the budget covers the next step plus the retreat after it."""
         if step_cost < 0 or retreat_cost_from_waypoint < 0:
             raise ValueError("costs must be non-negative")
-        return self.remaining >= step_cost + retreat_cost_from_waypoint
+        # not remaining >= step + retreat: at large magnitudes the sum can
+        # round the retreat cost away
+        return self.remaining - step_cost >= retreat_cost_from_waypoint

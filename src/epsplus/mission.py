@@ -429,10 +429,7 @@ class Mission:
         first, and grid A* runs unless its walk is known to lose: a
         sight-line path shorter than the walk by more than the margin is the
         answer, a walk longer than the limit by more than the margin cannot
-        fit, and anything inside the margin gets the exact comparison. A
-        sight-line path that was found caps grid A* at its length, widened
-        by the same margin: a longer walk cannot win, and one of equal
-        length still reaches the ``(length, cells)`` comparison.
+        fit, and anything inside the margin gets the exact comparison.
         """
         walk = self.dfield.explored_walk(start, goal) if traversable is explored_only else None
         if walk == math.inf:
@@ -444,9 +441,6 @@ class Mission:
             walk * (1.0 - 1e-9) > limit or (sight is not None and sight.length < walk * (1.0 - 1e-9))
         ):
             return sight
-        if sight is not None:
-            # a longer walk loses the comparison below; one of equal length may win on cells
-            bound = min(bound, sight.length * (1.0 + 1e-9))
         found = grid_astar(self.grid, start, goal, traversable, bound)
         fits = [p for p in (sight, found) if p is not None]
         return min(fits, key=lambda p: (p.length, p.cells), default=None)
@@ -457,10 +451,8 @@ class Mission:
             raise PlanningError(f"no retreat path from {from_cell}")
         return plan
 
-    def _plan_advance(
-        self, start: Cell, target: Cell, limit: float
-    ) -> tuple[PathResult | None, StatePredicate]:
-        """Plan over explored cells, else also over unexplored ones; returns the predicate used.
+    def _plan_advance(self, start: Cell, target: Cell, limit: float) -> PathResult | None:
+        """Plan over explored cells, else also over unexplored ones.
 
         Returns None when the plan is longer than ``limit``. The start lies
         in the station's explored component. Only a target with no explored
@@ -469,14 +461,11 @@ class Mission:
         is too long, and then None is the answer, as the unbounded plan
         would be.
         """
-        plan = self._shortest(start, target, explored_only, limit)
-        if plan is not None or self.dfield.explored_walk(start, target) != math.inf:
-            return plan, explored_only
-        return self._shortest(start, target, non_obstacle, limit), non_obstacle
+        if self.dfield.explored_walk(start, target) == math.inf:
+            return self._shortest(start, target, non_obstacle, limit)
+        return self._shortest(start, target, explored_only, limit)
 
-    def _plan_candidate(
-        self, target: Cell, walk: float, longest: float
-    ) -> tuple[PathResult | None, StatePredicate]:
+    def _plan_candidate(self, target: Cell, walk: float, longest: float) -> PathResult | None:
         """Plan an advance from the station to a restart candidate, bounded by the budget.
 
         ``walk`` is the field's explored walk from the station to the
@@ -486,7 +475,7 @@ class Mission:
         exists (the candidate is reachable), and None means it is longer
         than ``longest`` times ``GRID_STRETCH``: its floor fails the budget.
         Returns the plan as an unbounded ``_plan_advance`` would, when it
-        fits, and the predicate used.
+        fits.
 
         A ``non_obstacle`` plan from the station reads only obstacle cells
         (see ``pathfind``), and ``longest`` is fixed per mission, so while
@@ -495,14 +484,14 @@ class Mission:
         """
         station = self.grid.station
         if walk < math.inf:
-            return self._shortest(station, target, explored_only, longest), explored_only
+            return self._shortest(station, target, explored_only, longest)
         made = self._station_plans.get(target)
         if made is not None and made[0] == self._obstacles:
-            return made[1], non_obstacle
+            return made[1]
         limit = longest * GRID_STRETCH * (1.0 + 1e-9)
         plan = self._shortest(station, target, non_obstacle, limit)
         self._station_plans[target] = (self._obstacles, plan)
-        return plan, non_obstacle
+        return plan
 
     def _route_for(self, target: Cell) -> list[Cell]:
         """Cell route from the vehicle to the waypoint (adjacent or planned chain)."""
@@ -605,12 +594,13 @@ class Mission:
             if walk < math.inf and unaffordable(walk / GRID_STRETCH):
                 # an explored-only plan exists and is no shorter than this floor
                 continue
-            plan, used = self._plan_candidate(target, walk, longest)
+            plan = self._plan_candidate(target, walk, longest)
             if plan is None or unaffordable(plan.length):
-                # a non_obstacle plan from the station, divided by GRID_STRETCH,
-                # is a floor on every later plan to this target; no plan within
-                # the limit puts that floor past the budget too
-                if used is non_obstacle and (plan is None or unaffordable(plan.length / GRID_STRETCH)):
+                # a non_obstacle plan from the station (no explored walk),
+                # divided by GRID_STRETCH, is a floor on every later plan to
+                # this target; no plan within the limit puts that floor past
+                # the budget too
+                if walk == math.inf and (plan is None or unaffordable(plan.length / GRID_STRETCH)):
                     self._out_of_reach.add(target)
                 continue
             self._start_trajectory()
@@ -644,7 +634,7 @@ class Mission:
             # than its rounding
             d = self.dfield.distance(self.pos)
             limit = (energy.remaining * (1.0 + 1e-9) / travel - d) / 2.0
-            new_plan, _ = self._plan_advance(self.pos, target, limit)
+            new_plan = self._plan_advance(self.pos, target, limit)
             if new_plan is None:
                 return False
             if not energy.can_continue(

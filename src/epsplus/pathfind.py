@@ -70,11 +70,6 @@ no obstacle, so the synced core is left as it was; both planners then
 return the same path for the same endpoints and limit until a cell is next
 marked obstacle.
 
-``Mission._shortest`` runs both planners. Once the sight-line search has
-found a path, grid A* is bounded by that path's length widened by the
-rounding margin: a longer walk loses the ``(length, cells)`` comparison,
-and a walk of equal length is still returned to take part in it.
-
 Grid walks (obstacle vertices, grid A*, the distance field) index the
 grid's bordered flat state bytes and compare them to plain ints; a
 passability mask is one translation. Sight lines are checked on such a mask
@@ -112,53 +107,42 @@ def supercover_line(a: Cell, b: Cell) -> list[Cell]:
     """All cells touched by the segment between the centers of a and b, in order.
 
     When the segment passes exactly through a lattice corner, both cells
-    flanking the corner are included.
+    flanking the corner are included: first the one a step along the longer
+    axis from the cell before the corner, then the one a step along the
+    shorter axis. The walk takes one step along the longer axis (x on a
+    tie) per turn, plus one along the shorter axis whenever the error term
+    crosses a cell edge.
     """
     x, y = a
-    x1, y1 = b
-    cells = [(x, y)]
-    dx = x1 - x
-    dy = y1 - y
+    dx = b[0] - x
+    dy = b[1] - y
     sx = 1 if dx > 0 else -1
     sy = 1 if dy > 0 else -1
     dx = abs(dx)
     dy = abs(dy)
-    ddx = 2 * dx
-    ddy = 2 * dy
-    if ddx >= ddy:
-        errorprev = error = dx
-        for _ in range(dx):
-            x += sx
-            error += ddy
-            if error > ddx:
-                y += sy
-                error -= ddx
-                if error + errorprev < ddx:
-                    cells.append((x, y - sy))
-                elif error + errorprev > ddx:
-                    cells.append((x - sx, y))
-                else:
-                    cells.append((x, y - sy))
-                    cells.append((x - sx, y))
-            cells.append((x, y))
-            errorprev = error
+    if dx >= dy:  # (mx, my) steps along the longer axis, (nx, ny) along the shorter
+        n, m, mx, my, nx, ny = dx, dy, sx, 0, 0, sy
     else:
-        errorprev = error = dy
-        for _ in range(dy):
-            y += sy
-            error += ddx
-            if error > ddy:
-                x += sx
-                error -= ddy
-                if error + errorprev < ddy:
-                    cells.append((x - sx, y))
-                elif error + errorprev > ddy:
-                    cells.append((x, y - sy))
-                else:
-                    cells.append((x - sx, y))
-                    cells.append((x, y - sy))
-            cells.append((x, y))
-            errorprev = error
+        n, m, mx, my, nx, ny = dy, dx, 0, sy, sx, 0
+    cells = [(x, y)]
+    ddn = 2 * n
+    ddm = 2 * m
+    errorprev = error = n
+    for _ in range(n):
+        x += mx
+        y += my
+        error += ddm
+        if error > ddn:
+            x += nx
+            y += ny
+            error -= ddn
+            corner = error + errorprev  # == ddn: the segment crosses the lattice corner itself
+            if corner <= ddn:
+                cells.append((x - nx, y - ny))
+            if corner >= ddn:
+                cells.append((x - mx, y - my))
+        cells.append((x, y))
+        errorprev = error
     return cells
 
 
@@ -293,16 +277,17 @@ class _Core:
     - walks the lines of each new node to the others.
 
     Every line is tested one way: its ``supercover_line`` offsets are
-    walked over ``ok`` up to its first failing cell. Where cells only start
-    passing, a blocked pair watches that cell if it is still unexplored
-    (``watch``, a list of pair keys per flat index) and is dead for good
-    otherwise, since explored and obstacle cells never change again. The
-    cells before it pass for good, so the pair can become an edge only when
-    that cell flips, and the flip walks the pair again from the start: a
-    live pair sits in at most one watch list. Where cells only start
-    failing, a blocked pair is dead for good, and a sync walks again the
-    edges whose bounding box meets the box of the new failing cells,
-    cutting each at its first failing cell.
+    walked over ``ok`` from its lower endpoint up to its first failing
+    cell. ``_classify`` takes a pair's two nodes in either order and
+    orients the walk itself. Where cells only start passing, a blocked pair
+    watches that cell if it is still unexplored (``watch``, a list of pair
+    keys per flat index) and is dead for good otherwise, since explored and
+    obstacle cells never change again. The cells before it pass for good,
+    so the pair can become an edge only when that cell flips, and the flip
+    walks the pair again from the start: a live pair sits in at most one
+    watch list. Where cells only start failing, a blocked pair is dead for
+    good, and a sync walks again the edges whose bounding box meets the box
+    of the new failing cells, cutting each at its first failing cell.
 
     Each node takes a new serial when it appears (``nodes`` maps serials
     to flat indices and cells), and a pair's key is made of its serials, so
@@ -386,10 +371,7 @@ class _Core:
                 (a, ca), (b, cb) = nodes[s], nodes[t]
                 if serial.get(a) != s or serial.get(b) != t:
                     continue  # a node of the pair has gone since
-                if a < b:
-                    classify(grid, key, a, ca, cb)
-                else:
-                    classify(grid, key, b, cb, ca)
+                classify(grid, key, a, ca, b, cb)
 
     def _cut(self, grid: CellGrid, flips: list[int]) -> None:
         """Remove the edges that a cell which started failing lies on.
@@ -432,23 +414,23 @@ class _Core:
             nodes.append((i, u))
             self.adjacency[u] = []
             for j, v, t in others:
-                if j < i:
-                    classify(grid, t * _PAIR + s, j, v, u)
-                else:
-                    classify(grid, t * _PAIR + s, i, u, v)
+                classify(grid, t * _PAIR + s, i, u, j, v)
             others.append((i, u, s))
 
-    def _classify(self, grid: CellGrid, key: int, lo: int, u: Cell, v: Cell) -> None:
-        """Walk the line between cells ``u < v`` (``lo`` is u's flat index) and file the pair.
+    def _classify(self, grid: CellGrid, key: int, i: int, u: Cell, j: int, v: Cell) -> None:
+        """Walk the line between nodes u and v (at flat indices i and j) and file the pair.
 
-        The walk stops at the line's first failing cell. No failing cell
-        makes an edge; where cells only start passing, the pair watches
-        that cell if it is still unexplored, and is dead for good otherwise.
+        The line is walked from its lower endpoint, as every line is. The
+        walk stops at the line's first failing cell. No failing cell makes
+        an edge; where cells only start passing, the pair watches that cell
+        if it is still unexplored, and is dead for good otherwise.
         """
+        if j < i:
+            i, u, v = j, v, u
         ok = self.ok
         for o in _line_offsets(grid.stride, v[0] - u[0], v[1] - u[1]):
-            if not ok[lo + o]:
-                j = lo + o
+            if not ok[i + o]:
+                j = i + o
                 if self.gains and grid.flat[j] == _UNEXPLORED:  # explored and obstacle cells never change again
                     self.watch.setdefault(j, []).append(key)
                 return

@@ -176,6 +176,60 @@ def supercover_oracle(a, b):
     return cells
 
 
+def reference_supercover_line(a, b):
+    """``supercover_line`` as two mirrored branches, one per major axis.
+
+    Cells come in the library's order, including the two cells at a lattice
+    corner, which a set comparison with ``supercover_oracle`` cannot check.
+    """
+    x, y = a
+    x1, y1 = b
+    cells = [(x, y)]
+    dx = x1 - x
+    dy = y1 - y
+    sx = 1 if dx > 0 else -1
+    sy = 1 if dy > 0 else -1
+    dx = abs(dx)
+    dy = abs(dy)
+    ddx = 2 * dx
+    ddy = 2 * dy
+    if ddx >= ddy:
+        errorprev = error = dx
+        for _ in range(dx):
+            x += sx
+            error += ddy
+            if error > ddx:
+                y += sy
+                error -= ddx
+                if error + errorprev < ddx:
+                    cells.append((x, y - sy))
+                elif error + errorprev > ddx:
+                    cells.append((x - sx, y))
+                else:
+                    cells.append((x, y - sy))
+                    cells.append((x - sx, y))
+            cells.append((x, y))
+            errorprev = error
+    else:
+        errorprev = error = dy
+        for _ in range(dy):
+            y += sy
+            error += ddx
+            if error > ddy:
+                x += sx
+                error -= ddy
+                if error + errorprev < ddy:
+                    cells.append((x - sx, y))
+                elif error + errorprev > ddy:
+                    cells.append((x, y - sy))
+                else:
+                    cells.append((x - sx, y))
+                    cells.append((x, y - sy))
+            cells.append((x, y))
+            errorprev = error
+    return cells
+
+
 def dijkstra_on_graph(graph, start, goal):
     """Plain Dijkstra over a VisibilityGraph; returns the path length or None."""
     dist = {start: 0.0}

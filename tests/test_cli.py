@@ -55,6 +55,17 @@ def test_run_sealed_room_exit_2(tmp_path):
     assert "uncoverable_cells: 2" in (tmp_path / "out" / "report.txt").read_text()
 
 
+def test_run_huge_costs_keep_the_retreat_exit_2(tmp_path):
+    # one coverage step costs the whole charge; the energy gate must still
+    # count the 1.0 units of the retreat after it, not round them away
+    map_path = write(tmp_path, "m.txt", "C....\n.#...\n.....\n")
+    cfg_path = write(tmp_path, "cfg.txt", "capacity_e0 = 1e17\ncoverage_rate = 1e17\ntravel_rate = 1\n")
+    rc = main(["run", map_path, "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert "covered_cells: 1\n" in report and "uncoverable_cells: 13\n" in report
+
+
 def test_run_map_without_station_exit_1(tmp_path, capsys):
     map_path = write(tmp_path, "m.txt", "....\n....\n")
     rc = main(["run", map_path, "--out", str(tmp_path / "out")])

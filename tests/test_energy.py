@@ -49,6 +49,13 @@ def test_can_continue_examples():
     assert e.can_continue(1.0, 2.5)  # boundary: >= not >
 
 
+def test_can_continue_keeps_a_retreat_the_sum_would_round_away():
+    # 1e17 + 1.0 == 1e17: comparing against the sum would admit a step that
+    # leaves nothing for the retreat
+    e = EnergyState(capacity=1e17, travel_rate=1.0, coverage_rate=1e17)
+    assert not e.can_continue(1e17, 1.0)
+
+
 def test_can_continue_after_recharge():
     e = EnergyState(capacity=20.0)
     e.remaining = 0.0

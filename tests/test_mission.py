@@ -438,6 +438,11 @@ def tight_budget_maps():
         yield gt, cfg, dist
 
 
+def advance_predicate(walk):
+    """The predicate of an advance plan, from the field's walk: ``non_obstacle`` exactly when none exists."""
+    return non_obstacle if walk == math.inf else explored_only
+
+
 def unaffordable(energy, length):
     """Whether no charge pays for an advance of this length, the way back and one coverage step."""
     return energy.capacity < 2.0 * energy.travel_rate * length + energy.coverage_rate * math.sqrt(2.0)
@@ -484,7 +489,7 @@ class FloorChecked(Mission):
         self._planning = False
         self._unplanned = None  # the last candidate asked for its walk floor, until planned
         super().__init__(gt, config)
-        explored_walk = self.dfield.explored_walk
+        self.explored_walk = explored_walk = self.dfield.explored_walk
 
         def checked(start, goal):
             # outside a plan, walks from the station are asked for only by the
@@ -496,6 +501,10 @@ class FloorChecked(Mission):
 
         self.dfield.explored_walk = checked
 
+    def used(self, start, target):
+        # the unwrapped walk, so deriving a predicate is not taken for a walk-floor query
+        return advance_predicate(self.explored_walk(start, target))
+
     def check_walk_floor(self):
         """Plans the last candidate if the walk floor rejected it; the plan must fail too.
 
@@ -504,7 +513,8 @@ class FloorChecked(Mission):
         """
         target, self._unplanned = self._unplanned, None
         if target is not None:
-            plan, used = self._plan_advance(self.grid.station, target, math.inf)
+            plan = self._plan_advance(self.grid.station, target, math.inf)
+            used = self.used(self.grid.station, target)
             assert used is explored_only and unaffordable(self.energy, plan.length), target
             self.walk_floored += 1
 
@@ -513,10 +523,10 @@ class FloorChecked(Mission):
             self._unplanned = None
         planning, self._planning = self._planning, True
         try:
-            plan, used = super()._plan_advance(start, target, limit)
+            plan = super()._plan_advance(start, target, limit)
             if limit < math.inf:
-                self.check_replan(start, target, plan, used)
-            return plan, used
+                self.check_replan(start, target, plan, self.used(start, target))
+            return plan
         finally:
             self._planning = planning
 
@@ -544,15 +554,17 @@ class FloorChecked(Mission):
             self._unplanned = None
         planning, self._planning = self._planning, True
         try:
-            plan, used = super()._plan_candidate(target, walk, longest)
+            plan = super()._plan_candidate(target, walk, longest)
+            used = self.used(self.grid.station, target)
             if plan is None:
                 # the unbounded plan must be rejected too, and a non_obstacle
                 # one must put the target out of reach
-                full, full_used = self._plan_advance(self.grid.station, target, math.inf)
+                full = self._plan_advance(self.grid.station, target, math.inf)
+                full_used = self.used(self.grid.station, target)
                 assert full_used is used and unaffordable(self.energy, full.length), target
                 assert used is explored_only or unaffordable(self.energy, full.length / GRID_STRETCH), target
                 self.bound_rejected += 1
-            return plan, used
+            return plan
         finally:
             self._planning = planning
 
@@ -566,7 +578,7 @@ class FloorChecked(Mission):
         stamp = tuple(grid.counts().values())  # plans change only with the cell states
         for target in self._floored:
             if target in selectable and (target, stamp) not in self.rejected:
-                plan, _ = self._plan_advance(grid.station, target, math.inf)
+                plan = self._plan_advance(grid.station, target, math.inf)
                 assert unaffordable(self.energy, plan.length), (target, plan.length)
                 self.rejected.add((target, stamp))
         return self._floored
@@ -658,13 +670,18 @@ class MemoChecked(Mission):
         self.searches += 1
         return super()._shortest(start, goal, traversable, limit)
 
+    def used(self, target):
+        return advance_predicate(self.dfield.explored_walk(self.grid.station, target))
+
     def _plan_candidate(self, target, walk, longest):
         before = self.searches
-        plan, used = super()._plan_candidate(target, walk, longest)
+        plan = super()._plan_candidate(target, walk, longest)
+        used = self.used(target)
         if used is non_obstacle and self.searches == before:
             memo, self._station_plans = self._station_plans, {}
             try:
-                fresh, fresh_used = super()._plan_candidate(target, walk, longest)
+                fresh = super()._plan_candidate(target, walk, longest)
+                fresh_used = self.used(target)
             finally:
                 self._station_plans = memo
             assert fresh_used is used, target
@@ -672,7 +689,7 @@ class MemoChecked(Mission):
             if plan is not None:
                 assert (plan.cells, plan.length) == (fresh.cells, fresh.length), target
             self.hits += 1
-        return plan, used
+        return plan
 
 
 def test_station_plan_memo_returns_what_a_fresh_plan_returns():

@@ -2,6 +2,7 @@ import copy
 import heapq
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +38,7 @@ from helpers import (
     neighbors8,
     random_belief_grid,
     random_rect_obstacles,
+    reference_supercover_line,
     supercover_oracle,
 )
 
@@ -61,10 +63,20 @@ def test_supercover_matches_rational_oracle(ax, ay, bx, by):
     got = supercover_line((ax, ay), (bx, by))
     expected = supercover_oracle((ax, ay), (bx, by))
     assert set(got) == set(expected)
+    assert got == reference_supercover_line((ax, ay), (bx, by))
     assert got[0] == (ax, ay) and got[-1] == (bx, by)
     # consecutive cells stay 8-connected so the walk is executable
     for u, v in zip(got, got[1:]):
         assert max(abs(u[0] - v[0]), abs(u[1] - v[1])) == 1
+
+
+def test_supercover_order_matches_the_two_branch_reference():
+    # the order, corner pairs included, decides which failing cell a core
+    # pair watches and the order in which a polyline's cells are walked
+    span = range(-6, 7)
+    for a in product(span, span):
+        for b in product(span, span):
+            assert supercover_line(a, b) == reference_supercover_line(a, b), (a, b)
 
 
 def test_line_offsets_map_back_to_supercover_lines():
