@@ -49,12 +49,13 @@ class EnergyState:
         if distance < 0:
             raise ValueError(f"negative distance {distance}")
         cost = distance * self.rate_for(kind)
-        if cost > self.remaining + _DUST:
+        dust = _DUST * self.capacity  # rounding slack, in proportion to a charge
+        if cost > self.remaining + dust:
             raise EnergyExhaustedError(
                 f"needed {cost} units for {kind.value}, only {self.remaining} left"
             )
         self.remaining -= cost
-        if -_DUST < self.remaining < 0.0:
+        if -dust < self.remaining < 0.0:
             self.remaining = 0.0
         return cost
 

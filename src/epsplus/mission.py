@@ -315,7 +315,7 @@ class Mission:
     def _close_trajectory(self) -> None:
         traj = Trajectory(len(self.trajectories) + 1, self._segments)
         assert traj.first_cell == self.grid.station and traj.last_cell == self.grid.station
-        assert traj.energy <= self.energy.capacity + 1e-9
+        assert traj.energy <= self.energy.capacity * (1.0 + 1e-9)
         assert self.grid.counts()[CellState.UNEXPLORED] < self._traj_start_unexplored
         self.trajectories.append(traj)
         self._segments = []

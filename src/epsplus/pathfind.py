@@ -10,8 +10,8 @@ distant coverage waypoint may also cross unexplored (non-obstacle) cells.
 Line of sight between two cell centers uses a supercover traversal, and a
 segment passing exactly through a lattice corner counts both flanking
 cells, so squeezing between two diagonally adjacent blocked cells is not a
-valid sight line. One rule holds for every sight line: each cell it touches
-passes the predicate, except the line's own two ends.
+valid sight line. One rule holds for every sight line: every cell strictly
+between its ends passes the predicate; the ends themselves are not tested.
 
 Both shortest-path planners, visibility-graph A* and grid A*, take the same
 inputs: the start must pass the predicate (else ``ValueError``), and the
@@ -45,20 +45,20 @@ the same order and returns the same cells with a bit-equal length.
 Visibility graphs are assembled per query from a cached core. Its nodes
 are the cells that pass the predicate and are obstacle vertices or the
 station, the hub of every retreat and advance; it holds the sight-line
-edges among them. Both ends of such a line pass, so under the rule above
-it is an edge exactly when every cell it touches passes, whatever the
-query: a goal is never crossed, so it adds no edge among core nodes. The
-belief grid holds at most one core per predicate, keyed by its truth table
-over the cell states. A core is built from empty once and then kept in
-sync with the grid: the grid logs every changed cell
+edges among them: the pairs with every cell strictly between them passing.
+No query changes them: a failing goal is a failing cell of the grid, which
+no core edge crosses, and it can block only a line it lies strictly inside.
+The belief grid holds at most one core per predicate, keyed by its truth
+table over the cell states. A core is built from empty once and then kept
+in sync with the grid: the grid logs every changed cell
 (``CellGrid.changes``), and a sync reads only the cells logged since the
 last one, re-testing node status around them and walking again only the
 lines that a changed cell can affect (``_Core``). A query then adds only
 the start and goal edges, and walks no line from an endpoint that is a
-core node. Cores and queries test a line the same way, walking its
-supercover offsets (below) up to the first cell that breaks the rule
-above. Where cells only start passing, a blocked core pair watches that
-one cell; where cells only start failing, a sync walks again only the
+core node. Cores and queries test a line the same way, walking the
+offsets of the cells strictly between its ends (below) up to the first
+failing one. Where cells only start passing, a blocked core pair watches
+that one cell; where cells only start failing, a sync walks again only the
 edges whose bounding box meets the box of the sync's new failing cells.
 
 Under ``non_obstacle`` every input of a query but its endpoints depends on
@@ -74,11 +74,12 @@ Grid walks (obstacle vertices, grid A*, the distance field) index the
 grid's bordered flat state bytes and compare them to plain ints; a
 passability mask is one translation. Sight lines are checked on such a mask
 too: a supercover line is translation-invariant, so each cell delta maps to
-one list of flat offsets, which depends only on the delta and the grid's
-stride. One bounded table per process holds them, so missions on grids of
-the same height share it. A sight line touches the same cells in both
-directions, so lines are walked from their lower endpoint and one offset
-list serves both.
+one list of flat offsets of the cells strictly between its ends, which
+depends only on the delta and the grid's stride. One table per process, an
+``lru_cache`` of 5,000 lines, holds them, so missions on grids of the same
+height share it. A sight line touches the same cells in both directions,
+so lines are walked from their lower endpoint and one offset list serves
+both.
 """
 
 from __future__ import annotations
@@ -146,38 +147,23 @@ def supercover_line(a: Cell, b: Cell) -> list[Cell]:
     return cells
 
 
-# sight-line offsets per (stride, dc, dr), one table for every grid in the
-# process: more than the 4,901 cell deltas a line of a 50 x 50 grid can have
-# (walked from its lower endpoint, so columns only grow), and than the 3,218
-# lines the twelve tight-budget maps walk together, so the bundled and
-# tight-budget maps never reach it; on larger grids a full table drops its
-# longer half, keeping the short deltas that most lines reuse
-_SIGHT_LINES_CAP = 5000
-_sight_lines: dict[tuple[int, int, int], array] = {}
-
-
+@lru_cache(maxsize=5000)
 def _line_offsets(stride: int, dc: int, dr: int) -> array:
-    """Flat-index offsets of ``supercover_line((0, 0), (dc, dr))``, in order.
+    """Flat-index offsets of ``supercover_line((0, 0), (dc, dr))[1:-1]``, in order.
 
-    A supercover line is translation-invariant and ``grid.flat`` is
-    column-major, so cell ``(c, r)`` of the line lies ``c * stride + r``
-    bytes from its first cell. The offsets depend only on the delta and the
-    stride, so one table serves every grid; it holds compact arrays (a memo
-    of tuples of ints costs several times the memory), at most
-    ``_SIGHT_LINES_CAP`` of them; a full table evicts its longer half (by
-    offset count). Entries are never modified, so sharing them cannot
-    change a result.
+    These are the cells strictly between the line's ends. A supercover
+    line is translation-invariant and ``grid.flat`` is column-major, so
+    cell ``(c, r)`` of the line lies ``c * stride + r`` bytes from its
+    first cell. The offsets depend only on the delta and the
+    stride, so one table serves every grid in the process: an LRU cache of
+    5,000 lines, more than the 4,901 deltas a line of a 50 x 50 grid can
+    have (walked from its lower endpoint, so columns only grow) and than the
+    3,218 lines the twelve tight-budget maps walk together. It holds compact
+    arrays, since a memo of tuples of ints costs several times the memory.
+    Entries are never modified, so sharing them cannot change a result.
     """
-    key = (stride, dc, dr)
-    offsets = _sight_lines.get(key)
-    if offsets is None:
-        if len(_sight_lines) >= _SIGHT_LINES_CAP:
-            by_length = sorted(_sight_lines, key=lambda k: len(_sight_lines[k]))
-            for k in by_length[_SIGHT_LINES_CAP // 2 :]:
-                del _sight_lines[k]
-        cells = supercover_line((0, 0), (dc, dr))
-        offsets = _sight_lines[key] = array("i", [c * stride + r for c, r in cells])
-    return offsets
+    cells = supercover_line((0, 0), (dc, dr))[1:-1]
+    return array("i", [c * stride + r for c, r in cells])
 
 
 # a bounded search keeps the states whose f = g + h is within the limit by
@@ -258,9 +244,9 @@ class _Core:
 
     The core's nodes are the cells that pass the predicate and are obstacle
     vertices or the station. ``adjacency`` holds the sight-line edges among
-    them, the pairs whose line touches only passing cells: a node passes,
-    so the ends of a line exempt nothing here (see the module docstring).
-    Every weight is ``math.dist(u, v)`` with ``u < v``.
+    them, the pairs with every cell strictly between them passing (the
+    module docstring's one rule). Every weight is ``math.dist(u, v)`` with
+    ``u < v``.
 
     A core is kept in sync with the grid by :meth:`sync`, which reads only
     the cells in ``grid.changes`` past ``read``; building one is a sync
@@ -276,10 +262,10 @@ class _Core:
     - re-files an old pair only when a cell it depends on flipped (below);
     - walks the lines of each new node to the others.
 
-    Every line is tested one way: its ``supercover_line`` offsets are
-    walked over ``ok`` from its lower endpoint up to its first failing
-    cell. ``_classify`` takes a pair's two nodes in either order and
-    orients the walk itself. Where cells only start passing, a blocked pair
+    Every line is tested one way: the offsets of the cells strictly
+    between its ends are walked over ``ok`` from its lower endpoint up to
+    the first failing one. ``_classify`` takes a pair's two nodes in either
+    order and orients the walk itself. Where cells only start passing, a blocked pair
     watches that cell if it is still unexplored (``watch``, a list of pair
     keys per flat index) and is dead for good otherwise, since explored and
     obstacle cells never change again. The cells before it pass for good,
@@ -377,10 +363,12 @@ class _Core:
         """Remove the edges that a cell which started failing lies on.
 
         A line touches only cells inside its endpoints' bounding box, so an
-        edge whose box misses the box of the new failing cells is skipped;
-        the others are walked over ``ok``, which already holds the flips,
-        and cut at their first failing cell. Edges are ``u < v``, so u's
-        column is the lower.
+        edge whose box misses the box of the new failing cells is skipped.
+        The others are walked over ``ok``, which already holds the flips,
+        and cut at the first failing cell strictly between their ends: the
+        ends are nodes, which pass, since a node whose cell started failing
+        was dropped before the cut. Edges are ``u < v``, so u's column is
+        the lower.
         """
         xs = [grid.cell_at(i) for i in flips]
         c0 = min(c for c, _ in xs)
@@ -420,10 +408,10 @@ class _Core:
     def _classify(self, grid: CellGrid, key: int, i: int, u: Cell, j: int, v: Cell) -> None:
         """Walk the line between nodes u and v (at flat indices i and j) and file the pair.
 
-        The line is walked from its lower endpoint, as every line is. The
-        walk stops at the line's first failing cell. No failing cell makes
-        an edge; where cells only start passing, the pair watches that cell
-        if it is still unexplored, and is dead for good otherwise.
+        The cells strictly between the nodes are walked from the lower
+        one, as every line is, up to the first failing one. No failing cell
+        makes an edge; where cells only start passing, the pair watches that
+        cell if it is still unexplored, and is dead for good otherwise.
         """
         if j < i:
             i, u, v = j, v, u
@@ -467,14 +455,15 @@ def build_visibility_graph(
     The core nodes are the obstacle vertices and the station, each when it
     passes the predicate. The start must pass the predicate (``ValueError``
     otherwise); the goal is admitted as a node whatever its state. Every
-    cell a sight line touches must pass the predicate, except the line's
-    own two ends, so a line may end at a failing goal but never crosses
-    it. An out-of-bounds goal is a node without edges, so it has no path.
+    cell strictly between a sight line's ends must pass the predicate, so a
+    line may end at a failing goal but never crosses it. An out-of-bounds
+    goal is a node without edges, so it has no path.
 
     Edges among the core nodes come from the grid's core as they are, so a
     query walks lines only from an endpoint that is not a core node, and
-    exempts the goal only on the lines that end at it. It walks the line
-    from such an endpoint to a node v only when
+    tests them by the core's rule: the start and every core node pass, and
+    a failing goal blocks only the lines it lies strictly inside. It walks
+    the line from such an endpoint to a node v only when
     ``dist(start, v) + dist(v, goal)`` is within ``limit`` by the search's
     rounding margin: no path through v can fit the limit otherwise, and
     ``astar`` with that limit would not push v along that edge (see
@@ -487,10 +476,8 @@ def build_visibility_graph(
     adjacency = dict(shared)
     ok = core.ok  # the start passes already
     if grid.in_bounds(goal):
-        at_goal = grid.index(goal)
         ends = sorted({start, goal})
     else:
-        at_goal = -1
         ends = [start]
         adjacency[goal] = []
     edges = []
@@ -509,9 +496,8 @@ def build_visibility_graph(
             at = base
             if v < e:  # walk the line from v, as the core does: same cells, one table entry
                 at, dc, dr = base + dc * stride + dr, -dc, -dr
-            exempt = at_goal if e == goal or v == goal else -1  # a line may end at the goal, not cross it
             for o in _line_offsets(stride, dc, dr):
-                if not ok[at + o] and at + o != exempt:
+                if not ok[at + o]:
                     break
             else:
                 edges.append((e, v, dist(e, v)))

@@ -40,6 +40,17 @@ def test_consume_insufficient_raises():
         e.consume(3.0, SegmentKind.COVERAGE)
 
 
+def test_consume_slack_scales_with_the_capacity():
+    # an absolute slack would let a tiny charge be overdrawn by half again
+    e = EnergyState(capacity=1e-12, travel_rate=0.5, coverage_rate=1.0)
+    with pytest.raises(EnergyExhaustedError):
+        e.consume(1.5e-12, SegmentKind.COVERAGE)
+    assert e.remaining == 1e-12
+    # rounding dust well inside the slack still spends the whole charge
+    e.consume(1e-12 * (1.0 + 1e-12), SegmentKind.COVERAGE)
+    assert e.remaining == 0.0
+
+
 def test_can_continue_examples():
     e = EnergyState(capacity=14.0, travel_rate=0.5, coverage_rate=1.0)
     assert e.can_continue(1.0, 5.0)

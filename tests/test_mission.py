@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import random
@@ -703,6 +704,26 @@ def test_station_plan_memo_returns_what_a_fresh_plan_returns():
         assert checked.log_rows == second.log_rows, i
         hits += checked.hits
     assert hits
+
+
+def test_evicting_sight_lines_changes_no_mission(monkeypatch):
+    # the line table is a cache: a table of 4 lines, which evicts on almost
+    # every read, must fly the same missions as the shipped one
+    small_office = next(case for case in retreat_cases() if case[0] == "small_office")
+    cases = [(gt_from_text(small_office[1]), small_office[2])]
+    cases += [(gt, cfg) for gt, cfg, _ in islice(tight_budget_maps(), 2)]
+    shipped = []
+    for gt, cfg in cases:
+        mission = Mission(gt, cfg)
+        mission.run()
+        shipped.append(mission.log_rows)
+    tiny = functools.lru_cache(maxsize=4)(pathfind_mod._line_offsets.__wrapped__)
+    monkeypatch.setattr(pathfind_mod, "_line_offsets", tiny)
+    for (gt, cfg), rows in zip(cases, shipped):
+        mission = Mission(gt, cfg)
+        mission.run()
+        assert mission.log_rows == rows
+    assert tiny.cache_info().misses > 1000
 
 
 def test_advance_floor_saves_plans_and_changes_no_log_row():

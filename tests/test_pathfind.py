@@ -81,61 +81,44 @@ def test_supercover_order_matches_the_two_branch_reference():
 
 def test_line_offsets_map_back_to_supercover_lines():
     grid = CellGrid(7, 4, (0, 0))  # stride 6, not width + 2
-    assert list(_line_offsets(grid.stride, 1, 1)) == [0, grid.stride, 1, grid.stride + 1]  # corner tie
+    assert list(_line_offsets(grid.stride, 1, 1)) == [grid.stride, 1]  # corner tie
     for dc in range(1 - grid.width, grid.width):
         for dr in range(1 - grid.height, grid.height):
             a = (max(0, -dc), max(0, -dr))
             b = (a[0] + dc, a[1] + dr)
             base = grid.index(a)
             cells = [grid.cell_at(base + o) for o in _line_offsets(grid.stride, dc, dr)]
-            assert cells == supercover_line(a, b), (dc, dr)
+            assert cells == supercover_line(a, b)[1:-1], (dc, dr)
             # callers walk a line from its lower endpoint: the same cells
-            assert set(supercover_line(b, a)) == set(cells), (dc, dr)
+            assert set(supercover_line(b, a)[1:-1]) == set(cells), (dc, dr)
 
 
-def test_one_sight_line_table_serves_grids_of_every_height(monkeypatch):
-    monkeypatch.setattr(pathfind, "_sight_lines", {})
+def test_one_sight_line_table_serves_grids_of_every_height():
+    _line_offsets.cache_clear()
     short, tall = CellGrid(9, 3, (0, 0)), CellGrid(9, 8, (0, 0))  # strides 5 and 10
     deltas = [(4, 2), (1, 1), (8, -2), (0, 2), (3, -1)]
+    first = {}
     for dc, dr in deltas:
         for grid in (short, tall):
             a = (0, max(0, -dr))
             base = grid.index(a)
-            cells = [grid.cell_at(base + o) for o in _line_offsets(grid.stride, dc, dr)]
-            assert cells == supercover_line(a, (dc, a[1] + dr)), (grid.stride, dc, dr)
-    assert set(pathfind._sight_lines) == {(g.stride, dc, dr) for g in (short, tall) for dc, dr in deltas}
-    assert _line_offsets(short.stride, 4, 2) is pathfind._sight_lines[short.stride, 4, 2]
+            offsets = first[grid.stride, dc, dr] = _line_offsets(grid.stride, dc, dr)
+            cells = [grid.cell_at(base + o) for o in offsets]
+            assert cells == supercover_line(a, (dc, a[1] + dr))[1:-1], (grid.stride, dc, dr)
+    assert _line_offsets.cache_info().currsize == len(first) == 2 * len(deltas)
+    for (stride, dc, dr), offsets in first.items():  # a second read shares the entry
+        assert _line_offsets(stride, dc, dr) is offsets, (stride, dc, dr)
 
 
-def test_sight_line_table_never_holds_more_than_its_cap(monkeypatch):
-    monkeypatch.setattr(pathfind, "_sight_lines", {})
-    cap = pathfind._SIGHT_LINES_CAP
+def test_sight_line_table_never_holds_more_than_its_cap():
+    _line_offsets.cache_clear()
+    cap = _line_offsets.cache_info().maxsize
     stride = 103
     for n in range(cap + 150):  # distinct deltas, more of them than the cap
         dc, dr = divmod(n, 101)
         offsets = _line_offsets(stride, dc, dr - 50)
-        assert len(pathfind._sight_lines) <= cap
-    assert list(offsets) == [c * stride + r for c, r in supercover_line((0, 0), (dc, dr - 50))]
-
-
-def test_a_full_sight_line_table_keeps_its_shorter_half(monkeypatch):
-    monkeypatch.setattr(pathfind, "_sight_lines", {})
-    cap = pathfind._SIGHT_LINES_CAP
-    stride = 103
-    short = {(dc, dr): _line_offsets(stride, dc, dr) for dc in range(3) for dr in range(-2, 3)}
-    n = 0
-    while len(pathfind._sight_lines) < cap:  # longer lines, in no order of length
-        dc, dr = divmod(n * 37 % 10_000, 100)
-        _line_offsets(stride, dc + 3, dr - 50)
-        n += 1
-    before = dict(pathfind._sight_lines)
-    _line_offsets(stride, 60, 61)  # one more line overflows the table
-    kept = set(pathfind._sight_lines) - {(stride, 60, 61)}
-    assert len(kept) == cap // 2
-    evicted = before.keys() - kept
-    assert max(len(before[k]) for k in kept) <= min(len(before[k]) for k in evicted)
-    for (dc, dr), offsets in short.items():
-        assert _line_offsets(stride, dc, dr) is offsets, (dc, dr)
+        assert _line_offsets.cache_info().currsize <= cap
+    assert list(offsets) == [c * stride + r for c, r in supercover_line((0, 0), (dc, dr - 50))[1:-1]]
 
 
 # -- line of sight -------------------------------------------------------------
