@@ -19,7 +19,6 @@ from .mission import (
     TrajectorySegment,
     log_to_csv,
     report_to_text,
-    run_mission,
 )
 from .pathfind import (
     DistanceField,
@@ -74,6 +73,5 @@ __all__ = [
     "render_svg",
     "report_to_text",
     "restart_point",
-    "run_mission",
     "supercover_line",
 ]

@@ -30,13 +30,12 @@ class EnergyState:
     capacity: float
     travel_rate: float = 0.5
     coverage_rate: float = 1.0
-    remaining: float = field(default=-1.0)
+    remaining: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.capacity <= 0 or self.travel_rate <= 0 or self.coverage_rate <= 0:
             raise ValueError("capacity and rates must be positive")
-        if self.remaining < 0:
-            self.remaining = self.capacity
+        self.remaining = self.capacity
 
     def rate_for(self, kind: SegmentKind) -> float:
         return self.coverage_rate if kind is SegmentKind.COVERAGE else self.travel_rate

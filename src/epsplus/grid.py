@@ -1,4 +1,4 @@
-"""Belief map: the finest tiling, per-cell symbolic state and the static sweep field.
+"""Belief map: the finest tiling and per-cell symbolic state.
 
 One cell is a 1 m square, the vehicle's footprint, so distances between
 cell centers are in meters. Cells are addressed as ``(col, row)`` tuples

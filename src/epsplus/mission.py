@@ -8,26 +8,29 @@ and its log row. Retreats and advances run as shortest paths over explored
 cells (the shorter of visibility-graph A* and 8-connected grid A*, since no
 sight-line path may exist yet); advances may cross unexplored free space
 only when no explored corridor to the restart point exists. Both planners
-take a start that passes the predicate and admit the goal whatever its
-state, as a path's end only, so a sight-line path is always also a grid
-walk. The distance field
-below knows the shortest explored walk of every query with the station as
-an endpoint, which covers every retreat and every advance checked from the
+take a start that passes the rule and admit the goal whatever its state,
+as a path's end only, so a sight-line path is always also a grid walk.
+The distance field below picks each plan's rule, in ``_shortest`` only:
+every query of a mission starts in the station's explored component, and
+the field tells which goals that component neither holds nor borders
+(``DistanceField.explored_walk`` is ``math.inf``). Those, and only those,
+are planned over ``non_obstacle`` cells, the rest over ``explored_only``
+ones; a retreat's goal, the station, is never such a goal. The field also
+knows the shortest explored walk of every query with the station as an
+endpoint, which covers every retreat and every advance checked from the
 station. Such a query is bounded by its walk, since no answer is longer
 (see ``pathfind`` for searches bounded by a length). Every query builds
 the visibility graph first, and runs grid A* too unless the sight-line path
-beats a known walk or the walk exceeds the query's limit. The field also
-answers, without a search, an explored-only query from the station's
-explored component that has no path; every query of a mission starts in
-that component. The unexplored cells still reachable from the station come from
-the belief grid's reachable mask, tested by flat index.
+beats a known walk or the walk exceeds the query's limit. The unexplored
+cells still reachable from the station come from the belief grid's
+reachable mask, tested by flat index.
 
 Reachability and path planning read caches owned by the belief grid. The
 reachable mask stays exact through every update:
 a new obstacle that is not a simple point clears only the pockets it cuts
 off, and only a cut that leaves the station in a finished pocket search
 drops the mask for a refill, so a mission floods the map about once (see
-``grid``). The visibility-graph cores (one per predicate: the obstacle
+``grid``). The visibility-graph cores (one per rule: the obstacle
 vertices and the station as nodes, and the sight lines among them) are
 built once per mission and then synced with the cells changed since their
 last use, so the many restart candidates an advance may try on a tight
@@ -47,8 +50,8 @@ Restart targets that no charge can reach are ruled out without planning.
 Cells only leave the unexplored state, so ``non_obstacle`` walks from the
 station only get longer, and every explored-only walk is at least the
 ``non_obstacle`` walk. When an advance from the station had to fall back to a
-``non_obstacle`` plan, that plan's length divided by ``GRID_STRETCH`` (the
-grid-walk bound of ``pathfind``) is thus a floor on every later plan to the
+``non_obstacle`` plan, that plan's length divided by ``pathfind.GRID_STRETCH``
+(the grid-walk bound) is thus a floor on every later plan to the
 same target. A target whose floor already fails the budget check is
 excluded from every later restart selection; capacity and rates are fixed
 and the float comparisons are monotone, so it would have been planned and
@@ -108,9 +111,9 @@ from .errors import PlanningError
 from .grid import Cell, CellGrid, CellState
 from .hierarchy import MapsHierarchy
 from .pathfind import (
+    GRID_STRETCH,
     DistanceField,
     PathResult,
-    StatePredicate,
     astar,
     build_visibility_graph,
     explored_only,
@@ -124,9 +127,6 @@ from .planner import next_waypoint, restart_candidates, restart_point  # noqa: F
 from .sim import GroundTruth, SensorModel
 
 SQRT2 = math.sqrt(2.0)  # the longest single step, a diagonal between 1 m cells
-# a float strictly above sqrt(4 - 2*sqrt(2)) = 1.08239..., the most an 8-connected
-# grid walk can exceed the any-angle path it follows (see ``pathfind``)
-GRID_STRETCH = 1.0825
 
 
 class MissionEvent(Enum):
@@ -412,58 +412,51 @@ class Mission:
 
     # -- path planning -----------------------------------------------------------
 
-    def _shortest(
-        self, start: Cell, goal: Cell, traversable: StatePredicate, limit: float = math.inf
-    ) -> PathResult | None:
+    def _shortest(self, start: Cell, goal: Cell, limit: float = math.inf) -> PathResult | None:
         """The shorter of visibility-graph A* and grid A* (ties: lower cell list).
 
-        Returns None when that path is longer than ``limit``. Every
-        sight-line path is also a grid walk, so without a walk there is no
-        path. Under ``explored_only`` the distance field knows the walk's
-        length for queries with the station as an endpoint, and that no
-        walk exists from a start in the station's explored component to a
-        goal it neither holds nor borders (``DistanceField.explored_walk``).
-        A known miss returns at once. A known walk caps the limit, since
-        grid A* finds it, widened by the rounding margin (the field and
-        ``path_length`` sum in different orders). The visibility graph runs
-        first, and grid A* runs unless its walk is known to lose: a
-        sight-line path shorter than the walk by more than the margin is the
-        answer, a walk longer than the limit by more than the margin cannot
-        fit, and anything inside the margin gets the exact comparison.
+        Returns None when that path is longer than ``limit``. This is the
+        one place a retreat or advance chooses its rule: ``non_obstacle``
+        exactly when the distance field knows that no explored walk joins
+        the ends (``DistanceField.explored_walk`` is ``math.inf``), else
+        ``explored_only``. A retreat's goal is the station, whose walk is
+        never ``math.inf``, so a retreat never crosses unexplored cells; an
+        advance whose explored plan is too long gets None, not a detour
+        over unexplored cells. ``_advance_phase`` and ``_plan_candidate``
+        branch on the same test of the same walk to pick a floor, a limit
+        and a memo, never a rule, so they must agree with this choice; the
+        walk is read again here (a constant-time read of the field).
+
+        Under ``explored_only`` the field knows the walk's length for
+        queries with the station as an endpoint. A known walk caps the
+        limit, since grid A* finds it, widened by the rounding margin (the
+        field and ``path_length`` sum in different orders). The visibility
+        graph runs first, and grid A* runs unless its walk is known to
+        lose: a sight-line path shorter than the walk by more than the
+        margin is the answer, a walk longer than the limit by more than the
+        margin cannot fit, and anything inside the margin gets the exact
+        comparison.
         """
-        walk = self.dfield.explored_walk(start, goal) if traversable is explored_only else None
+        walk = self.dfield.explored_walk(start, goal)
+        rule = explored_only
         if walk == math.inf:
-            return None
+            rule, walk = non_obstacle, None
         bound = limit if walk is None else min(limit, walk * (1.0 + 1e-9))
-        graph = build_visibility_graph(self.grid, start, goal, traversable, bound)
+        graph = build_visibility_graph(self.grid, start, goal, rule, bound)
         sight = astar(graph, start, goal, bound)
         if walk is not None and (
             walk * (1.0 - 1e-9) > limit or (sight is not None and sight.length < walk * (1.0 - 1e-9))
         ):
             return sight
-        found = grid_astar(self.grid, start, goal, traversable, bound)
+        found = grid_astar(self.grid, start, goal, rule, bound)
         fits = [p for p in (sight, found) if p is not None]
         return min(fits, key=lambda p: (p.length, p.cells), default=None)
 
     def _plan_retreat(self, from_cell: Cell) -> PathResult:
-        plan = self._shortest(from_cell, self.grid.station, explored_only)
+        plan = self._shortest(from_cell, self.grid.station)
         if plan is None:
             raise PlanningError(f"no retreat path from {from_cell}")
         return plan
-
-    def _plan_advance(self, start: Cell, target: Cell, limit: float) -> PathResult | None:
-        """Plan over explored cells, else also over unexplored ones.
-
-        Returns None when the plan is longer than ``limit``. The start lies
-        in the station's explored component. Only a target with no explored
-        walk (``DistanceField.explored_walk`` is ``math.inf``) is planned
-        over unexplored cells: a bounded explored miss may mean a walk that
-        is too long, and then None is the answer, as the unbounded plan
-        would be.
-        """
-        if self.dfield.explored_walk(start, target) == math.inf:
-            return self._shortest(start, target, non_obstacle, limit)
-        return self._shortest(start, target, explored_only, limit)
 
     def _plan_candidate(self, target: Cell, walk: float, longest: float) -> PathResult | None:
         """Plan an advance from the station to a restart candidate, bounded by the budget.
@@ -474,8 +467,9 @@ class Mission:
         longer than ``longest``. Otherwise only a ``non_obstacle`` plan
         exists (the candidate is reachable), and None means it is longer
         than ``longest`` times ``GRID_STRETCH``: its floor fails the budget.
-        Returns the plan as an unbounded ``_plan_advance`` would, when it
-        fits.
+        Returns the plan as an unbounded ``_shortest`` would, when it fits.
+        The ``walk < math.inf`` branch is ``_shortest``'s own test of the
+        same walk, so each branch's limit matches the rule it will choose.
 
         A ``non_obstacle`` plan from the station reads only obstacle cells
         (see ``pathfind``), and ``longest`` is fixed per mission, so while
@@ -484,12 +478,12 @@ class Mission:
         """
         station = self.grid.station
         if walk < math.inf:
-            return self._shortest(station, target, explored_only, longest)
+            return self._shortest(station, target, longest)
         made = self._station_plans.get(target)
         if made is not None and made[0] == self._obstacles:
             return made[1]
         limit = longest * GRID_STRETCH * (1.0 + 1e-9)
-        plan = self._shortest(station, target, non_obstacle, limit)
+        plan = self._shortest(station, target, limit)
         self._station_plans[target] = (self._obstacles, plan)
         return plan
 
@@ -634,7 +628,7 @@ class Mission:
             # than its rounding
             d = self.dfield.distance(self.pos)
             limit = (energy.remaining * (1.0 + 1e-9) / travel - d) / 2.0
-            new_plan = self._plan_advance(self.pos, target, limit)
+            new_plan = self._shortest(self.pos, target, limit)
             if new_plan is None:
                 return False
             if not energy.can_continue(
@@ -659,7 +653,3 @@ class Mission:
             total_length=self._cum_length,
             recharge_count=len(self.trajectories) - 1,
         )
-
-
-def run_mission(gt: GroundTruth, config: MissionConfig | None = None) -> MissionReport:
-    return Mission(gt, config).run()

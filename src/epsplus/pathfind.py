@@ -3,18 +3,23 @@
 Path lengths are Euclidean distances between cell centers in meters (a cell
 is a 1 m square, see ``grid``), so ``math.dist`` measures every edge.
 
-The traversability rules are parameterized by a predicate on cell states:
-retreat and advance paths may only cross explored cells, while routing to a
-distant coverage waypoint may also cross unexplored (non-obstacle) cells.
+Passability has two rules, each a pass table over state bytes:
+``rule[state]`` is 1 when a cell in that state may be crossed, and 0 for
+every other byte, the grid's border included. ``explored_only`` crosses
+explored cells only, as retreats and most advances do; ``non_obstacle``
+also crosses unexplored cells, as routes to a distant coverage waypoint do,
+and an advance to a restart point that only unexplored free space reaches.
+The planners here take the rule they are given; ``mission.Mission._shortest``
+is the one place a retreat or advance rule is chosen.
 
 Line of sight between two cell centers uses a supercover traversal, and a
 segment passing exactly through a lattice corner counts both flanking
 cells, so squeezing between two diagonally adjacent blocked cells is not a
-valid sight line. One rule holds for every sight line: every cell strictly
-between its ends passes the predicate; the ends themselves are not tested.
+valid sight line. One test holds for every sight line: every cell strictly
+between its ends passes the rule; the ends themselves are not tested.
 
 Both shortest-path planners, visibility-graph A* and grid A*, take the same
-inputs: the start must pass the predicate (else ``ValueError``), and the
+inputs: the start must pass the rule (else ``ValueError``), and the
 goal is admitted whatever its state, as a path's end only: a sight line may
 end at a failing goal but never crosses it, and a grid walk stops there.
 An out-of-bounds goal has no path.
@@ -27,9 +32,10 @@ Bresenham walk of max(|dx|, |dy|) steps, min(|dx|, |dy|) of them diagonal,
 stays on cells the line touches, and its length is at most
 sqrt(4 - 2*sqrt(2)) = 1.08239... times |ab|, the worst case being a line at
 22.5 degrees (Nash & Koenig, "Any-Angle Path Planning", AI Magazine 2013).
-Grid A* admits every such step, so under either predicate the shortest grid
+Grid A* admits every such step, so under either rule the shortest grid
 walk is at most that factor times the shortest sight-line path, and the
-shorter of the two planners is never below the walk divided by it.
+shorter of the two planners is never below the walk divided by
+``GRID_STRETCH``, a float just above that factor.
 
 Both A* searches (and ``build_visibility_graph``) take a trailing
 ``limit``, ``math.inf`` by default: a search returns what the unbounded
@@ -43,17 +49,17 @@ rounding; all of those states are kept, and the bounded search pops them in
 the same order and returns the same cells with a bit-equal length.
 
 Visibility graphs are assembled per query from a cached core. Its nodes
-are the cells that pass the predicate and are obstacle vertices or the
+are the cells that pass the rule and are obstacle vertices or the
 station, the hub of every retreat and advance; it holds the sight-line
 edges among them: the pairs with every cell strictly between them passing.
 No query changes them: a failing goal is a failing cell of the grid, which
 no core edge crosses, and it can block only a line it lies strictly inside.
-The belief grid holds at most one core per predicate, keyed by its truth
-table over the cell states. A core is built from empty once and then kept
-in sync with the grid: the grid logs every changed cell
-(``CellGrid.changes``), and a sync reads only the cells logged since the
-last one, re-testing node status around them and walking again only the
-lines that a changed cell can affect (``_Core``). A query then adds only
+The belief grid holds at most one core per rule, keyed by its pass table.
+A core is built from empty once and then kept in sync with the grid: the
+grid logs every changed cell (``CellGrid.changes``), and a sync reads only
+the cells logged since the last one, re-testing node status around them
+and walking again only the lines that a changed cell can affect
+(``_Core``). A query then adds only
 the start and goal edges, and walks no line from an endpoint that is a
 core node. Cores and queries test a line the same way, walking the
 offsets of the cells strictly between its ends (below) up to the first
@@ -72,14 +78,14 @@ marked obstacle.
 
 Grid walks (obstacle vertices, grid A*, the distance field) index the
 grid's bordered flat state bytes and compare them to plain ints; a
-passability mask is one translation. Sight lines are checked on such a mask
-too: a supercover line is translation-invariant, so each cell delta maps to
-one list of flat offsets of the cells strictly between its ends, which
-depends only on the delta and the grid's stride. One table per process, an
-``lru_cache`` of 5,000 lines, holds them, so missions on grids of the same
-height share it. A sight line touches the same cells in both directions,
-so lines are walked from their lower endpoint and one offset list serves
-both.
+passability mask is ``grid.flat.translate(rule)``, 0 on the border.
+Sight lines are checked on such a mask too: a supercover line is
+translation-invariant, so each cell delta maps to one list of flat offsets
+of the cells strictly between its ends, which depends only on the delta
+and the grid's stride. One table per process, an ``lru_cache`` of 5,000
+lines, holds them, so missions on grids of the same height share it. A
+sight line touches the same cells in both directions, so lines are walked
+from their lower endpoint and one offset list serves both.
 """
 
 from __future__ import annotations
@@ -89,19 +95,17 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 from .grid import Cell, CellGrid, CellState, NEIGHBORS_8
 
-StatePredicate = Callable[[CellState], bool]
+_UNEXPLORED = int(CellState.UNEXPLORED)
+_EXPLORED = int(CellState.EXPLORED)
+_OBSTACLE = int(CellState.OBSTACLE)
 
-
-def explored_only(state: CellState) -> bool:
-    return state is CellState.EXPLORED
-
-
-def non_obstacle(state: CellState) -> bool:
-    return state is not CellState.OBSTACLE
+# The two pass tables: rule[state] is 1 when a cell in that state may be
+# crossed, and 0 for every other byte, the border's included.
+explored_only = bytes(b == _EXPLORED for b in range(256))
+non_obstacle = bytes(b in (_UNEXPLORED, _EXPLORED) for b in range(256))
 
 
 def supercover_line(a: Cell, b: Cell) -> list[Cell]:
@@ -170,9 +174,9 @@ def _line_offsets(stride: int, dc: int, dr: int) -> array:
 # this factor, far wider than the rounding of a g summed edge by edge
 _MARGIN = 1.0 + 1e-9
 
-_UNEXPLORED = int(CellState.UNEXPLORED)
-_EXPLORED = int(CellState.EXPLORED)
-_OBSTACLE = int(CellState.OBSTACLE)
+# a float strictly above sqrt(4 - 2*sqrt(2)) = 1.08239..., the most an 8-connected
+# grid walk can exceed the any-angle path it follows (see the module docstring)
+GRID_STRETCH = 1.0825
 
 
 def _diagonals(grid: CellGrid) -> list[tuple[int, int, int]]:
@@ -191,17 +195,17 @@ def _is_vertex(flat: bytearray, ok: bytearray, i: int, diagonals) -> bool:
     return False
 
 
-def obstacle_vertices(grid: CellGrid, traversable: StatePredicate) -> list[Cell]:
+def obstacle_vertices(grid: CellGrid, rule: bytes) -> list[Cell]:
     """Convex-corner free cells of discovered obstacle boundaries, in (col, row) order.
 
-    A cell qualifies if it satisfies the predicate and touches an obstacle
-    cell diagonally while both cells flanking that diagonal are not
-    obstacles; taut paths around discovered obstacles bend at exactly these
-    cells. Corners of obstacles touching the map border are produced by the
-    same pattern.
+    A cell qualifies if it passes the rule and touches an obstacle cell
+    diagonally while both cells flanking that diagonal are not obstacles;
+    taut paths around discovered obstacles bend at exactly these cells.
+    Corners of obstacles touching the map border are produced by the same
+    pattern.
     """
     flat = grid.flat
-    ok = _passability(grid, traversable)
+    ok = flat.translate(rule)
     diagonals = _diagonals(grid)
     near = set()
     o = flat.find(_OBSTACLE)
@@ -242,19 +246,19 @@ _PAIR = 1 << 32  # a pair's key: its lower node serial times this, plus the high
 class _Core:
     """The part of a visibility graph that depends only on the belief grid.
 
-    The core's nodes are the cells that pass the predicate and are obstacle
+    The core's nodes are the cells that pass the rule and are obstacle
     vertices or the station. ``adjacency`` holds the sight-line edges among
     them, the pairs with every cell strictly between them passing (the
-    module docstring's one rule). Every weight is ``math.dist(u, v)`` with
-    ``u < v``.
+    module docstring's one sight-line test). Every weight is
+    ``math.dist(u, v)`` with ``u < v``.
 
     A core is kept in sync with the grid by :meth:`sync`, which reads only
     the cells in ``grid.changes`` past ``read``; building one is a sync
     from the core of the grid as created, where no cell is an obstacle and
-    so the only node is the station, if it passes. ``ok`` is the
-    predicate's passability mask as of the last sync. Every transition
-    leaves the unexplored state, so under a predicate that fails unexplored
-    cells (``explored_only``) cells only start passing, and under one that
+    so the only node is the station, if it passes. ``ok`` is the rule's
+    passability mask as of the last sync. Every transition leaves the
+    unexplored state, so under a rule that fails unexplored cells
+    (``explored_only``) cells only start passing, and under one that
     passes them (``non_obstacle``) cells only start failing. A sync
     - re-tests node status on each changed cell whose passability flipped,
       and on the 8 neighbours of each new obstacle;
@@ -281,16 +285,16 @@ class _Core:
     """
 
     __slots__ = (
-        "table", "gains", "ok", "read", "ring", "diagonals", "station", "serial", "nodes",
+        "rule", "gains", "ok", "read", "ring", "diagonals", "station", "serial", "nodes",
         "adjacency", "watch",
     )
 
-    def __init__(self, grid: CellGrid, traversable: StatePredicate):
-        self.table = table = _pass_table(traversable)
-        self.gains = not table[_UNEXPLORED]  # cells only start passing
-        ok = grid.flat.translate(table)
+    def __init__(self, grid: CellGrid, rule: bytes):
+        self.rule = rule
+        self.gains = not rule[_UNEXPLORED]  # cells only start passing
+        ok = grid.flat.translate(rule)
         for i in grid.changes:  # the grid as created: every cell unexplored
-            ok[i] = table[_UNEXPLORED]
+            ok[i] = rule[_UNEXPLORED]
         self.ok = ok
         self.read = 0
         self.ring = [o for o, _ in grid.steps]
@@ -311,11 +315,11 @@ class _Core:
             return
         fresh = changes[self.read :]
         self.read = len(changes)
-        flat, ok, table, ring = grid.flat, self.ok, self.table, self.ring
+        flat, ok, rule, ring = grid.flat, self.ok, self.rule, self.ring
         flips = []
         near = set()  # the cells whose node status may have changed
         for i in fresh:
-            if ok[i] != table[flat[i]]:
+            if ok[i] != rule[flat[i]]:
                 ok[i] ^= 1
                 flips.append(i)
                 near.add(i)
@@ -427,17 +431,16 @@ class _Core:
         self.adjacency[v].append((u, w))
 
 
-def _cached_core(grid: CellGrid, traversable: StatePredicate) -> _Core:
-    """The grid's core for this predicate, synced with the grid's changes.
+def _cached_core(grid: CellGrid, rule: bytes) -> _Core:
+    """The grid's core for this pass table, synced with the grid's changes.
 
-    Cores are keyed by the predicate's pass table, so equivalent predicates
-    share one entry. Each is built once per grid and then synced on every
-    use, reading only the cells changed since.
+    Cores are keyed by the table's bytes, so equal tables share one entry.
+    Each is built once per grid and then synced on every use, reading only
+    the cells changed since.
     """
-    key = _pass_table(traversable)
-    core = grid._vis_cores.get(key)
+    core = grid._vis_cores.get(rule)
     if core is None:
-        core = grid._vis_cores[key] = _Core(grid, traversable)
+        core = grid._vis_cores[rule] = _Core(grid, rule)
     else:
         core.sync(grid)
     return core
@@ -447,21 +450,21 @@ def build_visibility_graph(
     grid: CellGrid,
     start: Cell,
     goal: Cell,
-    traversable: StatePredicate,
+    rule: bytes,
     limit: float = math.inf,
 ) -> VisibilityGraph:
     """Pairwise-visibility graph over the start, the goal and the core nodes.
 
     The core nodes are the obstacle vertices and the station, each when it
-    passes the predicate. The start must pass the predicate (``ValueError``
+    passes the rule. The start must pass the rule (``ValueError``
     otherwise); the goal is admitted as a node whatever its state. Every
-    cell strictly between a sight line's ends must pass the predicate, so a
-    line may end at a failing goal but never crosses it. An out-of-bounds
+    cell strictly between a sight line's ends must pass the rule, so a line
+    may end at a failing goal but never crosses it. An out-of-bounds
     goal is a node without edges, so it has no path.
 
     Edges among the core nodes come from the grid's core as they are, so a
     query walks lines only from an endpoint that is not a core node, and
-    tests them by the core's rule: the start and every core node pass, and
+    tests them as the core does: the start and every core node pass, and
     a failing goal blocks only the lines it lies strictly inside. It walks
     the line from such an endpoint to a node v only when
     ``dist(start, v) + dist(v, goal)`` is within ``limit`` by the search's
@@ -469,8 +472,8 @@ def build_visibility_graph(
     ``astar`` with that limit would not push v along that edge (see
     ``astar``). The graph's edges are a subset of the unbounded graph's.
     """
-    _require_passing_start(grid, start, traversable)
-    core = _cached_core(grid, traversable)
+    _require_passing_start(grid, start, rule)
+    core = _cached_core(grid, rule)
     shared = core.adjacency
     targets = list(shared)
     adjacency = dict(shared)
@@ -566,40 +569,21 @@ def path_length(cells: list[Cell]) -> float:
     return math.fsum(math.dist(cells[i], cells[i + 1]) for i in range(len(cells) - 1))
 
 
-def _require_passing_start(grid: CellGrid, start: Cell, traversable: StatePredicate) -> None:
-    if not (grid.in_bounds(start) and traversable(grid.state(start))):
-        raise ValueError(f"start {start} must be an in-bounds cell that passes the predicate")
-
-
-@lru_cache(maxsize=16)
-def _pass_table(traversable: StatePredicate) -> bytes:
-    """Translation table from state bytes: 1 for a passing state, 0 for any other byte.
-
-    Built once per predicate (the cache holds the few a process uses), so
-    the same bytes object serves every passability mask and every core key.
-    """
-    return bytes(bool(traversable(s)) for s in CellState).ljust(256, b"\0")
-
-
-def _passability(grid: CellGrid, traversable: StatePredicate) -> bytearray:
-    """1 for every cell that passes the predicate, else 0.
-
-    The mask is indexed like ``grid.flat``; its border is 0, since the
-    translation table maps every byte but the passing states to 0.
-    """
-    return grid.flat.translate(_pass_table(traversable))
+def _require_passing_start(grid: CellGrid, start: Cell, rule: bytes) -> None:
+    if not (grid.in_bounds(start) and rule[grid.state(start)]):
+        raise ValueError(f"start {start} must be an in-bounds cell that passes the rule")
 
 
 def grid_astar(
     grid: CellGrid,
     start: Cell,
     goal: Cell,
-    traversable: StatePredicate,
+    rule: bytes,
     limit: float = math.inf,
 ) -> PathResult | None:
     """Shortest 8-connected cell path; diagonal squeezes between blocked cells allowed.
 
-    The start must pass the predicate (``ValueError`` otherwise); the goal
+    The start must pass the rule (``ValueError`` otherwise); the goal
     is admitted whatever its state (typically an unexplored waypoint), as
     the path's end only, and an out-of-bounds goal has no path, nor has a
     goal whose shortest path is longer than ``limit`` (see the module
@@ -611,7 +595,7 @@ def grid_astar(
     ``divmod``, and cells are built only along the returned chain. A cell
     is closed by clearing its mask byte.
     """
-    _require_passing_start(grid, start, traversable)
+    _require_passing_start(grid, start, rule)
     if not grid.in_bounds(goal):
         return None
     if start == goal:
@@ -620,7 +604,7 @@ def grid_astar(
     f = math.dist(start, goal)
     if f > bound:
         return None
-    ok = _passability(grid, traversable)
+    ok = grid.flat.translate(rule)
     stride = grid.stride
     s_idx = grid.index(start)
     g_idx = grid.index(goal)

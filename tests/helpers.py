@@ -92,11 +92,11 @@ def ring_components(free):
     return components
 
 
-def los_clear(grid, a, b, traversable, exempt=frozenset()):
+def los_clear(grid, a, b, rule, exempt=frozenset()):
     """Tuple reference sight line: every cell the segment a->b touches passes
-    the predicate or is in ``exempt`` (an end of the line that may fail: a goal)."""
+    the rule (a pass table) or is in ``exempt`` (an end of the line that may fail: a goal)."""
     state = grid.state
-    return all(traversable(state(c)) or c in exempt for c in supercover_line(a, b))
+    return all(rule[state(c)] or c in exempt for c in supercover_line(a, b))
 
 
 def full_sense(gt, sensor, pose):
@@ -254,13 +254,13 @@ def dijkstra_on_graph(graph, start, goal):
     return math.fsum(math.dist(cells[i], cells[i + 1]) for i in range(len(cells) - 1))
 
 
-def grid_dijkstra(grid, source, traversable, extra=frozenset(), cut_corners=True):
+def grid_dijkstra(grid, source, rule, extra=frozenset(), cut_corners=True):
     """Reference shortest 8-connected walk lengths from the source to every
-    cell that passes the predicate or is in ``extra``; a diagonal step past a
-    blocked flank is taken only when ``cut_corners`` is set."""
+    cell that passes the rule (a pass table) or is in ``extra``; a diagonal
+    step past a blocked flank is taken only when ``cut_corners`` is set."""
 
     def passable(c):
-        return grid.in_bounds(c) and (traversable(grid.state(c)) or c in extra)
+        return grid.in_bounds(c) and (rule[grid.state(c)] or c in extra)
 
     if not passable(source):
         return {}
@@ -406,15 +406,14 @@ def random_belief_grid(rng, w, h):
     return grid
 
 
-def dict_grid_astar(grid, start, goal, traversable):
+def dict_grid_astar(grid, start, goal, rule):
     """Grid A* keeping ``g`` and ``parent`` in dicts and turning every relaxed
     flat index back into a cell for its heuristic; ``grid_astar``'s contract."""
-    if not (grid.in_bounds(start) and traversable(grid.state(start))):
-        raise ValueError(f"start {start} must be an in-bounds cell that passes the predicate")
+    if not (grid.in_bounds(start) and rule[grid.state(start)]):
+        raise ValueError(f"start {start} must be an in-bounds cell that passes the rule")
     if not grid.in_bounds(goal):
         return None
-    table = bytes(bool(traversable(s)) for s in CellState).ljust(256, b"\0")
-    ok = grid.flat.translate(table)
+    ok = grid.flat.translate(rule)
     s_idx = grid.index(start)
     g_idx = grid.index(goal)
     ok[g_idx] = 1

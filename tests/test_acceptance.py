@@ -10,7 +10,7 @@ from pathlib import Path
 
 from epsplus.config import MissionConfig
 from epsplus.grid import CellGrid, CellState, parse_map_text
-from epsplus.mission import Mission, log_to_csv, report_to_text, run_mission
+from epsplus.mission import Mission, log_to_csv, report_to_text
 from epsplus.pathfind import astar, build_visibility_graph, explored_only
 from epsplus.sim import GroundTruth
 
@@ -75,7 +75,7 @@ def test_criterion_2_field_replicas():
         gt = _load(name)
         cfg = MissionConfig()  # 320 units, 5 m sonar, 0.5/1.0 rates
         t0 = time.perf_counter()
-        report = run_mission(gt, cfg)
+        report = Mission(gt, cfg).run()
         elapsed = time.perf_counter() - t0
         reachable = flood_reachable(gt.width, gt.height, gt.obstacles, gt.station)
         this_ok = (
@@ -223,6 +223,6 @@ def test_criterion_8_no_overlap_on_empty_map():
     lines = ["." * 20 for _ in range(20)]
     lines[-1] = "C" + "." * 19
     gt = GroundTruth.from_parsed(parse_map_text("\n".join(lines) + "\n"))
-    report = run_mission(gt, MissionConfig(capacity_e0=1e9))
+    report = Mission(gt, MissionConfig(capacity_e0=1e9)).run()
     ok = report.overlap_count == 0 and report.covered_cell_count == 400
     _report(8, ok, f"overlap_count={report.overlap_count}, covered={report.covered_cell_count}/400")

@@ -164,6 +164,28 @@ def test_render_empty_log(tmp_path):
     assert svg_path.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "error: log file is empty"),
+        ("a,b\n", "error: unexpected log header: 'a,b'"),
+    ],
+)
+def test_render_rejects_a_log_without_its_header(tmp_path, capsys, text, message):
+    map_path = write(tmp_path, "m.txt", SMALL_MAP)
+    log_path = write(tmp_path, "bad.csv", text)
+    rc = main(["render", log_path, map_path])
+    assert rc == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "bad.svg").exists()
+
+
+def test_render_skips_blank_log_lines():
+    header = "trajectory_index,segment_kind,col,row,remaining_energy,cumulative_length\n"
+    rows = "1,coverage,0,0,5.0,0.0\n\n1,coverage,1,0,4.0,1.0\n"
+    assert read_log_csv(header + rows) == [(1, "coverage", 0, 0, 5.0, 0.0), (1, "coverage", 1, 0, 4.0, 1.0)]
+
+
 def test_render_out_of_bounds_cell_errors(tmp_path, capsys):
     map_path = write(tmp_path, "m.txt", SMALL_MAP)
     log_path = write(
@@ -265,6 +287,18 @@ def test_config_defaults_and_overrides():
 def test_config_rejects_bad_input(text):
     with pytest.raises(ValueError):
         parse_config(text)
+
+
+@pytest.mark.parametrize("key", ["travel_rate", "coverage_rate", "sensor_range"])
+@pytest.mark.parametrize("value", ["0", "-0.5"])
+def test_run_rejects_a_rate_or_range_that_is_not_positive(tmp_path, capsys, key, value):
+    map_path = write(tmp_path, "m.txt", SMALL_MAP)
+    cfg = write(tmp_path, "cfg.txt", f"{key} = {value}\n")
+    out = tmp_path / "out"
+    rc = main(["run", map_path, "--config", cfg, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {key} must be positive\n"
+    assert not out.exists()
 
 
 def test_config_repeated_key_names_both_lines():

@@ -14,8 +14,9 @@ from epsplus.energy import SegmentKind
 from epsplus.grid import CellGrid, CellState, parse_map_text
 import epsplus.mission as mission_mod
 import epsplus.pathfind as pathfind_mod
-from epsplus.mission import GRID_STRETCH, Mission, MissionEvent, log_to_csv, report_to_text, run_mission
+from epsplus.mission import Mission, MissionEvent, log_to_csv, report_to_text
 from epsplus.pathfind import (
+    GRID_STRETCH,
     DistanceField,
     astar,
     build_visibility_graph,
@@ -44,12 +45,34 @@ def gt_from_text(text):
     return GroundTruth.from_parsed(parse_map_text(text))
 
 
+@pytest.fixture
+def planned_rules(monkeypatch):
+    """The rule each of the mission's two planners receives, call by call.
+
+    Both run only inside ``Mission._shortest``, whose visibility graph is
+    built on every call, so after a plan the last entry is its rule.
+    """
+    rules = []
+    build, search = mission_mod.build_visibility_graph, mission_mod.grid_astar
+
+    def recorded(planner):
+        def call(grid, start, goal, rule, limit=math.inf):
+            rules.append(rule)
+            return planner(grid, start, goal, rule, limit)
+
+        return call
+
+    monkeypatch.setattr(mission_mod, "build_visibility_graph", recorded(build))
+    monkeypatch.setattr(mission_mod, "grid_astar", recorded(search))
+    return rules
+
+
 EMPTY_3X3 = "...\n...\nC..\n"
 
 
 def test_empty_3x3_single_trajectory():
     gt = gt_from_text(EMPTY_3X3)
-    report = run_mission(gt, MissionConfig(capacity_e0=1e6))
+    report = Mission(gt, MissionConfig(capacity_e0=1e6)).run()
     assert report.covered_cell_count == 9
     assert report.uncoverable_cell_count == 0
     assert report.recharge_count == 0
@@ -173,7 +196,7 @@ def test_sealed_room_reported_uncoverable():
         "C.....\n"
     )
     gt = gt_from_text(text)
-    report = run_mission(gt, MissionConfig(capacity_e0=1e6, sensor_range=2.0))
+    report = Mission(gt, MissionConfig(capacity_e0=1e6, sensor_range=2.0)).run()
     assert report.uncoverable_cell_count == 2
     free = gt.width * gt.height - len(gt.obstacles)
     assert report.covered_cell_count + report.uncoverable_cell_count == free
@@ -187,7 +210,7 @@ def test_diagonally_hidden_obstacle_is_bumped_not_crashed():
     obstacles = {(1, 2), (2, 1), (2, 3), (3, 2), (3, 3), (2, 2)}
     text = map_text(6, 6, obstacles, (0, 0))
     gt = gt_from_text(text)
-    report = run_mission(gt, MissionConfig(capacity_e0=1e6, sensor_range=3.0))
+    report = Mission(gt, MissionConfig(capacity_e0=1e6, sensor_range=3.0)).run()
     assert report.uncoverable_cell_count == 0
     for traj in report.trajectories:
         for seg in traj.segments:
@@ -205,7 +228,7 @@ def test_safety_and_completeness_on_random_maps():
         gt = GroundTruth(w, h, frozenset(obstacles), station)
         e0 = 3.0 * math.hypot(w, h) + 40.0
         cfg = MissionConfig(capacity_e0=e0, travel_rate=0.5, sensor_range=3.0)
-        report = run_mission(gt, cfg)
+        report = Mission(gt, cfg).run()
         reachable_free = flood_reachable(w, h, obstacles, station)
         assert report.covered_cell_count == len(reachable_free)
         for traj in report.trajectories:
@@ -228,7 +251,7 @@ def test_one_flood_fill_per_mission(monkeypatch):
         return flood(grid)
 
     monkeypatch.setattr(CellGrid, "_flood_unexplored", counting)
-    report = run_mission(gt)
+    report = Mission(gt).run()
     assert len(fills) == 1
     assert report.covered_cell_count == len(flood_reachable(60, 60, obstacles, (0, 0)))
 
@@ -239,17 +262,17 @@ def test_one_core_build_per_predicate_and_mission(monkeypatch):
     builds = []
     init = pathfind_mod._Core.__init__
 
-    def counting(core, grid, traversable):
-        builds.append(traversable)
-        init(core, grid, traversable)
+    def counting(core, grid, rule):
+        builds.append(rule)
+        init(core, grid, rule)
 
     monkeypatch.setattr(pathfind_mod._Core, "__init__", counting)
     tight_gt, tight_cfg, _ = next(islice(tight_budget_maps(), 16, None))
     field_a = gt_from_text((SCENARIOS / "field_a.txt").read_text())
     for gt, cfg in ((field_a, None), (tight_gt, tight_cfg)):
         builds.clear()
-        run_mission(gt, cfg)
-        assert sorted(pred.__name__ for pred in builds) == ["explored_only", "non_obstacle"]
+        Mission(gt, cfg).run()
+        assert sorted(builds) == sorted([explored_only, non_obstacle])
 
 
 def test_station_walks_skip_grid_astar_on_field_a(monkeypatch):
@@ -260,12 +283,12 @@ def test_station_walks_skip_grid_astar_on_field_a(monkeypatch):
     calls = []
     search = mission_mod.grid_astar
 
-    def counting(grid, start, goal, traversable, limit=math.inf):
-        calls.append(traversable)
-        return search(grid, start, goal, traversable, limit)
+    def counting(grid, start, goal, rule, limit=math.inf):
+        calls.append(rule)
+        return search(grid, start, goal, rule, limit)
 
     monkeypatch.setattr(mission_mod, "grid_astar", counting)
-    run_mission(gt_from_text((SCENARIOS / "field_a.txt").read_text()))
+    Mission(gt_from_text((SCENARIOS / "field_a.txt").read_text())).run()
     assert len(calls) == 11
     assert all(pred is non_obstacle for pred in calls)
 
@@ -284,7 +307,7 @@ def test_adjacent_moves_hand_the_gate_estimate_to_the_field(monkeypatch):
         insert(field, cell, estimate)
 
     monkeypatch.setattr(DistanceField, "insert", checked)
-    report = run_mission(gt_from_text((SCENARIOS / "field_a.txt").read_text()))
+    report = Mission(gt_from_text((SCENARIOS / "field_a.txt").read_text())).run()
     assert len(handed) > report.covered_cell_count // 2
 
 
@@ -294,7 +317,7 @@ def test_waypoint_invalidation_replans():
     obstacles = {(c, 5) for c in range(0, 6)} | {(5, r) for r in range(0, 5)}
     text = map_text(8, 8, obstacles, (0, 0))
     gt = gt_from_text(text)
-    report = run_mission(gt, MissionConfig(capacity_e0=1e6, sensor_range=1.5))
+    report = Mission(gt, MissionConfig(capacity_e0=1e6, sensor_range=1.5)).run()
     reachable_free = flood_reachable(8, 8, obstacles, (0, 0))
     assert report.covered_cell_count == len(reachable_free)
     assert report.uncoverable_cell_count == (8 * 8 - len(obstacles)) - len(reachable_free)
@@ -302,14 +325,14 @@ def test_waypoint_invalidation_replans():
 
 def test_overlap_zero_on_empty_map():
     gt = gt_from_text(map_text(10, 10, set(), (0, 0)))
-    report = run_mission(gt, MissionConfig(capacity_e0=1e9))
+    report = Mission(gt, MissionConfig(capacity_e0=1e9)).run()
     assert report.overlap_count == 0
     assert report.covered_cell_count == 100
 
 
 def test_single_cell_world():
     gt = gt_from_text("C\n")
-    report = run_mission(gt, MissionConfig(capacity_e0=5.0))
+    report = Mission(gt, MissionConfig(capacity_e0=5.0)).run()
     assert report.covered_cell_count == 1
     assert report.recharge_count == 0
     assert len(report.trajectories) == 1
@@ -324,7 +347,7 @@ def test_station_sealed_by_obstacles():
         ".....\n"
     )
     gt = gt_from_text(text)
-    report = run_mission(gt, MissionConfig(capacity_e0=100.0, sensor_range=2.0))
+    report = Mission(gt, MissionConfig(capacity_e0=100.0, sensor_range=2.0)).run()
     assert report.covered_cell_count == 1
     assert report.uncoverable_cell_count == 16
 
@@ -334,7 +357,7 @@ def test_energy_infeasible_cells_reported_not_attempted():
     lines = ["." * 15 for _ in range(3)]
     lines[-1] = "C" + "." * 14
     gt = gt_from_text("\n".join(lines) + "\n")
-    report = run_mission(gt, MissionConfig(capacity_e0=8.0, travel_rate=0.5, sensor_range=2.0))
+    report = Mission(gt, MissionConfig(capacity_e0=8.0, travel_rate=0.5, sensor_range=2.0)).run()
     assert report.covered_cell_count == 21
     assert report.uncoverable_cell_count == 24
     for traj in report.trajectories:
@@ -381,16 +404,18 @@ def test_retreat_estimate_bounds_every_flown_retreat(monkeypatch):
     for name, text, cfg in retreat_cases():
         flown.clear()
         at_station.clear()
-        run_mission(gt_from_text(text), cfg)
+        Mission(gt_from_text(text), cfg).run()
         for start, length, estimate in flown:
             assert length <= estimate + 1e-9, (name, start, length, estimate)
         assert flown, name
         assert all(home and left >= 0.0 for home, left in at_station), name
 
 
-def test_shortest_is_the_shorter_of_both_planners():
+def test_shortest_is_the_shorter_of_both_planners(planned_rules):
+    # under the rule _shortest chooses, which both planners receive
     rng = random.Random(53)
     compared = 0
+    chosen = set()
     for _ in range(80):
         grid = random_belief_grid(rng, rng.randint(4, 14), rng.randint(4, 14))
         cells = list(grid_cells(grid))
@@ -399,11 +424,14 @@ def test_shortest_is_the_shorter_of_both_planners():
             if grid.state(c) is CellState.EXPLORED:
                 dfield.insert(c)
         mission = SimpleNamespace(grid=grid, dfield=dfield)
-        for pred in (explored_only, non_obstacle):
-            start = rng.choice([c for c in cells if pred(grid.state(c))])
+        for _ in range(2):
+            start = rng.choice([c for c in cells if grid.state(c) is CellState.EXPLORED])
             goal = rng.choice(cells)
             # station queries also read the field's walk
             for start, goal in ((start, goal), (grid.station, goal), (start, grid.station)):
+                Mission._shortest(mission, start, goal)
+                pred = planned_rules[-1]
+                chosen.add(pred)
                 vis = astar(build_visibility_graph(grid, start, goal, pred), start, goal)
                 walk = grid_astar(grid, start, goal, pred)
                 if vis is not None:
@@ -415,12 +443,41 @@ def test_shortest_is_the_shorter_of_both_planners():
                 length = 1.0 if expected is None else expected.length
                 # bounded: the same path when it fits, else none
                 for limit in (math.inf, length, math.nextafter(length, 0.0), length / 2):
-                    got = Mission._shortest(mission, start, goal, pred, limit)
+                    got = Mission._shortest(mission, start, goal, limit)
+                    assert planned_rules[-1] is pred, (start, goal, limit)
                     if expected is None or expected.length > limit:
                         assert got is None, (start, goal, limit)
                     else:
                         assert (got.cells, got.length) == (expected.cells, expected.length), limit
-    assert compared
+    assert compared and chosen == {explored_only, non_obstacle}
+
+
+class RuleChecked(Mission):
+    """Checks the rule each ``_shortest`` plan hands both planners."""
+
+    def __init__(self, gt, config, rules):
+        self.rules = rules
+        super().__init__(gt, config)
+
+    def _shortest(self, start, goal, limit=math.inf):
+        walk = self.dfield.explored_walk(start, goal)
+        before = len(self.rules)
+        plan = super()._shortest(start, goal, limit)
+        rule = self.rules[-1]
+        assert set(self.rules[before:]) == {rule}, (start, goal)
+        assert (rule is non_obstacle) == (walk == math.inf), (start, goal, walk)
+        # a retreat never crosses unexplored cells
+        assert goal != self.grid.station or rule is explored_only, start
+        return plan
+
+
+def test_shortest_plans_over_non_obstacle_cells_exactly_without_an_explored_walk(planned_rules):
+    # the distance field picks each retreat's and advance's rule, in one place
+    field_a = gt_from_text((SCENARIOS / "field_a.txt").read_text())
+    cases = [(field_a, None)] + [(gt, cfg) for gt, cfg, _ in islice(tight_budget_maps(), 8)]
+    for gt, cfg in cases:
+        RuleChecked(gt, cfg, planned_rules).run()
+    assert set(planned_rules) == {explored_only, non_obstacle}
 
 
 def tight_budget_maps():
@@ -439,30 +496,24 @@ def tight_budget_maps():
         yield gt, cfg, dist
 
 
-def advance_predicate(walk):
-    """The predicate of an advance plan, from the field's walk: ``non_obstacle`` exactly when none exists."""
-    return non_obstacle if walk == math.inf else explored_only
-
-
 def unaffordable(energy, length):
     """Whether no charge pays for an advance of this length, the way back and one coverage step."""
     return energy.capacity < 2.0 * energy.travel_rate * length + energy.coverage_rate * math.sqrt(2.0)
 
 
 class PlanCounting(Mission):
-    """Counts advance plans (the advance phase's checks and in-flight re-plans)."""
+    """Counts advance plans: the searches of restart candidates and of in-flight re-plans.
+
+    Those are the bounded plans; a retreat is planned unbounded.
+    """
 
     def __init__(self, gt, config):
         self.advance_plans = 0
         super().__init__(gt, config)
 
-    def _plan_candidate(self, target, walk, longest):
-        self.advance_plans += 1
-        return super()._plan_candidate(target, walk, longest)
-
-    def _plan_advance(self, start, target, limit):
-        self.advance_plans += 1
-        return super()._plan_advance(start, target, limit)
+    def _shortest(self, start, goal, limit=math.inf):
+        self.advance_plans += limit < math.inf
+        return super()._shortest(start, goal, limit)
 
 
 class WithoutFloor(PlanCounting):
@@ -471,7 +522,28 @@ class WithoutFloor(PlanCounting):
     _out_of_reach = property(lambda self: set(), lambda self, value: None)
 
 
-class FloorChecked(Mission):
+class CandidateRules(Mission):
+    """Keeps the rule of each restart candidate's plan, read off ``planned_rules``.
+
+    A memo hit plans nothing and returns the target's last plan: a memo
+    entry is consulted only while the target has no explored walk, and a
+    walk, once there, stays. So the target keeps that plan's rule.
+    """
+
+    def __init__(self, gt, config, rules):
+        self.rules = rules
+        self.candidate_rule = {}
+        super().__init__(gt, config)
+
+    def _plan_candidate(self, target, walk, longest):
+        before = len(self.rules)
+        plan = super()._plan_candidate(target, walk, longest)
+        if len(self.rules) > before:
+            self.candidate_rule[target] = self.rules[-1]
+        return plan
+
+
+class FloorChecked(CandidateRules):
     """Plans every target that a floor or a bound keeps from being planned in full.
 
     Two floors skip advance plans: the recorded advance floor keeps targets
@@ -479,18 +551,18 @@ class FloorChecked(Mission):
     a drawn candidate before planning it. The budget bounds the plan of
     every other candidate, and a bounded plan that finds nothing rejects it.
     The remaining energy bounds every re-plan during an advance; each is
-    planned unbounded too, as explored-only and else ``non_obstacle``.
+    planned unbounded too, and both must choose one rule.
     """
 
-    def __init__(self, gt, config):
+    def __init__(self, gt, config, rules):
         self.walk_floored = 0
         self.bound_rejected = 0
         self.replans_kept = 0
         self.replans_bound_rejected = 0
         self._planning = False
         self._unplanned = None  # the last candidate asked for its walk floor, until planned
-        super().__init__(gt, config)
-        self.explored_walk = explored_walk = self.dfield.explored_walk
+        super().__init__(gt, config, rules)
+        explored_walk = self.dfield.explored_walk
 
         def checked(start, goal):
             # outside a plan, walks from the station are asked for only by the
@@ -502,10 +574,6 @@ class FloorChecked(Mission):
 
         self.dfield.explored_walk = checked
 
-    def used(self, start, target):
-        # the unwrapped walk, so deriving a predicate is not taken for a walk-floor query
-        return advance_predicate(self.explored_walk(start, target))
-
     def check_walk_floor(self):
         """Plans the last candidate if the walk floor rejected it; the plan must fail too.
 
@@ -514,19 +582,20 @@ class FloorChecked(Mission):
         """
         target, self._unplanned = self._unplanned, None
         if target is not None:
-            plan = self._plan_advance(self.grid.station, target, math.inf)
-            used = self.used(self.grid.station, target)
+            plan = self._shortest(self.grid.station, target)
+            used = self.rules[-1]
             assert used is explored_only and unaffordable(self.energy, plan.length), target
             self.walk_floored += 1
 
-    def _plan_advance(self, start, target, limit):
-        if (start, target) == (self.grid.station, self._unplanned):
+    def _shortest(self, start, goal, limit=math.inf):
+        if (start, goal) == (self.grid.station, self._unplanned):
             self._unplanned = None
         planning, self._planning = self._planning, True
         try:
-            plan = super()._plan_advance(start, target, limit)
-            if limit < math.inf:
-                self.check_replan(start, target, plan, self.used(start, target))
+            plan = super()._shortest(start, goal, limit)
+            if limit < math.inf and not planning:
+                # outside a candidate's plan only in-flight re-plans are bounded
+                self.check_replan(start, goal, plan, self.rules[-1])
             return plan
         finally:
             self._planning = planning
@@ -534,11 +603,13 @@ class FloorChecked(Mission):
     def check_replan(self, start, target, bounded, used):
         """A bounded re-plan is the unbounded one if the gate passes that, else the gate fails both.
 
-        A target with an explored walk is never planned over unexplored cells.
+        Both choose one rule, and a target with an explored walk is never
+        planned over unexplored cells.
         """
-        full, full_used = self._shortest(start, target, explored_only), explored_only
-        if full is None:
-            full, full_used = self._shortest(start, target, non_obstacle), non_obstacle
+        full = self._shortest(start, target)
+        full_used = self.rules[-1]
+        explored = grid_astar(self.grid, start, target, explored_only)
+        assert (full_used is explored_only) == (explored is not None), (start, target)
         assert used is full_used, (start, target)
         travel = self.energy.travel_rate
         d = self.dfield.distance(start)
@@ -556,12 +627,12 @@ class FloorChecked(Mission):
         planning, self._planning = self._planning, True
         try:
             plan = super()._plan_candidate(target, walk, longest)
-            used = self.used(self.grid.station, target)
+            used = self.candidate_rule[target]
             if plan is None:
                 # the unbounded plan must be rejected too, and a non_obstacle
                 # one must put the target out of reach
-                full = self._plan_advance(self.grid.station, target, math.inf)
-                full_used = self.used(self.grid.station, target)
+                full = self._shortest(self.grid.station, target)
+                full_used = self.rules[-1]
                 assert full_used is used and unaffordable(self.energy, full.length), target
                 assert used is explored_only or unaffordable(self.energy, full.length / GRID_STRETCH), target
                 self.bound_rejected += 1
@@ -579,7 +650,7 @@ class FloorChecked(Mission):
         stamp = tuple(grid.counts().values())  # plans change only with the cell states
         for target in self._floored:
             if target in selectable and (target, stamp) not in self.rejected:
-                plan = self._plan_advance(grid.station, target, math.inf)
+                plan = self._shortest(grid.station, target)
                 assert unaffordable(self.energy, plan.length), (target, plan.length)
                 self.rejected.add((target, stamp))
         return self._floored
@@ -590,13 +661,13 @@ class FloorChecked(Mission):
         self.rejected = set()
 
 
-def test_tight_budget_leaves_only_infeasible_cells_uncovered():
+def test_tight_budget_leaves_only_infeasible_cells_uncovered(planned_rules):
     # a reachable cell may stay uncovered only if no charge pays for flying
     # there and back along the true shortest path plus one coverage step;
     # and no restart target is skipped that a plan would have accepted
     skipped = rejected = walk_floored = bound_rejected = replans_kept = replans_bound_rejected = 0
     for i, (gt, cfg, dist) in enumerate(tight_budget_maps()):
-        mission = FloorChecked(gt, cfg)
+        mission = FloorChecked(gt, cfg, planned_rules)
         mission.run()
         mission.check_walk_floor()
         rejected += len(mission.rejected)
@@ -654,38 +725,35 @@ def test_no_grid_astar_for_a_candidate_whose_walk_fails_the_budget(monkeypatch):
     assert over and under
 
 
-class MemoChecked(Mission):
+class MemoChecked(CandidateRules):
     """Plans afresh every restart candidate that the station-plan memo answers.
 
-    A ``non_obstacle`` candidate plan that runs no search is a memo hit; it
-    must equal a plan made with the memo emptied, in cells, length and
-    predicate.
+    A candidate plan that runs no search is a memo hit, of a
+    ``non_obstacle`` plan; it must equal a plan made with the memo emptied,
+    in cells, length and rule.
     """
 
-    def __init__(self, gt, config):
+    def __init__(self, gt, config, rules):
         self.searches = 0
         self.hits = 0
-        super().__init__(gt, config)
+        super().__init__(gt, config, rules)
 
-    def _shortest(self, start, goal, traversable, limit=math.inf):
+    def _shortest(self, start, goal, limit=math.inf):
         self.searches += 1
-        return super()._shortest(start, goal, traversable, limit)
-
-    def used(self, target):
-        return advance_predicate(self.dfield.explored_walk(self.grid.station, target))
+        return super()._shortest(start, goal, limit)
 
     def _plan_candidate(self, target, walk, longest):
         before = self.searches
         plan = super()._plan_candidate(target, walk, longest)
-        used = self.used(target)
-        if used is non_obstacle and self.searches == before:
+        if self.searches == before:
+            used = self.candidate_rule[target]
             memo, self._station_plans = self._station_plans, {}
             try:
                 fresh = super()._plan_candidate(target, walk, longest)
-                fresh_used = self.used(target)
+                fresh_used = self.candidate_rule[target]
             finally:
                 self._station_plans = memo
-            assert fresh_used is used, target
+            assert used is non_obstacle and fresh_used is used, target
             assert (plan is None) == (fresh is None), target
             if plan is not None:
                 assert (plan.cells, plan.length) == (fresh.cells, fresh.length), target
@@ -693,12 +761,12 @@ class MemoChecked(Mission):
         return plan
 
 
-def test_station_plan_memo_returns_what_a_fresh_plan_returns():
+def test_station_plan_memo_returns_what_a_fresh_plan_returns(planned_rules):
     # the memo is per mission: a second mission on the same ground truth
     # plans from empty and must fly the same log
     hits = 0
     for i, (gt, cfg, _) in enumerate(tight_budget_maps()):
-        checked, second = MemoChecked(gt, cfg), Mission(gt, cfg)
+        checked, second = MemoChecked(gt, cfg, planned_rules), Mission(gt, cfg)
         checked.run()
         second.run()
         assert checked.log_rows == second.log_rows, i
@@ -727,7 +795,7 @@ def test_evicting_sight_lines_changes_no_mission(monkeypatch):
 
 
 def test_advance_floor_saves_plans_and_changes_no_log_row():
-    # map 16 of the 40 runs 110 advance plans with the floor, 634 without
+    # map 16 of the 40 searches 83 advance plans with the floor, 187 without
     gt, cfg, _ = next(islice(tight_budget_maps(), 16, None))
     with_floor, without = PlanCounting(gt, cfg), WithoutFloor(gt, cfg)
     with_floor.run()

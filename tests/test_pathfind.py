@@ -7,17 +7,15 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import epsplus.pathfind as pathfind
-from epsplus.grid import CellGrid, CellState
-from epsplus.mission import GRID_STRETCH
+from epsplus.grid import BORDER, CellGrid, CellState
 from epsplus.pathfind import (
+    GRID_STRETCH,
     DistanceField,
     PathResult,
     _PAIR,
     _Core,
     _cached_core,
     _line_offsets,
-    _passability,
     astar,
     build_visibility_graph,
     explored_only,
@@ -271,7 +269,7 @@ def test_grid_walk_stretches_a_sight_path_by_at_most_the_octile_bound(seed):
     grid = random_belief_grid(rng, rng.randint(4, 14), rng.randint(4, 14))
     cells = list(grid_cells(grid))
     for pred in (explored_only, non_obstacle):
-        passing = [c for c in cells if pred(grid.state(c))]
+        passing = [c for c in cells if pred[grid.state(c)]]
         for _ in range(4):
             start, goal = rng.choice(passing), rng.choice(cells)
             sight = astar(build_visibility_graph(grid, start, goal, pred), start, goal)
@@ -419,24 +417,24 @@ def test_explored_walk_is_exact_for_station_queries(seed):
 
 # -- visibility-graph cache ------------------------------------------------------
 
-def core_nodes(grid, traversable):
+def core_nodes(grid, rule):
     """Obstacle vertices, plus the station when it passes the predicate."""
-    nodes = set(obstacle_vertices(grid, traversable))
-    if traversable(grid.state(grid.station)):
+    nodes = set(obstacle_vertices(grid, rule))
+    if rule[grid.state(grid.station)]:
         nodes.add(grid.station)
     return nodes
 
 
-def pairwise_visibility(grid, start, goal, traversable):
+def pairwise_visibility(grid, start, goal, rule):
     """From-scratch reference build: sight-line checks over every node pair.
 
     A line exempts the start or goal only where it is one of its own ends."""
     ends = {start, goal}
-    nodes = sorted(ends | core_nodes(grid, traversable))
+    nodes = sorted(ends | core_nodes(grid, rule))
     edges = set()
     for i, u in enumerate(nodes):
         for v in nodes[i + 1 :]:
-            if los_clear(grid, u, v, traversable, {u, v} & ends):
+            if los_clear(grid, u, v, rule, {u, v} & ends):
                 w = math.hypot(v[0] - u[0], v[1] - u[1])
                 edges.add((u, v, w))
                 edges.add((v, u, w))
@@ -478,10 +476,10 @@ def test_visibility_cache_matches_pairwise_build(data):
 
     def query(pred):
         kind = data.draw(st.sampled_from(QUERY_KINDS), label="kind")
-        passing = [c for c in grid_cells(grid) if pred(grid.state(c))]  # the station always passes
+        passing = [c for c in grid_cells(grid) if pred[grid.state(c)]]  # the station always passes
         start = data.draw(st.sampled_from(passing), label="start")
         goal = data.draw(cells, label="goal")
-        failing = [c for c in grid_cells(grid) if not pred(grid.state(c))]
+        failing = [c for c in grid_cells(grid) if not pred[grid.state(c)]]
         if kind == "unexplored_goal":
             pool = [c for c in grid_cells(grid) if grid.state(c) is CellState.UNEXPLORED]
         elif kind == "vertex_goal":
@@ -685,22 +683,37 @@ def test_paths_between_other_cells_may_bend_at_the_station():
 
 def test_visibility_cache_keeps_one_core_per_predicate():
     grid = explored_grid(8, 8, {(3, 3), (3, 4)}, (0, 0))
+    copy = bytes(bytearray(explored_only))  # bytes(b) of a bytes object is b itself
+    assert copy is not explored_only and copy == explored_only
     for _ in range(3):
         build_visibility_graph(grid, (0, 0), (7, 7), explored_only)
-        build_visibility_graph(grid, (0, 0), (7, 7), lambda s: s is CellState.EXPLORED)
+        build_visibility_graph(grid, (0, 0), (7, 7), copy)
         build_visibility_graph(grid, (0, 0), (7, 7), non_obstacle)
     assert len(grid._vis_cores) == 2
 
 
 # -- flat-index walks against tuple references -------------------------------------
 
-def reference_obstacle_vertices(grid, traversable):
+def test_pass_tables_cross_only_their_states():
+    # rule[state] is 1 for a state a path may cross, and 0 for every other
+    # byte, so a translated grid reads 0 on its border
+    assert [explored_only[s] for s in CellState] == [0, 1, 0]
+    assert [non_obstacle[s] for s in CellState] == [1, 1, 0]
+    for rule in (explored_only, non_obstacle):
+        assert len(rule) == 256 and rule[BORDER] == 0
+        assert not any(rule[len(CellState) :])
+        grid = CellGrid(3, 2, (0, 0))
+        ok = grid.flat.translate(rule)
+        assert {i for i, b in enumerate(ok) if b} <= {grid.index(c) for c in grid_cells(grid)}
+
+
+def reference_obstacle_vertices(grid, rule):
     """Tuple-based scan of every cell: the vertex set the flat-index walk must find."""
     state = grid.state
     out = []
     for row in range(grid.height):
         for col in range(grid.width):
-            if not traversable(state((col, row))):
+            if not rule[state((col, row))]:
                 continue
             for dc, dr in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                 d = (col + dc, row + dr)
@@ -722,18 +735,18 @@ def test_flat_walks_match_tuple_references():
         grid = random_belief_grid(rng, w, h)
         for pred in (explored_only, non_obstacle):
             assert obstacle_vertices(grid, pred) == sorted(reference_obstacle_vertices(grid, pred))
-            ok = _passability(grid, pred)
-            passing = {c for c in grid_cells(grid) if pred(grid.state(c))}
+            ok = grid.flat.translate(pred)
+            passing = {c for c in grid_cells(grid) if pred[grid.state(c)]}
             assert {grid.cell_at(i) for i, b in enumerate(ok) if b} == passing
 
 
 # -- grid A* ---------------------------------------------------------------------
 
-def reference_grid_astar(grid, start, goal, traversable, extra):
+def reference_grid_astar(grid, start, goal, rule, extra):
     """Cell-tuple grid A*: the heap entries the mask-based search must reproduce."""
 
     def passable(c):
-        return grid.in_bounds(c) and (traversable(grid.state(c)) or c in extra)
+        return grid.in_bounds(c) and (rule[grid.state(c)] or c in extra)
 
     def h(c):
         return math.hypot(goal[0] - c[0], goal[1] - c[1])
@@ -790,18 +803,21 @@ def test_grid_astar_matches_dijkstra_with_unexplored_goal():
             assert path.cells[0] == start and path.cells[-1] == goal
             for u, v in zip(path.cells, path.cells[1:]):
                 assert max(abs(u[0] - v[0]), abs(u[1] - v[1])) == 1
-                assert grid.in_bounds(v) and (pred(grid.state(v)) or v in extra)
+                assert grid.in_bounds(v) and (pred[grid.state(v)] or v in extra)
     assert found and missed
 
 
-def test_grid_astar_answers_start_equals_goal_before_building_a_mask(monkeypatch):
-    grid = CellGrid(3, 3, (0, 0))
-    grid.mark_traversed((0, 0))
+class MasklessBytes(bytearray):
+    """State bytes that refuse to be translated into a passability mask."""
 
-    def refuse(*args):
+    def translate(self, *args):
         raise AssertionError("passability mask built")
 
-    monkeypatch.setattr(pathfind, "_passability", refuse)
+
+def test_grid_astar_answers_start_equals_goal_before_building_a_mask():
+    grid = CellGrid(3, 3, (0, 0))
+    grid.mark_traversed((0, 0))
+    grid.flat = MasklessBytes(grid.flat)
     for pred in (explored_only, non_obstacle):
         assert grid_astar(grid, (0, 0), (0, 0), pred) == PathResult([(0, 0)], 0.0)
 
@@ -825,7 +841,7 @@ def test_grid_astar_matches_its_dict_form(seed):
     goals = [rng.choice(cells) for cells in by_state.values() if cells]
     goals += [(-1, rng.randrange(h)), (w, rng.randrange(h)), (rng.randrange(w), -1), (0, h), (w + 3, h)]
     for pred in (explored_only, non_obstacle):
-        starts = [c for c in grid_cells(grid) if pred(grid.state(c))]
+        starts = [c for c in grid_cells(grid) if pred[grid.state(c)]]
         for start in rng.sample(starts, min(3, len(starts))):
             for goal in goals + [start]:
                 got = grid_astar(grid, start, goal, pred)
@@ -906,7 +922,7 @@ def test_bounded_searches_return_the_unbounded_path_when_it_fits(seed):
     grid = random_belief_grid(rng, rng.randint(1, 14), rng.randint(1, 14))
     cells = list(grid_cells(grid))
     for pred in (explored_only, non_obstacle):
-        starts = [c for c in cells if pred(grid.state(c))]
+        starts = [c for c in cells if pred[grid.state(c)]]
         for start in rng.sample(starts, min(3, len(starts))):
             goal = rng.choice(cells + [start])
             full_graph = build_visibility_graph(grid, start, goal, pred)

@@ -191,3 +191,18 @@ def test_sense_rejects_a_pose_off_the_map():
     for pose in ((-1, 0), (3, 0), (0, 2), (0, -1)):
         with pytest.raises(ValueError):
             full_sense(gt, SensorModel(1.5), pose)
+
+
+def test_ground_truth_rejects_a_bad_map():
+    with pytest.raises(ValueError, match="bad dimensions 0x3"):
+        GroundTruth(0, 3, frozenset(), (0, 0))
+    with pytest.raises(ValueError, match=r"obstacle \(3, 0\) out of bounds"):
+        GroundTruth(3, 3, frozenset({(3, 0)}), (0, 0))
+    with pytest.raises(ValueError, match=r"station \(0, 3\) out of bounds"):
+        GroundTruth(3, 3, frozenset(), (0, 3))
+
+
+def test_sense_rejects_a_pose_on_an_obstacle():
+    gt = GroundTruth(3, 2, frozenset({(1, 1)}), (0, 0))
+    with pytest.raises(ValueError, match=r"sensor pose \(1, 1\) is inside an obstacle"):
+        full_sense(gt, SensorModel(1.5), (1, 1))
