@@ -19,11 +19,11 @@ ones; a retreat's goal, the station, is never such a goal. The field also
 knows the shortest explored walk of every query with the station as an
 endpoint, which covers every retreat and every advance checked from the
 station. Such a query is bounded by its walk, since no answer is longer
-(see ``pathfind`` for searches bounded by a length). Every query builds
-the visibility graph first, and runs grid A* too unless the sight-line path
-beats a known walk or the walk exceeds the query's limit. The unexplored
-cells still reachable from the station come from the belief grid's
-reachable mask, tested by flat index.
+(see ``pathfind`` for searches bounded by a length). A query that may fit
+builds the visibility graph first, and runs grid A* too unless the
+sight-line path beats a known walk or the walk exceeds the query's limit.
+The unexplored cells still reachable from the station come from the belief
+grid's reachable mask, tested by flat index.
 
 Reachability and path planning read caches owned by the belief grid. The
 reachable mask stays exact through every update:
@@ -46,42 +46,36 @@ safe; it can only trigger a retreat slightly early.
 ``tests/test_mission.py`` checks this bound on every retreat flown on the
 bundled scenarios and on tight-budget random maps.
 
-Restart targets that no charge can reach are ruled out without planning.
-Cells only leave the unexplored state, so ``non_obstacle`` walks from the
-station only get longer, and every explored-only walk is at least the
-``non_obstacle`` walk. When an advance from the station had to fall back to a
-``non_obstacle`` plan, that plan's length divided by ``pathfind.GRID_STRETCH``
-(the grid-walk bound) is thus a floor on every later plan to the
-same target. A target whose floor already fails the budget check is
-excluded from every later restart selection; capacity and rates are fixed
-and the float comparisons are monotone, so it would have been planned and
-rejected again, and the skip changes no output.
+Restart candidates are planned from the station bounded by the budget:
+with an explored walk, over explored cells up to the longest affordable
+length; without one, over ``non_obstacle`` cells up to that length times
+``pathfind.GRID_STRETCH`` (the grid-walk bound). A bounded search returns
+the unbounded plan whenever that plan fits, so only the searches of rejected
+candidates get cheaper. A re-plan during an advance is bounded the same way,
+by the longest plan the remaining energy still pays for. ``_shortest``
+rejects a query whose known walk, divided by ``GRID_STRETCH``, exceeds its
+limit before it builds a graph. The candidates of one advance phase come
+from one ranked stream (``planner.restart_candidates``): each is drawn
+once, in the order repeated restart selections would return them.
 
-A candidate with an explored walk from the station has a floor before any
-plan: its explored-only plan is no shorter than the field's walk divided by
-``GRID_STRETCH``, and a plan that exists is never replaced by a
-``non_obstacle`` one. A candidate whose walk floor fails the budget is
-rejected without a search, and, like any rejection of an explored-only
-plan, not recorded. Every other candidate is planned bounded by the budget
-(``_plan_candidate``): with a walk, over explored cells up to the longest
-affordable length; without one, over non-obstacle cells up to that length
-times ``GRID_STRETCH``, so a search that finds nothing leaves a floor that
-fails the budget, and the target is recorded as above. A bounded search
-returns the unbounded plan whenever that plan fits, so only the searches
-of rejected candidates get cheaper. A re-plan during an advance is bounded
-the same way, by the longest plan the remaining energy still pays for, and
-falls back to ``non_obstacle`` only when the target has no explored walk.
-The candidates of one advance phase come from one ranked stream
-(``planner.restart_candidates``): each is drawn once, in the order repeated
-restart selections would return them.
-
-A candidate's ``non_obstacle`` plan from the station reads obstacle cells
-only (see ``pathfind``), and its limit is fixed per mission, so the mission
-keeps one entry per target: its last such plan (or None) and the number of
-cells marked obstacle when it was made. Cells only become obstacles, so an
-equal count means the same obstacle set, and the entry is returned without
-a search; any newly marked obstacle invalidates every entry. Re-plans during
-an advance do not use it.
+Two exclusions keep rejected candidates out of later selections, and both
+hold only candidates without an explored walk, whose plans are
+``non_obstacle``. Cells only leave the unexplored state, so ``non_obstacle``
+grid walks from the station only get longer. Such a plan is no longer than
+its grid walk, and no later plan, under either rule, is shorter than a
+later walk divided by ``GRID_STRETCH``; so the plan divided by
+``GRID_STRETCH`` is a floor on every later plan to its target. A target
+with no plan within its limit, or whose floor fails the budget, is thus
+out of reach for good (``_out_of_reach``). A
+``non_obstacle`` plan from the station reads obstacle cells only (see
+``pathfind``), and an ``explored_only`` plan is never shorter, since its
+graph and walks are subsets of those; so any other rejected target stays
+rejected, even if it gains an explored walk, until the next newly marked
+obstacle, whose corners may open a shorter sight-line path. It is excluded
+until a selection sees a new count of marked obstacles (``_rejected``).
+Capacity and rates are fixed and the float comparisons are monotone, so
+every excluded target would have been planned and rejected again, and the
+exclusions change no output.
 
 The vehicle senses each pose once. A pose's detections are fixed, and
 once they are marked on the belief grid a repeat sensing there marks
@@ -232,14 +226,15 @@ class Mission:
         self.infeasible: set[Cell] = set()
         # restart targets that no later advance plan can make affordable
         self._out_of_reach: set[Cell] = set()
+        # restart targets rejected while _rejected_at cells were marked obstacle
+        self._rejected: set[Cell] = set()
+        self._rejected_at = 0
         self._segments: list[TrajectorySegment] = []
         self._visits: dict[Cell, int] = {}
         self._cum_length = 0.0
         self._route: list[Cell] = []  # remaining cells of the planned coverage route
         self._traj_start_unexplored = 0
         self._obstacles = 0  # cells marked obstacle on the belief grid
-        # per restart target: (self._obstacles, plan) of its last non_obstacle plan from the station
-        self._station_plans: dict[Cell, tuple[int, PathResult | None]] = {}
         self._start_trajectory()
         self._coverage_enter(self.pos)
         self._log_row()
@@ -422,10 +417,10 @@ class Mission:
         ``explored_only``. A retreat's goal is the station, whose walk is
         never ``math.inf``, so a retreat never crosses unexplored cells; an
         advance whose explored plan is too long gets None, not a detour
-        over unexplored cells. ``_advance_phase`` and ``_plan_candidate``
-        branch on the same test of the same walk to pick a floor, a limit
-        and a memo, never a rule, so they must agree with this choice; the
-        walk is read again here (a constant-time read of the field).
+        over unexplored cells. ``_advance_phase`` is the only caller that
+        branches on the same test of the same walk, to pick a limit and a
+        record, never a rule, so it must agree with this choice; the walk
+        is read again here (a constant-time read of the field).
 
         Under ``explored_only`` the field knows the walk's length for
         queries with the station as an endpoint. A known walk caps the
@@ -435,12 +430,17 @@ class Mission:
         lose: a sight-line path shorter than the walk by more than the
         margin is the answer, a walk longer than the limit by more than the
         margin cannot fit, and anything inside the margin gets the exact
-        comparison.
+        comparison. A known walk is also a floor: no path is shorter than
+        it divided by ``GRID_STRETCH`` (see ``pathfind``), so a walk longer
+        than ``limit`` times that factor gets None before any graph is
+        built.
         """
         walk = self.dfield.explored_walk(start, goal)
         rule = explored_only
         if walk == math.inf:
             rule, walk = non_obstacle, None
+        elif walk is not None and walk > limit * GRID_STRETCH:
+            return None
         bound = limit if walk is None else min(limit, walk * (1.0 + 1e-9))
         graph = build_visibility_graph(self.grid, start, goal, rule, bound)
         sight = astar(graph, start, goal, bound)
@@ -456,35 +456,6 @@ class Mission:
         plan = self._shortest(from_cell, self.grid.station)
         if plan is None:
             raise PlanningError(f"no retreat path from {from_cell}")
-        return plan
-
-    def _plan_candidate(self, target: Cell, walk: float, longest: float) -> PathResult | None:
-        """Plan an advance from the station to a restart candidate, bounded by the budget.
-
-        ``walk`` is the field's explored walk from the station to the
-        target, and ``longest`` a length no affordable advance exceeds. A
-        finite walk means an explored-only plan exists, so None means it is
-        longer than ``longest``. Otherwise only a ``non_obstacle`` plan
-        exists (the candidate is reachable), and None means it is longer
-        than ``longest`` times ``GRID_STRETCH``: its floor fails the budget.
-        Returns the plan as an unbounded ``_shortest`` would, when it fits.
-        The ``walk < math.inf`` branch is ``_shortest``'s own test of the
-        same walk, so each branch's limit matches the rule it will choose.
-
-        A ``non_obstacle`` plan from the station reads only obstacle cells
-        (see ``pathfind``), and ``longest`` is fixed per mission, so while
-        no cell has been marked obstacle since a target's last such plan,
-        that plan is the answer again and is returned without a search.
-        """
-        station = self.grid.station
-        if walk < math.inf:
-            return self._shortest(station, target, longest)
-        made = self._station_plans.get(target)
-        if made is not None and made[0] == self._obstacles:
-            return made[1]
-        limit = longest * GRID_STRETCH * (1.0 + 1e-9)
-        plan = self._shortest(station, target, limit)
-        self._station_plans[target] = (self._obstacles, plan)
         return plan
 
     def _route_for(self, target: Cell) -> list[Cell]:
@@ -573,7 +544,9 @@ class Mission:
 
         def selection():
             # the stream yields each candidate once, until the selection starts over
-            excluded = self.infeasible | self._out_of_reach
+            if self._rejected_at != self._obstacles:
+                self._rejected_at, self._rejected = self._obstacles, set()
+            excluded = self.infeasible | self._out_of_reach | self._rejected
             return restart_candidates(grid, self.hier, station, excluded)
 
         candidates = selection()
@@ -585,17 +558,14 @@ class Mission:
                 self.infeasible.add(target)
                 continue
             walk = self.dfield.explored_walk(station, target)  # not None: the station is explored
-            if walk < math.inf and unaffordable(walk / GRID_STRETCH):
-                # an explored-only plan exists and is no shorter than this floor
-                continue
-            plan = self._plan_candidate(target, walk, longest)
+            # without an explored walk the plan is non_obstacle, and a plan
+            # past this limit divided by GRID_STRETCH fails the budget too
+            stretch = 1.0 if walk < math.inf else GRID_STRETCH * (1.0 + 1e-9)
+            plan = self._shortest(station, target, longest * stretch)
             if plan is None or unaffordable(plan.length):
-                # a non_obstacle plan from the station (no explored walk),
-                # divided by GRID_STRETCH, is a floor on every later plan to
-                # this target; no plan within the limit puts that floor past
-                # the budget too
-                if walk == math.inf and (plan is None or unaffordable(plan.length / GRID_STRETCH)):
-                    self._out_of_reach.add(target)
+                if walk == math.inf:
+                    for_good = plan is None or unaffordable(plan.length / GRID_STRETCH)
+                    (self._out_of_reach if for_good else self._rejected).add(target)
                 continue
             self._start_trajectory()
             self._begin_segment(SegmentKind.ADVANCE, self.pos)
@@ -617,10 +587,7 @@ class Mission:
             if status == "arrived":
                 return self.pos == target
             # the mask holds only unexplored cells, so a covered target fails it too
-            if (
-                target in self.infeasible
-                or not self.grid.reachable_unexplored()[self.grid.index(target)]
-            ):
+            if not self.grid.reachable_unexplored()[self.grid.index(target)]:
                 target = next_waypoint(self.grid, self.hier, self.pos, excluded=self.infeasible)
                 if target is None:
                     return False

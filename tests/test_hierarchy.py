@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from epsplus.grid import CellGrid, CellState
@@ -127,3 +128,18 @@ def test_counters_match_brute_force(flips):
         assert h.unexplored_in_extent(key) == [
             c for c in block_cells(grid, ci, cj) if grid.state(c) is CellState.UNEXPLORED
         ]
+
+
+def test_state_change_ignores_a_non_change_and_refuses_to_leave_explored_or_obstacle():
+    # cells only leave the unexplored state; any other transition is a caller's bug
+    grid = CellGrid(5, 5, (0, 0))
+    hier = MapsHierarchy(grid)
+    before = dict(hier.unexplored_count)
+    for state in CellState:
+        hier.on_state_change((2, 3), state, state)
+    for old in (CellState.EXPLORED, CellState.OBSTACLE):
+        for new in CellState:
+            if new is not old:
+                with pytest.raises(ValueError, match="illegal transition"):
+                    hier.on_state_change((2, 3), old, new)
+    assert hier.unexplored_count == before

@@ -11,6 +11,7 @@ import pytest
 
 from epsplus.config import MissionConfig
 from epsplus.energy import SegmentKind
+from epsplus.errors import PlanningError
 from epsplus.grid import CellGrid, CellState, parse_map_text
 import epsplus.mission as mission_mod
 import epsplus.pathfind as pathfind_mod
@@ -49,8 +50,9 @@ def gt_from_text(text):
 def planned_rules(monkeypatch):
     """The rule each of the mission's two planners receives, call by call.
 
-    Both run only inside ``Mission._shortest``, whose visibility graph is
-    built on every call, so after a plan the last entry is its rule.
+    Both run only inside ``Mission._shortest``, which builds the visibility
+    graph on every call that its walk floor does not stop, so after a plan
+    that runs a planner the last entry is its rule.
     """
     rules = []
     build, search = mission_mod.build_visibility_graph, mission_mod.grid_astar
@@ -411,6 +413,22 @@ def test_retreat_estimate_bounds_every_flown_retreat(monkeypatch):
         assert all(home and left >= 0.0 for home, left in at_station), name
 
 
+def test_retreat_from_an_explored_cell_cut_off_from_the_station_raises():
+    # a retreat crosses explored cells only; none joins (3, 0) to the station
+    mission = Mission(gt_from_text("....\n....\nC...\n"), MissionConfig(capacity_e0=1e6))
+    mission.grid.mark_traversed((3, 0))
+    with pytest.raises(PlanningError, match="no retreat path from"):
+        mission._plan_retreat((3, 0))
+
+
+def test_route_to_a_waypoint_the_belief_grid_walls_off_raises():
+    # a coverage route crosses any cell not marked obstacle; (4, 4) is ringed by them
+    mission = Mission(gt_from_text(".....\n.....\n.....\n.....\nC....\n"), MissionConfig(capacity_e0=1e6))
+    mission._add_obstacles([(3, 3), (3, 4), (4, 3)])
+    with pytest.raises(PlanningError, match="no route to reachable waypoint"):
+        mission._route_for((4, 4))
+
+
 def test_shortest_is_the_shorter_of_both_planners(planned_rules):
     # under the rule _shortest chooses, which both planners receive
     rng = random.Random(53)
@@ -463,6 +481,12 @@ class RuleChecked(Mission):
         walk = self.dfield.explored_walk(start, goal)
         before = len(self.rules)
         plan = super()._shortest(start, goal, limit)
+        # a known walk over the limit times GRID_STRETCH stops the plan before both planners
+        floored = walk is not None and math.inf > walk > limit * GRID_STRETCH
+        assert (len(self.rules) == before) == floored, (start, goal, walk, limit)
+        if floored:
+            assert plan is None, (start, goal)
+            return plan
         rule = self.rules[-1]
         assert set(self.rules[before:]) == {rule}, (start, goal)
         assert (rule is non_obstacle) == (walk == math.inf), (start, goal, walk)
@@ -502,7 +526,7 @@ def unaffordable(energy, length):
 
 
 class PlanCounting(Mission):
-    """Counts advance plans: the searches of restart candidates and of in-flight re-plans.
+    """Counts advance plans: the ``_shortest`` calls of restart candidates and of in-flight re-plans.
 
     Those are the bounded plans; a retreat is planned unbounded.
     """
@@ -516,162 +540,119 @@ class PlanCounting(Mission):
         return super()._shortest(start, goal, limit)
 
 
-class WithoutFloor(PlanCounting):
-    """Records no advance floor, so every rejected target is planned again."""
+class WithoutExclusions(PlanCounting):
+    """Keeps no restart target out of a selection, so every rejected target is planned again."""
 
-    _out_of_reach = property(lambda self: set(), lambda self, value: None)
+    _out_of_reach = _rejected = property(lambda self: set(), lambda self, value: None)
 
 
-class CandidateRules(Mission):
-    """Keeps the rule of each restart candidate's plan, read off ``planned_rules``.
+def planning_a_candidate(mission):
+    """Whether a bounded plan is a restart candidate's: those are planned between trajectories."""
+    return not mission._segments
 
-    A memo hit plans nothing and returns the target's last plan: a memo
-    entry is consulted only while the target has no explored walk, and a
-    walk, once there, stays. So the target keeps that plan's rule.
+
+def exclusion_checked(held):
+    """A mission's exclusion set, stored under ``held`` and checked at every read.
+
+    The mission reads its exclusions where a restart selection is built and
+    where it adds to them: each excluded target that is still selectable
+    must be one that a fresh unbounded plan from the station rejects.
     """
 
-    def __init__(self, gt, config, rules):
-        self.rules = rules
-        self.candidate_rule = {}
-        super().__init__(gt, config)
-
-    def _plan_candidate(self, target, walk, longest):
-        before = len(self.rules)
-        plan = super()._plan_candidate(target, walk, longest)
-        if len(self.rules) > before:
-            self.candidate_rule[target] = self.rules[-1]
-        return plan
-
-
-class FloorChecked(CandidateRules):
-    """Plans every target that a floor or a bound keeps from being planned in full.
-
-    Two floors skip advance plans: the recorded advance floor keeps targets
-    out of a restart selection, and the distance field's walk floor rejects
-    a drawn candidate before planning it. The budget bounds the plan of
-    every other candidate, and a bounded plan that finds nothing rejects it.
-    The remaining energy bounds every re-plan during an advance; each is
-    planned unbounded too, and both must choose one rule.
-    """
-
-    def __init__(self, gt, config, rules):
-        self.walk_floored = 0
-        self.bound_rejected = 0
-        self.replans_kept = 0
-        self.replans_bound_rejected = 0
-        self._planning = False
-        self._unplanned = None  # the last candidate asked for its walk floor, until planned
-        super().__init__(gt, config, rules)
-        explored_walk = self.dfield.explored_walk
-
-        def checked(start, goal):
-            # outside a plan, walks from the station are asked for only by the
-            # advance phase's walk floor, once per drawn candidate
-            if not self._planning and start == self.grid.station:
-                self.check_walk_floor()
-                self._unplanned = goal
-            return explored_walk(start, goal)
-
-        self.dfield.explored_walk = checked
-
-    def check_walk_floor(self):
-        """Plans the last candidate if the walk floor rejected it; the plan must fail too.
-
-        Called at the next floor query and after the run: the cell states
-        have not changed since the rejection.
-        """
-        target, self._unplanned = self._unplanned, None
-        if target is not None:
-            plan = self._shortest(self.grid.station, target)
-            used = self.rules[-1]
-            assert used is explored_only and unaffordable(self.energy, plan.length), target
-            self.walk_floored += 1
-
-    def _shortest(self, start, goal, limit=math.inf):
-        if (start, goal) == (self.grid.station, self._unplanned):
-            self._unplanned = None
-        planning, self._planning = self._planning, True
-        try:
-            plan = super()._shortest(start, goal, limit)
-            if limit < math.inf and not planning:
-                # outside a candidate's plan only in-flight re-plans are bounded
-                self.check_replan(start, goal, plan, self.rules[-1])
-            return plan
-        finally:
-            self._planning = planning
-
-    def check_replan(self, start, target, bounded, used):
-        """A bounded re-plan is the unbounded one if the gate passes that, else the gate fails both.
-
-        Both choose one rule, and a target with an explored walk is never
-        planned over unexplored cells.
-        """
-        full = self._shortest(start, target)
-        full_used = self.rules[-1]
-        explored = grid_astar(self.grid, start, target, explored_only)
-        assert (full_used is explored_only) == (explored is not None), (start, target)
-        assert used is full_used, (start, target)
-        travel = self.energy.travel_rate
-        d = self.dfield.distance(start)
-        if full is not None and self.energy.can_continue(travel * full.length, travel * (full.length + d)):
-            assert (bounded.cells, bounded.length) == (full.cells, full.length), (start, target)
-            self.replans_kept += 1
-        elif bounded is None:
-            self.replans_bound_rejected += full is not None
-        else:
-            assert (bounded.cells, bounded.length) == (full.cells, full.length), (start, target)
-
-    def _plan_candidate(self, target, walk, longest):
-        if target == self._unplanned:
-            self._unplanned = None
-        planning, self._planning = self._planning, True
-        try:
-            plan = super()._plan_candidate(target, walk, longest)
-            used = self.candidate_rule[target]
-            if plan is None:
-                # the unbounded plan must be rejected too, and a non_obstacle
-                # one must put the target out of reach
-                full = self._shortest(self.grid.station, target)
-                full_used = self.rules[-1]
-                assert full_used is used and unaffordable(self.energy, full.length), target
-                assert used is explored_only or unaffordable(self.energy, full.length / GRID_STRETCH), target
-                self.bound_rejected += 1
-            return plan
-        finally:
-            self._planning = planning
-
-    @property
-    def _out_of_reach(self):
-        # read where a restart selection's exclusions are built: each
-        # excluded target that would still be selectable must be one that a
-        # plan from the station rejects
+    def read(self):
         grid = self.grid
         selectable = reachable_cells(grid)
         stamp = tuple(grid.counts().values())  # plans change only with the cell states
-        for target in self._floored:
-            if target in selectable and (target, stamp) not in self.rejected:
+        checked = self.checked.setdefault(held, set())
+        for target in self.__dict__[held]:
+            if target in selectable and (target, stamp) not in checked:
                 plan = self._shortest(grid.station, target)
-                assert unaffordable(self.energy, plan.length), (target, plan.length)
-                self.rejected.add((target, stamp))
-        return self._floored
+                assert unaffordable(self.energy, plan.length), (held, target, plan.length)
+                checked.add((target, stamp))
+        return self.__dict__[held]
 
-    @_out_of_reach.setter
-    def _out_of_reach(self, value):
-        self._floored = value
-        self.rejected = set()
+    def write(self, value):
+        self.__dict__[held] = value
+
+    return property(read, write)
+
+
+class FloorChecked(Mission):
+    """Plans in full every query that a floor, a bound or an exclusion keeps from a full plan.
+
+    ``_shortest``'s walk floor stops a query before either planner runs,
+    the budget bounds the plan of every restart candidate, and the
+    remaining energy bounds every re-plan during an advance. Each bounded
+    query is planned unbounded too, and both must choose one rule. The two
+    exclusions keep targets out of restart selections (``exclusion_checked``).
+    """
+
+    _out_of_reach = exclusion_checked("held_out_of_reach")
+    _rejected = exclusion_checked("held_rejected")
+
+    def __init__(self, gt, config, rules):
+        self.rules = rules
+        self.checked = {}  # per exclusion: the (target, cell-state counts) planned afresh
+        self.floored = 0
+        self.bound_rejected = 0
+        self.replans_kept = 0
+        self.replans_bound_rejected = 0
+        super().__init__(gt, config)
+
+    def _shortest(self, start, goal, limit=math.inf):
+        if limit == math.inf:
+            return super()._shortest(start, goal)
+        before = len(self.rules)
+        plan = super()._shortest(start, goal, limit)
+        used = self.rules[-1] if len(self.rules) > before else None
+        full = super()._shortest(start, goal)
+        full_used = self.rules[-1]
+        explored = grid_astar(self.grid, start, goal, explored_only)
+        # a target with an explored walk is never planned over unexplored cells
+        assert (full_used is explored_only) == (explored is not None), (start, goal)
+        if plan is not None:
+            assert (plan.cells, plan.length) == (full.cells, full.length), (start, goal)
+        if used is None:
+            # the walk floor ran no planner: the walk divided by GRID_STRETCH is over the limit
+            assert plan is None and full_used is explored_only and full.length > limit, (start, goal)
+            self.floored += 1
+        else:
+            assert used is full_used, (start, goal)
+        if planning_a_candidate(self):
+            if plan is None:
+                # the unbounded plan is rejected too, and a non_obstacle one
+                # puts the target out of reach
+                assert unaffordable(self.energy, full.length), goal
+                assert full_used is explored_only or unaffordable(self.energy, full.length / GRID_STRETCH), goal
+                self.bound_rejected += used is not None
+            return plan
+        # a re-plan is the unbounded one if the gate passes that, else the gate fails both
+        travel = self.energy.travel_rate
+        d = self.dfield.distance(start)
+        if full is not None and self.energy.can_continue(travel * full.length, travel * (full.length + d)):
+            assert plan is not None, (start, goal)
+            self.replans_kept += 1
+        elif plan is None:
+            self.replans_bound_rejected += full is not None
+        return plan
 
 
 def test_tight_budget_leaves_only_infeasible_cells_uncovered(planned_rules):
     # a reachable cell may stay uncovered only if no charge pays for flying
     # there and back along the true shortest path plus one coverage step;
-    # and no restart target is skipped that a plan would have accepted
-    skipped = rejected = walk_floored = bound_rejected = replans_kept = replans_bound_rejected = 0
+    # no restart target is skipped that a plan would have accepted; and the
+    # exclusions are per mission: a second mission on the same ground truth
+    # starts with none and must fly the same log
+    skipped = floored = bound_rejected = replans_kept = replans_bound_rejected = 0
+    excluded = {}
     for i, (gt, cfg, dist) in enumerate(tight_budget_maps()):
-        mission = FloorChecked(gt, cfg, planned_rules)
+        mission, second = FloorChecked(gt, cfg, planned_rules), Mission(gt, cfg)
         mission.run()
-        mission.check_walk_floor()
-        rejected += len(mission.rejected)
-        walk_floored += mission.walk_floored
+        second.run()
+        assert mission.log_rows == second.log_rows, i
+        for held, checked in mission.checked.items():
+            excluded[held] = excluded.get(held, 0) + len(checked)
+        floored += mission.floored
         bound_rejected += mission.bound_rejected
         replans_kept += mission.replans_kept
         replans_bound_rejected += mission.replans_bound_rejected
@@ -680,98 +661,56 @@ def test_tight_budget_leaves_only_infeasible_cells_uncovered(planned_rules):
             if mission.grid.state(cell) is not CellState.EXPLORED:
                 skipped += 1
                 assert 2.0 * cfg.travel_rate * d + min_step > cfg.capacity_e0, (i, cell, d)
-    assert skipped and rejected and walk_floored and bound_rejected
+    assert skipped and floored and bound_rejected
+    assert excluded.get("held_out_of_reach") and excluded.get("held_rejected"), excluded
     assert replans_kept and replans_bound_rejected
 
 
 class CandidateSearches(Mission):
-    """Records each planned restart candidate's explored walk and its grid A* calls."""
+    """Records each restart candidate's explored walk and the planner calls of its plan."""
 
     def __init__(self, gt, config, calls):
         self.calls = calls
         self.candidates = []
         super().__init__(gt, config)
 
-    def _plan_candidate(self, target, walk, longest):
+    def _shortest(self, start, goal, limit=math.inf):
         before = len(self.calls)
         try:
-            return super()._plan_candidate(target, walk, longest)
+            return super()._shortest(start, goal, limit)
         finally:
-            self.candidates.append((walk, len(self.calls) - before))
+            if limit < math.inf and planning_a_candidate(self):
+                walk = self.dfield.explored_walk(start, goal)
+                self.candidates.append((walk, self.calls[before:]))
 
 
 def test_no_grid_astar_for_a_candidate_whose_walk_fails_the_budget(monkeypatch):
     # grid A* would find the explored walk, which no charge pays for; only
     # a shorter sight-line path could still win
     calls = []
-    search = mission_mod.grid_astar
 
-    def counting(*args):
-        calls.append(args)
-        return search(*args)
+    def recorded(name, planner):
+        def call(*args):
+            calls.append(name)
+            return planner(*args)
 
-    monkeypatch.setattr(mission_mod, "grid_astar", counting)
+        return call
+
+    for name in ("build_visibility_graph", "grid_astar"):
+        monkeypatch.setattr(mission_mod, name, recorded(name, getattr(mission_mod, name)))
     over = under = 0
     for i, (gt, cfg, _) in enumerate(tight_budget_maps()):
         mission = CandidateSearches(gt, cfg, calls)
         mission.run()
-        for walk, searches in mission.candidates:
+        for walk, planners in mission.candidates:
             # beyond the planners' rounding margin
             if walk < math.inf and unaffordable(mission.energy, walk * (1.0 - 1e-8)):
-                assert searches == 0, (i, walk)
-                over += 1
+                assert "grid_astar" not in planners, (i, walk)
+                # past the walk floor, the sight-line path was searched
+                over += "build_visibility_graph" in planners
             else:
-                under += searches > 0
+                under += "grid_astar" in planners
     assert over and under
-
-
-class MemoChecked(CandidateRules):
-    """Plans afresh every restart candidate that the station-plan memo answers.
-
-    A candidate plan that runs no search is a memo hit, of a
-    ``non_obstacle`` plan; it must equal a plan made with the memo emptied,
-    in cells, length and rule.
-    """
-
-    def __init__(self, gt, config, rules):
-        self.searches = 0
-        self.hits = 0
-        super().__init__(gt, config, rules)
-
-    def _shortest(self, start, goal, limit=math.inf):
-        self.searches += 1
-        return super()._shortest(start, goal, limit)
-
-    def _plan_candidate(self, target, walk, longest):
-        before = self.searches
-        plan = super()._plan_candidate(target, walk, longest)
-        if self.searches == before:
-            used = self.candidate_rule[target]
-            memo, self._station_plans = self._station_plans, {}
-            try:
-                fresh = super()._plan_candidate(target, walk, longest)
-                fresh_used = self.candidate_rule[target]
-            finally:
-                self._station_plans = memo
-            assert used is non_obstacle and fresh_used is used, target
-            assert (plan is None) == (fresh is None), target
-            if plan is not None:
-                assert (plan.cells, plan.length) == (fresh.cells, fresh.length), target
-            self.hits += 1
-        return plan
-
-
-def test_station_plan_memo_returns_what_a_fresh_plan_returns(planned_rules):
-    # the memo is per mission: a second mission on the same ground truth
-    # plans from empty and must fly the same log
-    hits = 0
-    for i, (gt, cfg, _) in enumerate(tight_budget_maps()):
-        checked, second = MemoChecked(gt, cfg, planned_rules), Mission(gt, cfg)
-        checked.run()
-        second.run()
-        assert checked.log_rows == second.log_rows, i
-        hits += checked.hits
-    assert hits
 
 
 def test_evicting_sight_lines_changes_no_mission(monkeypatch):
@@ -795,9 +734,9 @@ def test_evicting_sight_lines_changes_no_mission(monkeypatch):
 
 
 def test_advance_floor_saves_plans_and_changes_no_log_row():
-    # map 16 of the 40 searches 83 advance plans with the floor, 187 without
+    # map 16 of the 40 makes 90 advance plans with both exclusions, 641 without
     gt, cfg, _ = next(islice(tight_budget_maps(), 16, None))
-    with_floor, without = PlanCounting(gt, cfg), WithoutFloor(gt, cfg)
+    with_floor, without = PlanCounting(gt, cfg), WithoutExclusions(gt, cfg)
     with_floor.run()
     without.run()
     assert with_floor.log_rows == without.log_rows

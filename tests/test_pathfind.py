@@ -304,6 +304,21 @@ def test_non_obstacle_walk_never_shortens_under_sensor_updates(goal_raw, ops):
 
 # -- grid search & distance field ------------------------------------------------
 
+def test_a_new_obstacle_can_shorten_a_non_obstacle_sight_path():
+    # its corners become visibility-graph nodes, here (5, 3) between (5, 2)
+    # and the new (4, 4); so a restart candidate rejected by its
+    # non_obstacle plan is excluded only until the next obstacle is marked
+    grid = CellGrid(9, 5, (0, 0))
+    grid.mark_traversed((0, 0))
+    grid.apply_sensor_update([(5, 2)])
+    before = astar(build_visibility_graph(grid, (0, 0), (8, 3), non_obstacle), (0, 0), (8, 3))
+    grid.apply_sensor_update([(4, 4)])
+    after = astar(build_visibility_graph(grid, (0, 0), (8, 3), non_obstacle), (0, 0), (8, 3))
+    assert after.cells == [(0, 0), (5, 3), (8, 3)] and after.length < before.length
+    # the grid walk, which only gets longer, loses to both sight-line paths
+    assert grid_astar(grid, (0, 0), (8, 3), non_obstacle).length > before.length
+
+
 def test_grid_astar_squeeze_control():
     # a diagonal squeeze between two obstacles is allowed as motion
     obstacles = {(1, 2), (2, 1)}
@@ -890,6 +905,16 @@ def test_failing_start_raises():
             build_visibility_graph(grid, start, (0, 0), pred)
         with pytest.raises(ValueError):
             grid_astar(grid, start, (0, 0), pred)
+
+
+def test_astar_refuses_a_start_or_goal_that_is_not_a_graph_node():
+    # free space: the graph holds only the start, the goal and the station
+    grid = explored_grid(5, 5, set(), (0, 0))
+    graph = build_visibility_graph(grid, (0, 0), (4, 4), explored_only)
+    assert (1, 2) not in graph.adjacency
+    for start, goal in (((1, 2), (4, 4)), ((0, 0), (1, 2))):
+        with pytest.raises(ValueError, match="graph nodes"):
+            astar(graph, start, goal)
 
 
 def test_out_of_bounds_goal_has_no_path():
