@@ -321,6 +321,9 @@ class ParsedMap:
         self.station = station
 
 
+_MAP_CHARS_DELETED = str.maketrans("", "", ".#C")  # a row's invalid characters remain
+
+
 def parse_map_text(text: str) -> ParsedMap:
     """Parse an ASCII map; blank lines may lead or trail it, not split its rows.
 
@@ -345,17 +348,23 @@ def parse_map_text(text: str) -> ParsedMap:
                 f"line {lineno} has length {len(line)}, expected {width} (all rows must match)"
             )
         row = height - 1 - i
-        for col, ch in enumerate(line):
-            if ch == "#":
-                obstacles.add((col, row))
-            elif ch == "C":
-                if station is not None:
-                    raise MapFormatError(
-                        f"multiple station cells: {station} and {(col, row)}"
-                    )
-                station = (col, row)
-            elif ch != ".":
-                raise MapFormatError(f"invalid character {ch!r} at line {lineno}, column {col + 1}")
+        # whichever of a second station and an invalid character comes first raises
+        invalid = line.translate(_MAP_CHARS_DELETED)
+        end = line.find(invalid[0]) if invalid else width
+        col = line.find("C", 0, end)
+        while col >= 0:
+            if station is not None:
+                raise MapFormatError(f"multiple station cells: {station} and {(col, row)}")
+            station = (col, row)
+            col = line.find("C", col + 1, end)
+        if invalid:
+            raise MapFormatError(
+                f"invalid character {invalid[0]!r} at line {lineno}, column {end + 1}"
+            )
+        col = line.find("#")
+        while col >= 0:
+            obstacles.add((col, row))
+            col = line.find("#", col + 1)
     if station is None:
         raise MapFormatError("map has no station cell 'C'")
     return ParsedMap(width, height, frozenset(obstacles), station)

@@ -4,6 +4,17 @@ Obstacles are filled dark, the station is the yellow marker, and the three
 segment kinds keep the usual color convention: coverage red, retreat blue,
 advance green. Output is plain SVG text built with fixed formatting so the
 same inputs always produce the same bytes.
+
+A pixel coordinate depends on one axis only, so each render formats every
+column and every row once, into four string tables: the cell centers that
+log points and the station use, and the cell corners that obstacles use.
+A log point is then two table strings joined by a comma, and an obstacle two
+table strings and a constant tail. An entry is ``_fmt`` of the same
+expression a point's own coordinate would be, so a lookup writes the same
+bytes as formatting that point. The bounds checks over all log rows and the
+station run before any table lookup: a negative column or row would
+otherwise index a table from its end and draw a wrong point instead of
+raising.
 """
 
 from __future__ import annotations
@@ -29,43 +40,42 @@ def _fmt(v: float) -> str:
 
 
 def render_svg(parsed: ParsedMap, rows: list[LogRow]) -> str:
-    width_px = parsed.width * SCALE + 2 * MARGIN
-    height_px = parsed.height * SCALE + 2 * MARGIN
-
-    def center(col: int, row: int) -> tuple[float, float]:
-        return (
-            MARGIN + (col + 0.5) * SCALE,
-            MARGIN + (parsed.height - 1 - row + 0.5) * SCALE,
-        )
+    width, height = parsed.width, parsed.height
+    width_px = width * SCALE + 2 * MARGIN
+    height_px = height * SCALE + 2 * MARGIN
 
     for _, _, col, row, _, _ in rows:
-        if not (0 <= col < parsed.width and 0 <= row < parsed.height):
-            raise ValueError(f"log cell ({col},{row}) outside {parsed.width}x{parsed.height} map")
+        if not (0 <= col < width and 0 <= row < height):
+            raise ValueError(f"log cell ({col},{row}) outside {width}x{height} map")
+    sc, sr = parsed.station
+    if not (0 <= sc < width and 0 <= sr < height):
+        raise ValueError(f"station ({sc},{sr}) outside {width}x{height} map")
+
+    xs = [_fmt(MARGIN + (col + 0.5) * SCALE) for col in range(width)]
+    ys = [_fmt(MARGIN + (height - 1 - row + 0.5) * SCALE) for row in range(height)]
+    corner_xs = [_fmt(MARGIN + col * SCALE) for col in range(width)]
+    corner_ys = [_fmt(MARGIN + (height - 1 - row) * SCALE) for row in range(height)]
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width_px)}"'
         f' height="{_fmt(height_px)}" viewBox="0 0 {_fmt(width_px)} {_fmt(height_px)}">',
         f'<rect x="0" y="0" width="{_fmt(width_px)}" height="{_fmt(height_px)}" fill="#ffffff"/>',
-        f'<rect x="{_fmt(MARGIN)}" y="{_fmt(MARGIN)}" width="{_fmt(parsed.width * SCALE)}"'
-        f' height="{_fmt(parsed.height * SCALE)}" fill="none" stroke="#999999" stroke-width="1"/>',
+        f'<rect x="{_fmt(MARGIN)}" y="{_fmt(MARGIN)}" width="{_fmt(width * SCALE)}"'
+        f' height="{_fmt(height * SCALE)}" fill="none" stroke="#999999" stroke-width="1"/>',
     ]
+    obstacle_tail = f'" width="{_fmt(SCALE)}" height="{_fmt(SCALE)}" fill="{OBSTACLE_FILL}"/>'
     for col, row in sorted(parsed.obstacles):
-        x = MARGIN + col * SCALE
-        y = MARGIN + (parsed.height - 1 - row) * SCALE
-        out.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(SCALE)}"'
-            f' height="{_fmt(SCALE)}" fill="{OBSTACLE_FILL}"/>'
-        )
+        out.append(f'<rect x="{corner_xs[col]}" y="{corner_ys[row]}{obstacle_tail}')
 
     # consecutive rows of one segment kind form one polyline; each group is
     # anchored at the previous row's point so segments connect visually
-    prev_point: tuple[float, float] | None = None
+    prev_point: str | None = None
     group_kind: str | None = None
-    group_points: list[tuple[float, float]] = []
+    group_points: list[str] = []
 
     def flush() -> None:
         if group_kind is not None and len(group_points) >= 2:
-            pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in group_points)
+            pts = " ".join(group_points)
             out.append(
                 f'<polyline points="{pts}" fill="none" stroke="{COLORS[group_kind]}"'
                 f' stroke-width="2" stroke-linejoin="round" stroke-linecap="round"/>'
@@ -73,7 +83,7 @@ def render_svg(parsed: ParsedMap, rows: list[LogRow]) -> str:
 
     last_group: tuple[int, str] | None = None
     for ti, kind, col, row, _, _ in rows:
-        point = center(col, row)
+        point = xs[col] + "," + ys[row]
         if (ti, kind) != last_group:
             flush()
             group_points = [prev_point] if prev_point is not None else []
@@ -83,9 +93,8 @@ def render_svg(parsed: ParsedMap, rows: list[LogRow]) -> str:
         prev_point = point
     flush()
 
-    sx, sy = center(*parsed.station)
     out.append(
-        f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="{_fmt(SCALE * 0.45)}"'
+        f'<circle cx="{xs[sc]}" cy="{ys[sr]}" r="{_fmt(SCALE * 0.45)}"'
         f' fill="{STATION_FILL}" stroke="#806000" stroke-width="1"/>'
     )
     out.append("</svg>")

@@ -4,6 +4,9 @@ The ``dict_*`` kernels are the tuple- and dict-based forms of grid A*, the
 distance field and the waypoint step that the flat-int kernels in
 ``epsplus`` replaced: the same expressions on the same operands in the same
 order, kept as references that the library must match bit for bit.
+``reference_render_svg`` and ``reference_parse_map_text`` are the per-row
+SVG writer and the per-character map parser, kept the same way for
+``render_svg`` and ``parse_map_text``.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ import heapq
 import math
 from fractions import Fraction
 
-from epsplus.grid import NEIGHBORS_8, CellGrid, CellState
+from epsplus.errors import MapFormatError
+from epsplus.grid import NEIGHBORS_8, CellGrid, CellState, ParsedMap
 from epsplus.pathfind import PathResult, path_length, supercover_line
 from epsplus.planner import restart_point
+from epsplus.render import COLORS, MARGIN, OBSTACLE_FILL, SCALE, STATION_FILL, _fmt
 
 
 def b_field(grid, cell):
@@ -506,3 +511,106 @@ def dict_next_waypoint(grid, hierarchy, current, excluded=frozenset()):
     if best is not None:
         return best[2]
     return restart_point(grid, hierarchy, current, excluded)
+
+
+def reference_render_svg(parsed, rows):
+    """``render_svg`` formatting every coordinate at each use: a log row's
+    point through ``center()`` and two ``_fmt`` calls, an obstacle through four."""
+    width_px = parsed.width * SCALE + 2 * MARGIN
+    height_px = parsed.height * SCALE + 2 * MARGIN
+
+    def center(col, row):
+        return (
+            MARGIN + (col + 0.5) * SCALE,
+            MARGIN + (parsed.height - 1 - row + 0.5) * SCALE,
+        )
+
+    for _, _, col, row, _, _ in rows:
+        if not (0 <= col < parsed.width and 0 <= row < parsed.height):
+            raise ValueError(f"log cell ({col},{row}) outside {parsed.width}x{parsed.height} map")
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width_px)}"'
+        f' height="{_fmt(height_px)}" viewBox="0 0 {_fmt(width_px)} {_fmt(height_px)}">',
+        f'<rect x="0" y="0" width="{_fmt(width_px)}" height="{_fmt(height_px)}" fill="#ffffff"/>',
+        f'<rect x="{_fmt(MARGIN)}" y="{_fmt(MARGIN)}" width="{_fmt(parsed.width * SCALE)}"'
+        f' height="{_fmt(parsed.height * SCALE)}" fill="none" stroke="#999999" stroke-width="1"/>',
+    ]
+    for col, row in sorted(parsed.obstacles):
+        x = MARGIN + col * SCALE
+        y = MARGIN + (parsed.height - 1 - row) * SCALE
+        out.append(
+            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(SCALE)}"'
+            f' height="{_fmt(SCALE)}" fill="{OBSTACLE_FILL}"/>'
+        )
+
+    # consecutive rows of one segment kind form one polyline; each group is
+    # anchored at the previous row's point so segments connect visually
+    prev_point = None
+    group_kind = None
+    group_points = []
+
+    def flush():
+        if group_kind is not None and len(group_points) >= 2:
+            pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in group_points)
+            out.append(
+                f'<polyline points="{pts}" fill="none" stroke="{COLORS[group_kind]}"'
+                f' stroke-width="2" stroke-linejoin="round" stroke-linecap="round"/>'
+            )
+
+    last_group = None
+    for ti, kind, col, row, _, _ in rows:
+        point = center(col, row)
+        if (ti, kind) != last_group:
+            flush()
+            group_points = [prev_point] if prev_point is not None else []
+            group_kind = kind
+            last_group = (ti, kind)
+        group_points.append(point)
+        prev_point = point
+    flush()
+
+    sx, sy = center(*parsed.station)
+    out.append(
+        f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="{_fmt(SCALE * 0.45)}"'
+        f' fill="{STATION_FILL}" stroke="#806000" stroke-width="1"/>'
+    )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def reference_parse_map_text(text):
+    """``parse_map_text`` testing one character at a time."""
+    lines = text.splitlines()
+    filled = [n for n, line in enumerate(lines) if line.strip()]
+    if not filled:
+        raise MapFormatError("map file is empty")
+    first = filled[0]
+    rows = lines[first : filled[-1] + 1]
+    width = len(rows[0])
+    height = len(rows)
+    obstacles = set()
+    station = None
+    for i, line in enumerate(rows):
+        lineno = first + i + 1
+        if not line.strip():
+            raise MapFormatError(f"line {lineno} is blank inside the map")
+        if len(line) != width:
+            raise MapFormatError(
+                f"line {lineno} has length {len(line)}, expected {width} (all rows must match)"
+            )
+        row = height - 1 - i
+        for col, ch in enumerate(line):
+            if ch == "#":
+                obstacles.add((col, row))
+            elif ch == "C":
+                if station is not None:
+                    raise MapFormatError(
+                        f"multiple station cells: {station} and {(col, row)}"
+                    )
+                station = (col, row)
+            elif ch != ".":
+                raise MapFormatError(f"invalid character {ch!r} at line {lineno}, column {col + 1}")
+    if station is None:
+        raise MapFormatError("map has no station cell 'C'")
+    return ParsedMap(width, height, frozenset(obstacles), station)

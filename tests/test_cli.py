@@ -5,11 +5,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from epsplus.cli import main, read_log_csv
 from epsplus.config import parse_config
-from epsplus.grid import parse_map_text
-from epsplus.render import render_svg
+from epsplus.grid import ParsedMap, parse_map_text
+from epsplus.render import COLORS, render_svg
+
+from helpers import reference_render_svg
 
 SMALL_MAP = "....\n.#..\nC...\n"
 SEALED_MAP = (
@@ -239,6 +242,61 @@ def test_render_single_step_log(tmp_path):
     rows = [(1, "coverage", 0, 0, 5.0, 0.0), (1, "coverage", 1, 0, 4.0, 1.0)]
     svg = render_svg(parsed, rows)
     assert svg.count("<polyline") == 1
+
+
+@pytest.mark.parametrize("cell", [(-1, 0), (0, -1)])
+def test_render_negative_cell_errors(cell):
+    # a negative column or row would index the coordinate tables from their end
+    parsed = parse_map_text(SMALL_MAP)
+    rows = [(1, "coverage", 0, 0, 5.0, 0.0), (1, "coverage", *cell, 4.0, 1.0)]
+    with pytest.raises(ValueError, match="outside"):
+        render_svg(parsed, rows)
+
+
+@pytest.mark.parametrize("station", [(-1, 0), (4, 0), (0, 3)])
+def test_render_station_outside_the_map_errors(station):
+    parsed = ParsedMap(4, 3, frozenset(), station)
+    with pytest.raises(ValueError, match="outside"):
+        render_svg(parsed, [])
+
+
+@st.composite
+def _maps_and_logs(draw):
+    """A map of 1 to 6 cells a side and a log over its cells; the trajectory
+    index rises by 0 or 1 a row, so one-row groups and one kind in
+    consecutive trajectories both occur."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    parsed = ParsedMap(width, height, draw(st.frozensets(cells, max_size=8)), draw(cells))
+    steps = st.tuples(st.booleans(), st.sampled_from(sorted(COLORS)), cells)
+    rows, ti = [], 1
+    for new_trajectory, kind, (col, row) in draw(st.lists(steps, max_size=25)):
+        ti += new_trajectory
+        rows.append((ti, kind, col, row, 1.0, 0.0))
+    return parsed, rows
+
+
+@given(_maps_and_logs())
+@settings(max_examples=200)
+@example((ParsedMap(1, 1, frozenset(), (0, 0)), []))
+@example((ParsedMap(1, 4, frozenset({(0, 3)}), (0, 0)), [(1, "coverage", 0, 0, 5.0, 0.0)]))
+@example(
+    (
+        # one-row groups, retreat in trajectories 1 and 2, and all four edges
+        ParsedMap(4, 3, frozenset({(1, 1), (3, 2)}), (0, 0)),
+        [
+            (1, "coverage", 0, 0, 5.0, 0.0),
+            (1, "coverage", 3, 0, 4.0, 3.0),
+            (1, "retreat", 3, 1, 3.0, 4.0),
+            (2, "retreat", 2, 2, 2.0, 5.4),
+            (2, "advance", 0, 2, 1.0, 7.4),
+            (2, "coverage", 0, 1, 0.5, 8.4),
+        ],
+    )
+)
+def test_render_svg_matches_the_per_row_renderer(case):
+    parsed, rows = case
+    assert render_svg(parsed, rows) == reference_render_svg(parsed, rows)
 
 
 def test_run_bundled_field_scenario(tmp_path):

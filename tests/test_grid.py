@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from epsplus.errors import MapConflictError, MapFormatError
 from epsplus.grid import _RING_SEEDS, BORDER, NEIGHBORS_8, CellGrid, CellState, parse_map_text
@@ -11,6 +11,7 @@ from helpers import (
     map_text,
     neighbors8,
     reachable_cells,
+    reference_parse_map_text,
     ring_components,
 )
 
@@ -156,6 +157,41 @@ def test_parse_map_errors(text, fragment):
     with pytest.raises(MapFormatError) as exc:
         parse_map_text(text)
     assert fragment in str(exc.value)
+
+
+@st.composite
+def _map_texts(draw):
+    """Map-like texts: rows mostly of one width and of ``.#C``, with stray
+    characters, whitespace, ragged and blank rows, and other line breaks."""
+    width = draw(st.integers(1, 6))
+    row = st.one_of(
+        st.text(st.sampled_from("..##."), min_size=width, max_size=width),
+        st.text(st.sampled_from("..#C"), min_size=width, max_size=width),
+        st.text(st.sampled_from(".#C x\tc"), max_size=width + 1),
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    station = draw(st.integers(0, len(rows) - 1))
+    rows[station] = "C" + rows[station][1:]
+    breaks = st.sampled_from(["\n", "\n", "\r\n", "\r", "\n\n", "\n \n"])
+    return draw(st.sampled_from(["", "\n", " \n"])) + "".join(r + draw(breaks) for r in rows)
+
+
+def _parsed_or_error(parse, text):
+    try:
+        parsed = parse(text)
+    except MapFormatError as exc:
+        return str(exc)
+    return parsed.width, parsed.height, parsed.obstacles, parsed.station
+
+
+@given(st.one_of(_map_texts(), st.text(".#C x\t\r\n", max_size=40)))
+@settings(max_examples=250)
+@example("C.C\n..x\n")
+@example("C.x\nC..\n")
+@example("..\n.C\nCx\n")
+def test_parse_map_text_matches_the_per_character_parser(text):
+    # the same map or the same error message, raised in the same scan order
+    assert _parsed_or_error(parse_map_text, text) == _parsed_or_error(reference_parse_map_text, text)
 
 
 def test_b_field_invariants_direct_scan():

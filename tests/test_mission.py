@@ -25,6 +25,7 @@ from epsplus.pathfind import (
     grid_astar,
     non_obstacle,
 )
+from epsplus.planner import restart_candidates
 from epsplus.sim import GroundTruth, SensorModel
 
 from helpers import (
@@ -741,6 +742,39 @@ def test_advance_floor_saves_plans_and_changes_no_log_row():
     without.run()
     assert with_floor.log_rows == without.log_rows
     assert with_floor.advance_plans < without.advance_plans
+
+
+class GoalsRecorded(Mission):
+    """Records the goal of every ``_shortest`` call."""
+
+    def __init__(self, gt, config):
+        self.goals = []
+        super().__init__(gt, config)
+
+    def _shortest(self, start, goal, limit=math.inf):
+        self.goals.append(goal)
+        return super()._shortest(start, goal, limit)
+
+
+def test_rejected_targets_are_planned_again_after_a_new_obstacle():
+    # a restart target rejected at one obstacle count is kept out of the
+    # selections made at that count and planned again once the count moves
+    gt = gt_from_text((SCENARIOS / "field_a.txt").read_text())
+    missions = [GoalsRecorded(gt, MissionConfig()), GoalsRecorded(gt, MissionConfig())]
+    for mission in missions:
+        while mission.step() is not MissionEvent.RECHARGED:
+            pass
+    same, moved = missions
+    grid = same.grid
+    # the advance phase's first candidate once the rejections are emptied
+    target = next(restart_candidates(grid, same.hier, grid.station, same.infeasible | same._out_of_reach))
+    for mission, rejected_at in ((same, same._obstacles), (moved, moved._obstacles - 1)):
+        mission._rejected, mission._rejected_at = {target}, rejected_at
+        mission.goals.clear()
+        while mission.step() is not MissionEvent.ADVANCE_STARTED:
+            pass
+    assert same.goals and target not in same.goals
+    assert moved.goals[0] == target
 
 
 class SensingEveryVisit(Mission):
