@@ -70,9 +70,10 @@ out of reach for good (``_out_of_reach``). A
 ``non_obstacle`` plan from the station reads obstacle cells only (see
 ``pathfind``), and an ``explored_only`` plan is never shorter, since its
 graph and walks are subsets of those; so any other rejected target stays
-rejected, even if it gains an explored walk, until the next newly marked
-obstacle, whose corners may open a shorter sight-line path. It is excluded
-until a selection sees a new count of marked obstacles (``_rejected``).
+rejected, even if it gains an explored walk, until a new obstacle's
+corners open a shorter sight-line path. It is excluded until the next newly
+marked obstacle, which empties ``_rejected``; planning neither moves nor
+senses, so none is marked while candidates are planned.
 Capacity and rates are fixed and the float comparisons are monotone, so
 every excluded target would have been planned and rejected again, and the
 exclusions change no output.
@@ -226,15 +227,13 @@ class Mission:
         self.infeasible: set[Cell] = set()
         # restart targets that no later advance plan can make affordable
         self._out_of_reach: set[Cell] = set()
-        # restart targets rejected while _rejected_at cells were marked obstacle
+        # restart targets rejected since the last newly marked obstacle
         self._rejected: set[Cell] = set()
-        self._rejected_at = 0
         self._segments: list[TrajectorySegment] = []
         self._visits: dict[Cell, int] = {}
         self._cum_length = 0.0
         self._route: list[Cell] = []  # remaining cells of the planned coverage route
         self._traj_start_unexplored = 0
-        self._obstacles = 0  # cells marked obstacle on the belief grid
         self._start_trajectory()
         self._coverage_enter(self.pos)
         self._log_row()
@@ -265,11 +264,8 @@ class Mission:
 
     def run(self) -> MissionReport:
         """Run the mission to completion and return the report."""
-        if self._events is None:
-            self._events = self._run()
-        for _ in self._events:
-            pass
-        assert self.report is not None
+        while self.report is None:
+            self.step()
         return self.report
 
     # -- belief updates -------------------------------------------------------
@@ -277,7 +273,7 @@ class Mission:
     def _add_obstacles(self, detected: "frozenset[Cell] | list[Cell] | set[Cell]") -> list[Cell]:
         new = self.grid.apply_sensor_update(detected)
         if new:
-            self._obstacles += len(new)
+            self._rejected = set()
             for c in new:
                 self.hier.on_state_change(c, CellState.UNEXPLORED, CellState.OBSTACLE)
             self._route = []
@@ -544,8 +540,6 @@ class Mission:
 
         def selection():
             # the stream yields each candidate once, until the selection starts over
-            if self._rejected_at != self._obstacles:
-                self._rejected_at, self._rejected = self._obstacles, set()
             excluded = self.infeasible | self._out_of_reach | self._rejected
             return restart_candidates(grid, self.hier, station, excluded)
 
@@ -571,11 +565,10 @@ class Mission:
             self._begin_segment(SegmentKind.ADVANCE, self.pos)
             yield MissionEvent.ADVANCE_STARTED
             arrived = yield from self._advance_exec(target, plan)
+            self._coverage_enter(self.pos)
             if arrived:
-                self._coverage_enter(self.pos)
                 return True
             # advance abandoned: return home, recharge and reselect
-            self._coverage_enter(self.pos)
             yield from self._return_home(recharge=True)
             candidates = selection()
 

@@ -263,21 +263,24 @@ class _Core:
     - re-tests node status on each changed cell whose passability flipped,
       and on the 8 neighbours of each new obstacle;
     - drops the pairs of the nodes that are gone;
-    - re-files an old pair only when a cell it depends on flipped (below);
+    - re-files an old pair only when a cell it depends on flipped: a flip
+      to passing walks again the pairs that watch it, and a flip to failing
+      cuts the edges across it (below);
     - walks the lines of each new node to the others.
 
     Every line is tested one way: the offsets of the cells strictly
     between its ends are walked over ``ok`` from its lower endpoint up to
     the first failing one. ``_classify`` takes a pair's two nodes in either
-    order and orients the walk itself. Where cells only start passing, a blocked pair
-    watches that cell if it is still unexplored (``watch``, a list of pair
+    order and orients the walk itself. A blocked pair watches its first
+    failing cell if that cell is still unexplored (``watch``, a list of pair
     keys per flat index) and is dead for good otherwise, since explored and
-    obstacle cells never change again. The cells before it pass for good,
-    so the pair can become an edge only when that cell flips, and the flip
-    walks the pair again from the start: a live pair sits in at most one
-    watch list. Where cells only start failing, a blocked pair is dead for
-    good, and a sync walks again the edges whose bounding box meets the box
-    of the new failing cells, cutting each at its first failing cell.
+    obstacle cells never change again. Under ``explored_only`` the cells
+    before it pass for good, so the pair can become an edge only when that
+    cell flips, and the flip walks the pair again from the start: a live
+    pair sits in at most one watch list. Under ``non_obstacle`` a failing
+    cell is an obstacle, so no pair watches; a sync walks again the edges
+    whose bounding box meets the box of the new failing cells, cutting each
+    at its first failing cell.
 
     Each node takes a new serial when it appears (``nodes`` maps serials
     to flat indices and cells), and a pair's key is made of its serials, so
@@ -285,13 +288,12 @@ class _Core:
     """
 
     __slots__ = (
-        "rule", "gains", "ok", "read", "ring", "diagonals", "station", "serial", "nodes",
+        "rule", "ok", "read", "ring", "diagonals", "station", "serial", "nodes",
         "adjacency", "watch",
     )
 
     def __init__(self, grid: CellGrid, rule: bytes):
         self.rule = rule
-        self.gains = not rule[_UNEXPLORED]  # cells only start passing
         ok = grid.flat.translate(rule)
         for i in grid.changes:  # the grid as created: every cell unexplored
             ok[i] = rule[_UNEXPLORED]
@@ -316,12 +318,12 @@ class _Core:
         fresh = changes[self.read :]
         self.read = len(changes)
         flat, ok, rule, ring = grid.flat, self.ok, self.rule, self.ring
-        flips = []
+        gained, lost = [], []
         near = set()  # the cells whose node status may have changed
         for i in fresh:
             if ok[i] != rule[flat[i]]:
                 ok[i] ^= 1
-                flips.append(i)
+                (gained if ok[i] else lost).append(i)
                 near.add(i)
             if flat[i] == _OBSTACLE:  # the corners around it may have moved
                 near.update([i + o for o in ring])
@@ -335,11 +337,10 @@ class _Core:
                 gone.append(i)
         if gone:
             self._drop(gone)
-        if flips:
-            if self.gains:
-                self._regain(grid, flips)
-            else:
-                self._cut(grid, flips)
+        if gained:
+            self._regain(grid, gained)
+        if lost:
+            self._cut(grid, lost)
         if born:
             self._add(grid, sorted(born))
 
@@ -352,10 +353,10 @@ class _Core:
         for v in touched - cells:
             adjacency[v] = [e for e in adjacency[v] if e[0] not in cells]
 
-    def _regain(self, grid: CellGrid, flips: list[int]) -> None:
+    def _regain(self, grid: CellGrid, gained: list[int]) -> None:
         """Walk again, from the start, the pairs that watch a cell which started passing."""
         serial, nodes, watch, classify = self.serial, self.nodes, self.watch, self._classify
-        for i in flips:
+        for i in gained:
             for key in watch.pop(i, ()):
                 s, t = divmod(key, _PAIR)
                 (a, ca), (b, cb) = nodes[s], nodes[t]
@@ -363,7 +364,7 @@ class _Core:
                     continue  # a node of the pair has gone since
                 classify(grid, key, a, ca, b, cb)
 
-    def _cut(self, grid: CellGrid, flips: list[int]) -> None:
+    def _cut(self, grid: CellGrid, lost: list[int]) -> None:
         """Remove the edges that a cell which started failing lies on.
 
         A line touches only cells inside its endpoints' bounding box, so an
@@ -374,7 +375,7 @@ class _Core:
         was dropped before the cut. Edges are ``u < v``, so u's column is
         the lower.
         """
-        xs = [grid.cell_at(i) for i in flips]
+        xs = [grid.cell_at(i) for i in lost]
         c0 = min(c for c, _ in xs)
         c1 = max(c for c, _ in xs)
         r0 = min(r for _, r in xs)
@@ -414,8 +415,8 @@ class _Core:
 
         The cells strictly between the nodes are walked from the lower
         one, as every line is, up to the first failing one. No failing cell
-        makes an edge; where cells only start passing, the pair watches that
-        cell if it is still unexplored, and is dead for good otherwise.
+        makes an edge; the pair watches that cell if it is still unexplored,
+        and is dead for good otherwise.
         """
         if j < i:
             i, u, v = j, v, u
@@ -423,7 +424,7 @@ class _Core:
         for o in _line_offsets(grid.stride, v[0] - u[0], v[1] - u[1]):
             if not ok[i + o]:
                 j = i + o
-                if self.gains and grid.flat[j] == _UNEXPLORED:  # explored and obstacle cells never change again
+                if grid.flat[j] == _UNEXPLORED:  # explored and obstacle cells never change again
                     self.watch.setdefault(j, []).append(key)
                 return
         w = math.dist(u, v)

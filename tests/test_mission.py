@@ -143,6 +143,34 @@ def test_step_replay_matches_run():
     assert stepped.log_rows == ran.log_rows
 
 
+def test_run_finishes_a_stepped_mission_once():
+    # run() picks up where step() left off, returns one report however often
+    # it is called, and leaves a mission that step() reports as completed
+    # and that is freed without the cyclic GC; field_b recharges, so 50
+    # steps stop mid-mission
+    gt = gt_from_text((SCENARIOS / "field_b.txt").read_text())
+    fresh = Mission(gt, MissionConfig())
+    report = fresh.run()
+    assert report.recharge_count > 0
+    resumed = Mission(gt, MissionConfig())
+    for _ in range(50):
+        assert resumed.step() is not MissionEvent.COMPLETED
+    assert resumed.run() == report
+    assert resumed.log_rows == fresh.log_rows
+    assert resumed.run() is resumed.report
+    with pytest.raises(RuntimeError):
+        resumed.step()
+    refs = [weakref.ref(fresh), weakref.ref(resumed)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del fresh, resumed
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_retreat_event_when_energy_low():
     text = map_text(8, 8, set(), (0, 0))
     gt = gt_from_text(text)
@@ -757,8 +785,8 @@ class GoalsRecorded(Mission):
 
 
 def test_rejected_targets_are_planned_again_after_a_new_obstacle():
-    # a restart target rejected at one obstacle count is kept out of the
-    # selections made at that count and planned again once the count moves
+    # a rejected restart target stays out of the selections until a newly
+    # marked obstacle empties the rejections; then it is planned again
     gt = gt_from_text((SCENARIOS / "field_a.txt").read_text())
     missions = [GoalsRecorded(gt, MissionConfig()), GoalsRecorded(gt, MissionConfig())]
     for mission in missions:
@@ -768,13 +796,42 @@ def test_rejected_targets_are_planned_again_after_a_new_obstacle():
     grid = same.grid
     # the advance phase's first candidate once the rejections are emptied
     target = next(restart_candidates(grid, same.hier, grid.station, same.infeasible | same._out_of_reach))
-    for mission, rejected_at in ((same, same._obstacles), (moved, moved._obstacles - 1)):
-        mission._rejected, mission._rejected_at = {target}, rejected_at
+    marked = next(c for c in grid_cells(grid) if grid.state(c) is CellState.OBSTACLE)
+    # the true obstacle farthest from the target, not yet marked
+    unmarked = max(
+        sorted(c for c in gt.obstacles if grid.state(c) is CellState.UNEXPLORED),
+        key=lambda c: math.dist(c, target),
+    )
+    for mission in missions:
+        mission._rejected = {target}
         mission.goals.clear()
+    assert same._add_obstacles([marked]) == []
+    assert same._rejected == {target}
+    assert moved._add_obstacles([unmarked]) == [unmarked]
+    assert moved._rejected == set()
+    for mission in missions:
         while mission.step() is not MissionEvent.ADVANCE_STARTED:
             pass
     assert same.goals and target not in same.goals
     assert moved.goals[0] == target
+
+
+def test_non_obstacle_cores_watch_no_cell(monkeypatch):
+    # under non_obstacle a line's first failing cell is an obstacle, which
+    # never changes again, so no pair of a non_obstacle core watches a cell
+    sync = pathfind_mod._Core.sync
+    synced = []
+
+    def checked(core, grid):
+        sync(core, grid)
+        if core.rule is non_obstacle:
+            synced.append(core)
+            assert not core.watch
+
+    monkeypatch.setattr(pathfind_mod._Core, "sync", checked)
+    for gt, cfg, _ in islice(tight_budget_maps(), 4):
+        Mission(gt, cfg).run()
+    assert any(len(core.nodes) > 1 for core in synced)  # cores with obstacle vertices
 
 
 class SensingEveryVisit(Mission):

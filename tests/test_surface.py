@@ -1,0 +1,81 @@
+"""The names other code in the repository reads from the library.
+
+The package exports what a mission needs end to end; ``bench/spans.py``
+patches entry points of the layers by name, and ``scripts/ladder.py`` wraps
+others. A name either of them reads that the library drops must fail here,
+not only in a traced benchmark run.
+"""
+
+import re
+from pathlib import Path
+
+import epsplus
+import epsplus.mission as mission_mod
+import epsplus.pathfind as pathfind_mod
+from epsplus.energy import EnergyState
+from epsplus.grid import CellGrid
+from epsplus.hierarchy import MapsHierarchy
+from epsplus.mission import Mission
+from epsplus.pathfind import DistanceField, _Core
+from epsplus.sim import GroundTruth
+
+ROOT = Path(__file__).resolve().parent.parent
+
+EXPORTS = [
+    "EnergyExhaustedError",
+    "GroundTruth",
+    "MapConflictError",
+    "MapFormatError",
+    "Mission",
+    "MissionConfig",
+    "MissionEvent",
+    "PlanningError",
+    "log_to_csv",
+    "parse_config",
+    "parse_map_text",
+    "render_svg",
+    "report_to_text",
+]
+
+
+def test_package_exports_what_a_mission_needs():
+    assert sorted(epsplus.__all__) == EXPORTS
+    for name in EXPORTS:
+        assert getattr(epsplus, name) is not None
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    monkeypatch.chdir(ROOT)
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    covered, recharges = capsys.readouterr().out.splitlines()[0].split()
+    assert int(covered) > 0 and int(recharges) >= 0
+
+
+def test_tracer_patches_and_restores_every_entry_point(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+
+    owners = (mission_mod, pathfind_mod, Mission, CellGrid, GroundTruth, MapsHierarchy, DistanceField, EnergyState)
+    before = [dict(vars(owner)) for owner in owners]
+    with spans.Tracer().installed():
+        patched = [
+            (owner, name)
+            for owner, saved in zip(owners, before)
+            for name, value in vars(owner).items()
+            if saved.get(name) is not value
+        ]
+    assert (pathfind_mod, "obstacle_vertices") in patched
+    assert (mission_mod, "restart_point") in patched
+    assert len(patched) == len(spans.SPANS) - 5  # setup, setup.parse and output.* are spans of the runner
+    for owner, saved in zip(owners, before):
+        assert dict(vars(owner)) == saved
+
+
+def test_ladder_wraps_names_that_exist():
+    for owner, name in ((CellGrid, "_flood_unexplored"), (_Core, "__init__"), (_Core, "_classify")):
+        assert callable(vars(owner)[name])
+    for name in ("supercover_line", "grid_astar", "build_visibility_graph"):
+        assert callable(getattr(mission_mod, name))
+    assert callable(pathfind_mod.supercover_line)
