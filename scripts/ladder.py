@@ -15,7 +15,8 @@ of full flood fills of the reachable set, the planner calls (grid A*
 searches and visibility graphs built), the number of visibility-graph cores
 built from empty and of the sight lines their syncs walked (node pairs),
 the number of sight lines computed (``supercover_line``
-calls: offset-table misses and the mission's own polyline walks), the peak
+calls: offset-table misses and the advances' polyline walks, since a
+retreat is booked without walking its lines), the peak
 RSS, and whether the covered count equals the flood-fill oracle's. The last
 line of output is the JSON list of records.
 """

@@ -24,14 +24,9 @@ class MissionConfig:
             value = getattr(self, key)
             if not math.isfinite(value):
                 raise ValueError(f"{key} must be a finite number, got {value}")
-        if self.capacity_e0 <= 0:
-            raise ValueError("capacity_e0 must be positive")
-        if self.travel_rate <= 0:
-            raise ValueError("travel_rate must be positive")
-        if self.coverage_rate <= 0:
-            raise ValueError("coverage_rate must be positive")
-        if self.sensor_range <= 0:
-            raise ValueError("sensor_range must be positive")
+        for key in _FLOAT_KEYS:
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive")
 
 
 def parse_config(text: str) -> MissionConfig:

@@ -78,20 +78,26 @@ Capacity and rates are fixed and the float comparisons are monotone, so
 every excluded target would have been planned and rejected again, and the
 exclusions change no output.
 
-The vehicle senses each pose once. A pose's detections are fixed, and
-once they are marked on the belief grid a repeat sensing there marks
-nothing, so a per-mission flag per cell skips it. The mission also keeps
-one target mask (``GroundTruth.targets``), built on its first sense: a
-reading reports only obstacles not reported before, and clears them. Every
-report is marked, so a cell the mask hides is already an obstacle on the
-belief grid, and the cells each update newly marks are those of a full
-reading. A reading that reports nothing skips the update.
+The world is read only at cells the belief grid does not hold explored.
+An explored cell was traversed, so it is free in the static ground truth,
+and it was sensed as a pose when it was explored. So a retreat, which
+crosses explored cells only, is booked without a read, and an advance
+passes its explored cells the same way; only the coverage loop senses a
+pose again. The mission keeps one target mask (``GroundTruth.targets``),
+built on its first sense: a reading reports only obstacles not reported
+before, and clears them, so a repeat reading reports nothing. Every report
+is marked, so a cell the mask hides is already an obstacle on the belief
+grid, and the cells each update newly marks are those of a full reading.
+A reading that reports nothing skips the update.
 
 Ground truth backstop: sonar rays cannot see past corner contacts, so a
-planned cell may turn out to hold an obstacle. Stepping into it is refused
-by the world model and recorded as a contact detection; the plan is then
-rebuilt. Unexplored cells that can never be both reached and retreated from
-on a full charge are excluded and reported as uncoverable.
+planned cell that is not explored may turn out to hold an obstacle. An
+advance tests each such cell, also one the belief grid marks obstacle
+after the plan was made, and the coverage loop tests its next cell.
+Stepping into an obstacle is refused by the world model and recorded as a
+contact detection; the plan is then rebuilt. Unexplored cells that can
+never be both reached and retreated from on a full charge are excluded and
+reported as uncoverable.
 """
 
 from __future__ import annotations
@@ -217,7 +223,6 @@ class Mission:
             coverage_rate=self.config.coverage_rate,
         )
         self.sensor = SensorModel(self.config.sensor_range)
-        self._sensed = bytearray(len(self.grid.flat))  # per flat grid index: pose sensed
         self._targets: bytearray | None = None  # obstacles not yet reported; first sense builds it
         self.pos: Cell = gt.station
         self.dfield = DistanceField(self.grid)
@@ -235,7 +240,9 @@ class Mission:
         self._route: list[Cell] = []  # remaining cells of the planned coverage route
         self._traj_start_unexplored = 0
         self._start_trajectory()
-        self._coverage_enter(self.pos)
+        self._begin_segment(SegmentKind.COVERAGE, self.pos)
+        self._mark_explored(self.pos)
+        self._visits[self.pos] = 1
         self._log_row()
         # created on the first step() or run(): the generator's frame refers to
         # the mission, so a mission dropped before then is freed by refcount
@@ -280,14 +287,9 @@ class Mission:
         return new
 
     def _sense_here(self) -> list[Cell]:
-        # a pose's detections are fixed, and once marked a repeat adds none
-        i = self.grid.index(self.pos)
-        if self._sensed[i]:
-            return []
         if self._targets is None:
             self._targets = self.gt.targets(self.sensor)
         detected = self.gt.sense(self.sensor, self.pos, self._targets)
-        self._sensed[i] = 1
         return self._add_obstacles(detected) if detected else []
 
     def _mark_explored(self, cell: Cell, estimate: float | None = None) -> None:
@@ -313,12 +315,6 @@ class Mission:
 
     def _begin_segment(self, kind: SegmentKind, start: Cell) -> None:
         self._segments.append(TrajectorySegment(kind, [start], 0.0, 0.0))
-
-    def _coverage_enter(self, cell: Cell) -> None:
-        self._begin_segment(SegmentKind.COVERAGE, cell)
-        if self.grid.state(cell) is CellState.UNEXPLORED:
-            self._mark_explored(cell)
-            self._visits[cell] = self._visits.get(cell, 0) + 1
 
     def _log_row(self) -> None:
         seg = self._segments[-1]
@@ -357,12 +353,20 @@ class Mission:
         self._mark_explored(nxt, estimate)
         self._visits[nxt] = self._visits.get(nxt, 0) + 1
 
-    def _execute_polyline(self, nodes: list[Cell], kind: SegmentKind):
-        """Walk a node path edge by edge; yields MOVED per node reached.
+    def _execute_polyline(self, nodes: list[Cell]):
+        """Fly an advance plan edge by edge; yields MOVED per node reached.
 
-        Returns "arrived", or "stopped" when a contact detection or newly
-        sensed obstacle invalidates the remaining plan (advance only).
+        Returns True on arrival at the last node, or False when a contact
+        detection or a newly sensed obstacle invalidates the rest of the
+        plan. The world is read only at cells the belief grid does not hold
+        explored: an explored cell was traversed, so it is free in the
+        static ground truth, and it was sensed when it was explored, so the
+        vehicle just passes it. Every other cell gets the contact test,
+        also one the grid marks obstacle, which a plan made before that
+        obstacle was sensed can still cross; a free one is then marked
+        explored and sensed.
         """
+        grid = self.grid
         for k in range(len(nodes) - 1):
             u, v = nodes[k], nodes[k + 1]
             assert self.pos == u
@@ -373,33 +377,30 @@ class Mission:
             stop: Cell | None = None
             for ci in range(1, len(chain)):
                 cell = chain[ci]
+                if grid.state(cell) is CellState.EXPLORED:
+                    self.pos = cell
+                    continue
                 if self.gt.is_obstacle(cell):
                     self._add_obstacles([cell])
                     stop = self.pos
                     break
                 self.pos = cell
                 self._mark_explored(cell)
-                new = self._sense_here()
-                if kind is SegmentKind.ADVANCE and new:
-                    rest_blocked = any(
-                        self.grid.state(x) is CellState.OBSTACLE for x in chain[ci + 1 :]
-                    ) or any(
-                        self.grid.state(n) is CellState.OBSTACLE for n in nodes[k + 1 :]
-                    )
-                    if rest_blocked:
-                        stop = cell
-                        break
+                if self._sense_here() and (
+                    any(grid.state(x) is CellState.OBSTACLE for x in chain[ci + 1 :])
+                    or any(grid.state(n) is CellState.OBSTACLE for n in nodes[k + 1 :])
+                ):
+                    stop = cell
+                    break
             if stop is None:
-                self._book(u, v, kind)
+                self._book(u, v, SegmentKind.ADVANCE)
                 yield MissionEvent.MOVED
             else:
-                if kind is SegmentKind.RETREAT:
-                    raise PlanningError("retreat path blocked; explored cells must stay free")
                 if stop != u:
-                    self._book(u, stop, kind)
+                    self._book(u, stop, SegmentKind.ADVANCE)
                     yield MissionEvent.MOVED
-                return "stopped"
-        return "arrived"
+                return False
+        return True
 
     # -- path planning -----------------------------------------------------------
 
@@ -511,15 +512,18 @@ class Mission:
             yield MissionEvent.MOVED
 
     def _return_home(self, recharge: bool):
-        """Retreat to the station, close the trajectory, then recharge if asked."""
-        station = self.grid.station
+        """Retreat to the station, close the trajectory, then recharge if asked.
+
+        A retreat crosses explored cells only (see ``_shortest``), which
+        reads nothing of the world (see ``_execute_polyline``), so its plan
+        is booked node by node.
+        """
         self._begin_segment(SegmentKind.RETREAT, self.pos)
-        if self.pos != station:
+        if self.pos != self.grid.station:
             yield MissionEvent.RETREAT_STARTED
-            plan = self._plan_retreat(self.pos)
-            status = yield from self._execute_polyline(plan.cells, SegmentKind.RETREAT)
-            if status != "arrived" or self.pos != station:
-                raise PlanningError("retreat did not reach the station")
+            for cell in self._plan_retreat(self.pos).cells[1:]:
+                self._book(self.pos, cell, SegmentKind.RETREAT)
+                yield MissionEvent.MOVED
         self._close_trajectory()
         if recharge:
             self.energy.charge_full()
@@ -565,7 +569,7 @@ class Mission:
             self._begin_segment(SegmentKind.ADVANCE, self.pos)
             yield MissionEvent.ADVANCE_STARTED
             arrived = yield from self._advance_exec(target, plan)
-            self._coverage_enter(self.pos)
+            self._begin_segment(SegmentKind.COVERAGE, self.pos)
             if arrived:
                 return True
             # advance abandoned: return home, recharge and reselect
@@ -576,9 +580,8 @@ class Mission:
         energy = self.energy
         travel = energy.travel_rate
         while True:
-            status = yield from self._execute_polyline(plan.cells, SegmentKind.ADVANCE)
-            if status == "arrived":
-                return self.pos == target
+            if (yield from self._execute_polyline(plan.cells)):
+                return True
             # the mask holds only unexplored cells, so a covered target fails it too
             if not self.grid.reachable_unexplored()[self.grid.index(target)]:
                 target = next_waypoint(self.grid, self.hier, self.pos, excluded=self.infeasible)

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import heapq
 import math
+import random
 from fractions import Fraction
 
+from epsplus.config import MissionConfig
 from epsplus.errors import MapFormatError
 from epsplus.grid import NEIGHBORS_8, CellGrid, CellState, ParsedMap
-from epsplus.pathfind import PathResult, path_length, supercover_line
+from epsplus.pathfind import PathResult, explored_only, path_length, supercover_line
 from epsplus.planner import restart_point
 from epsplus.render import COLORS, MARGIN, OBSTACLE_FILL, SCALE, STATION_FILL, _fmt
+from epsplus.sim import GroundTruth
 
 
 def b_field(grid, cell):
@@ -396,6 +399,22 @@ def explored_grid(width, height, obstacles, station):
             if (c, r) not in obstacles:
                 grid.mark_traversed((c, r))
     return grid
+
+
+def tight_budget_maps():
+    """40 random maps, each with E0 0.6-1.1 x its longest true explored-grid distance.
+
+    Yields the ground truth, the config and those distances.
+    """
+    rng = random.Random(61)
+    for _ in range(40):
+        w, h = rng.randint(12, 20), rng.randint(12, 20)
+        obstacles = random_rect_obstacles(rng, w, h, (0, 0), rng.uniform(0.05, 0.3))
+        gt = GroundTruth(w, h, frozenset(obstacles), (0, 0))
+        # with every free cell explored, explored-only distances are the true ones
+        dist = grid_dijkstra(explored_grid(w, h, obstacles, (0, 0)), (0, 0), explored_only)
+        cfg = MissionConfig(capacity_e0=rng.uniform(0.6, 1.1) * max(dist.values()), sensor_range=3.0)
+        yield gt, cfg, dist
 
 
 def random_belief_grid(rng, w, h):

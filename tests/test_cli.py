@@ -347,7 +347,7 @@ def test_config_rejects_bad_input(text):
         parse_config(text)
 
 
-@pytest.mark.parametrize("key", ["travel_rate", "coverage_rate", "sensor_range"])
+@pytest.mark.parametrize("key", ["capacity_e0", "travel_rate", "coverage_rate", "sensor_range"])
 @pytest.mark.parametrize("value", ["0", "-0.5"])
 def test_run_rejects_a_rate_or_range_that_is_not_positive(tmp_path, capsys, key, value):
     map_path = write(tmp_path, "m.txt", SMALL_MAP)

@@ -24,20 +24,20 @@ from epsplus.pathfind import (
     explored_only,
     grid_astar,
     non_obstacle,
+    supercover_line,
 )
 from epsplus.planner import restart_candidates
 from epsplus.sim import GroundTruth, SensorModel
 
 from helpers import (
-    explored_grid,
     flood_reachable,
     full_sense,
     grid_cells,
-    grid_dijkstra,
     map_text,
     random_belief_grid,
     random_rect_obstacles,
     reachable_cells,
+    tight_budget_maps,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -533,22 +533,6 @@ def test_shortest_plans_over_non_obstacle_cells_exactly_without_an_explored_walk
     assert set(planned_rules) == {explored_only, non_obstacle}
 
 
-def tight_budget_maps():
-    """40 random maps, each with E0 0.6-1.1 x its longest true explored-grid distance.
-
-    Yields the ground truth, the config and those distances.
-    """
-    rng = random.Random(61)
-    for _ in range(40):
-        w, h = rng.randint(12, 20), rng.randint(12, 20)
-        obstacles = random_rect_obstacles(rng, w, h, (0, 0), rng.uniform(0.05, 0.3))
-        gt = GroundTruth(w, h, frozenset(obstacles), (0, 0))
-        # with every free cell explored, explored-only distances are the true ones
-        dist = grid_dijkstra(explored_grid(w, h, obstacles, (0, 0)), (0, 0), explored_only)
-        cfg = MissionConfig(capacity_e0=rng.uniform(0.6, 1.1) * max(dist.values()), sensor_range=3.0)
-        yield gt, cfg, dist
-
-
 def unaffordable(energy, length):
     """Whether no charge pays for an advance of this length, the way back and one coverage step."""
     return energy.capacity < 2.0 * energy.travel_rate * length + energy.coverage_rate * math.sqrt(2.0)
@@ -834,12 +818,92 @@ def test_non_obstacle_cores_watch_no_cell(monkeypatch):
     assert any(len(core.nodes) > 1 for core in synced)  # cores with obstacle vertices
 
 
-class SensingEveryVisit(Mission):
-    """Takes a full reading at every visit of a pose, not only at the first.
+class WorldReads(Mission):
+    """Records each ground-truth read, and the cells each retreat move crosses.
 
-    At each first visit it also reads through one mask of its own, as the
-    mission does, and checks that reading against the full one: it must
-    leave out exactly the cells the mask reported before.
+    A read is a ``GroundTruth.sense`` of a pose, or an ``is_obstacle`` test
+    made outside ``sense`` (which tests its own pose). The test below
+    records it with the open segment's kind and the cell's belief state.
+    """
+
+    def __init__(self, gt, config):
+        self.reads = []  # (read, segment kind, belief state of the cell)
+        self.poses = set()
+        self.retreat_cells = []  # (cell, belief state when the move was booked)
+        super().__init__(gt, config)
+
+    def _book(self, frm, to, kind):
+        if kind is SegmentKind.RETREAT:
+            adjacent = max(abs(to[0] - frm[0]), abs(to[1] - frm[1])) == 1
+            crossed = [to] if adjacent else supercover_line(frm, to)[1:]
+            self.retreat_cells += [(c, self.grid.state(c)) for c in crossed]
+        super()._book(frm, to, kind)
+
+
+def test_the_world_is_read_only_at_cells_not_held_explored(monkeypatch):
+    # an explored cell was traversed, so it is free in the ground truth, and
+    # it was sensed as a pose when it was explored: a retreat, which crosses
+    # explored cells only, reads nothing, and an advance runs its contact
+    # test only at cells the belief grid does not hold explored
+    sense, is_obstacle = GroundTruth.sense, GroundTruth.is_obstacle
+    missions, sensing = [], []
+
+    def read(what, cell):
+        mission = missions[-1]
+        mission.reads.append((what, mission._segments[-1].kind, mission.grid.state(cell)))
+
+    def recorded_sense(gt, sensor, pose, targets):
+        read("sense", pose)
+        missions[-1].poses.add(pose)
+        sensing.append(pose)
+        try:
+            return sense(gt, sensor, pose, targets)
+        finally:
+            sensing.pop()
+
+    def recorded_is_obstacle(gt, cell):
+        if not sensing:
+            read("is_obstacle", cell)
+        return is_obstacle(gt, cell)
+
+    monkeypatch.setattr(GroundTruth, "sense", recorded_sense)
+    monkeypatch.setattr(GroundTruth, "is_obstacle", recorded_is_obstacle)
+    cases = [(name, gt_from_text(text), cfg) for name, text, cfg in islice(retreat_cases(), 3)]
+    cases += [(f"tight-budget-{i}", gt, cfg) for i, (gt, cfg, _) in enumerate(islice(tight_budget_maps(), 8))]
+    violations = []
+    advance_contact_tests = retreat_cells = 0
+    for name, gt, cfg in cases:
+        mission = WorldReads(gt, cfg)
+        missions.append(mission)
+        mission.run()
+        for what, kind, state in mission.reads:
+            if kind is SegmentKind.RETREAT:
+                violations.append((name, what, kind, state))
+            elif kind is SegmentKind.ADVANCE and what == "is_obstacle":
+                advance_contact_tests += 1
+                if state is CellState.EXPLORED:
+                    violations.append((name, what, kind, state))
+        # the rule's premise: what a retreat crosses is explored when it is flown
+        retreat_cells += len(mission.retreat_cells)
+        violations += [(name, c, state) for c, state in mission.retreat_cells if state is not CellState.EXPLORED]
+        for c in grid_cells(mission.grid):
+            if mission.grid.state(c) is CellState.EXPLORED and (c in gt.obstacles or c not in mission.poses):
+                violations.append((name, c, "explored, but an obstacle or never sensed"))
+    assert not violations, (len(violations), violations[:5])
+    assert advance_contact_tests and retreat_cells
+
+
+class SensingEveryVisit(Mission):
+    """Takes a full reading, with no target mask, wherever the mission senses.
+
+    The mission senses at every pose of the coverage loop, repeats
+    included, and at each cell a flight explores, all through one mask, so
+    a repeat reports nothing. At each first visit of a pose this also reads
+    through one mask of its own, as the mission does, and checks that
+    reading against the full one: it must leave out exactly the cells the
+    mask reported before. A flight passes explored cells without sensing,
+    so this never sees them; ``test_the_world_is_read_only_at_cells_not_held_explored``
+    checks that each of them is free and was sensed when it was explored.
     """
 
     def __init__(self, gt, config):
@@ -861,8 +925,9 @@ class SensingEveryVisit(Mission):
 
 
 def test_sensing_each_pose_once_changes_no_log_row_or_report():
-    # a pose's detections are fixed, so a repeat sensing could only mark
-    # cells already marked; the bundled scenarios and a few tight budgets
+    # a pose's detections are fixed, so a repeat sensing, masked or full,
+    # could only mark cells already marked; the bundled scenarios and a few
+    # tight budgets
     repeats = 0
     for name, text, cfg in islice(retreat_cases(), 8):
         shipped, every = Mission(gt_from_text(text), cfg), SensingEveryVisit(gt_from_text(text), cfg)
