@@ -82,13 +82,16 @@ The world is read only at cells the belief grid does not hold explored.
 An explored cell was traversed, so it is free in the static ground truth,
 and it was sensed as a pose when it was explored. So a retreat, which
 crosses explored cells only, is booked without a read, and an advance
-passes its explored cells the same way; only the coverage loop senses a
-pose again. The mission keeps one target mask (``GroundTruth.targets``),
-built on its first sense: a reading reports only obstacles not reported
-before, and clears them, so a repeat reading reports nothing. Every report
-is marked, so a cell the mask hides is already an obstacle on the belief
-grid, and the cells each update newly marks are those of a full reading.
-A reading that reports nothing skips the update.
+passes its explored cells the same way. The coverage loop senses a pose in
+the step after the move that explored it, the step that yields ``SENSED``,
+and no pose again: not after a contact, not where an advance arrived (the
+flight sensed it), and not on a route over explored cells. So each explored
+cell is sensed exactly once. The mission keeps one target mask
+(``GroundTruth.targets``), built on its first sense: a reading reports only
+obstacles not reported before, and clears them. Every report is marked, so
+a cell the mask hides is already an obstacle on the belief grid, and the
+cells each update newly marks are those of a full reading. A reading that
+reports nothing skips the update.
 
 Ground truth backstop: sonar rays cannot see past corner contacts, so a
 planned cell that is not explored may turn out to hold an obstacle. An
@@ -223,7 +226,7 @@ class Mission:
             coverage_rate=self.config.coverage_rate,
         )
         self.sensor = SensorModel(self.config.sensor_range)
-        self._targets: bytearray | None = None  # obstacles not yet reported; first sense builds it
+        self._targets = None  # obstacles not yet reported (GroundTruth.targets); first sense builds it
         self.pos: Cell = gt.station
         self.dfield = DistanceField(self.grid)
         self.trajectories: list[Trajectory] = []
@@ -238,7 +241,7 @@ class Mission:
         self._visits: dict[Cell, int] = {}
         self._cum_length = 0.0
         self._route: list[Cell] = []  # remaining cells of the planned coverage route
-        self._traj_start_unexplored = 0
+        self._traj_start_changes = 0  # len(grid.changes) when the trajectory started
         self._start_trajectory()
         self._begin_segment(SegmentKind.COVERAGE, self.pos)
         self._mark_explored(self.pos)
@@ -292,24 +295,30 @@ class Mission:
         detected = self.gt.sense(self.sensor, self.pos, self._targets)
         return self._add_obstacles(detected) if detected else []
 
-    def _mark_explored(self, cell: Cell, estimate: float | None = None) -> None:
-        """Mark an unexplored cell explored; ``estimate`` is its field estimate, if known."""
-        if self.grid.state(cell) is CellState.UNEXPLORED:
-            self.grid.mark_traversed(cell)
-            self.hier.on_state_change(cell, CellState.UNEXPLORED, CellState.EXPLORED)
-            self.dfield.insert(cell, estimate)
+    def _mark_explored(self, cell: Cell, estimate: float | None = None) -> bool:
+        """Mark an unexplored cell explored and return True, else return False.
+
+        ``estimate`` is the cell's field estimate, if known.
+        """
+        if self.grid.state(cell) is not CellState.UNEXPLORED:
+            return False
+        self.grid.mark_traversed(cell)
+        self.hier.on_state_change(cell, CellState.UNEXPLORED, CellState.EXPLORED)
+        self.dfield.insert(cell, estimate)
+        return True
 
     # -- trajectory bookkeeping ------------------------------------------------
 
     def _start_trajectory(self) -> None:
         self._segments = []
-        self._traj_start_unexplored = self.grid.counts()[CellState.UNEXPLORED]
+        self._traj_start_changes = len(self.grid.changes)
 
     def _close_trajectory(self) -> None:
         traj = Trajectory(len(self.trajectories) + 1, self._segments)
         assert traj.first_cell == self.grid.station and traj.last_cell == self.grid.station
         assert traj.energy <= self.energy.capacity * (1.0 + 1e-9)
-        assert self.grid.counts()[CellState.UNEXPLORED] < self._traj_start_unexplored
+        # each logged change is one cell leaving the unexplored state, once
+        assert len(self.grid.changes) > self._traj_start_changes
         self.trajectories.append(traj)
         self._segments = []
 
@@ -347,11 +356,12 @@ class Mission:
 
     # -- motion -----------------------------------------------------------------
 
-    def _coverage_move(self, nxt: Cell, estimate: float | None) -> None:
+    def _coverage_move(self, nxt: Cell, estimate: float | None) -> bool:
+        """Move to the next cell; True when the move explored it."""
         assert self.gt.validate_move(self.pos, nxt)
         self._book(self.pos, nxt, SegmentKind.COVERAGE)
-        self._mark_explored(nxt, estimate)
         self._visits[nxt] = self._visits.get(nxt, 0) + 1
+        return self._mark_explored(nxt, estimate)
 
     def _execute_polyline(self, nodes: list[Cell]):
         """Fly an advance plan edge by edge; yields MOVED per node reached.
@@ -427,7 +437,10 @@ class Mission:
         lose: a sight-line path shorter than the walk by more than the
         margin is the answer, a walk longer than the limit by more than the
         margin cannot fit, and anything inside the margin gets the exact
-        comparison. A known walk is also a floor: no path is shorter than
+        comparison. A sight-line path bounds grid A* too, widened by the
+        same margin: a longer walk would lose to it, and a bounded search
+        returns the unbounded walk whenever that walk fits, so the answer
+        is the same. A known walk is also a floor: no path is shorter than
         it divided by ``GRID_STRETCH`` (see ``pathfind``), so a walk longer
         than ``limit`` times that factor gets None before any graph is
         built.
@@ -445,6 +458,9 @@ class Mission:
             walk * (1.0 - 1e-9) > limit or (sight is not None and sight.length < walk * (1.0 - 1e-9))
         ):
             return sight
+        if sight is not None:
+            # a walk longer than the sight-line path loses anyway
+            bound = min(bound, sight.length * (1.0 + 1e-9))
         found = grid_astar(self.grid, start, goal, rule, bound)
         fits = [p for p in (sight, found) if p is not None]
         return min(fits, key=lambda p: (p.length, p.cells), default=None)
@@ -474,6 +490,7 @@ class Mission:
     # -- phases ---------------------------------------------------------------
 
     def _run(self):
+        self._sense_here()  # the station; every later pose is sensed when it is explored
         while True:
             done = (yield from self._coverage_phase()) == "done"
             yield from self._return_home(recharge=not done)
@@ -486,7 +503,6 @@ class Mission:
         grid = self.grid
         energy = self.energy
         while True:
-            self._sense_here()
             yield MissionEvent.SENSED
             wp = next_waypoint(grid, self.hier, self.pos, excluded=self.infeasible)
             if wp is None:
@@ -508,8 +524,10 @@ class Mission:
                 yield MissionEvent.SENSED
                 continue
             # the move changes only nxt's own state, which the estimate does not read
-            self._coverage_move(nxt, estimate)
+            explored = self._coverage_move(nxt, estimate)
             yield MissionEvent.MOVED
+            if explored:
+                self._sense_here()  # in the step that yields SENSED next
 
     def _return_home(self, recharge: bool):
         """Retreat to the station, close the trajectory, then recharge if asked.

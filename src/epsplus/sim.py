@@ -12,28 +12,30 @@ translation-invariant, so the rays of one range are the same from every
 pose: on the first use of a range, the ground truth builds the ray
 templates of that range once. They index a copy of the obstacle map as
 flat bytes, with a border wide enough that no target off the map wraps onto
-another row. The disk's targets in one row are a run of adjacent bytes, so
-the templates hold, per disk row, the flat offsets where its run starts and
-ends and, per target, the flat offsets of the supercover cells strictly
-between the pose and the target. A pose then costs one byte search per
-disk row, plus a walk of the cells between only where the search finds an
-obstacle target.
+another row. The disk's offsets from a pose span one window of those bytes,
+from its first offset ``lo`` (top row, leftmost column) to its last; the
+templates hold the disk as an int with bit ``k`` set for the window's byte
+``k``, and per set bit the target's column and row offsets and the flat
+offsets of the supercover cells strictly between the pose and the target.
 
 The disk is clipped to the map's extent: no offset reaches further than the
 map is wide or tall, so a range beyond the map's diagonal senses the whole
 map without enumerating a disk larger than it.
 
-Nothing is memoized per pose. Instead a caller keeps a target mask: a copy
-of the templates' bytes of the obstacles some ray can reach
-(``GroundTruth.targets``), from which ``sense`` clears every target it
-reports. A ray's last cell before its target is a 4-neighbour of the
-target, so an obstacle whose 4-neighbours on the map are all obstacles is
-never detected and never a target. The byte search runs over the mask,
-and occlusion is still tested on the true obstacle bytes, so a reading
-reports exactly what a fresh mask would, minus the cells reported before
-under the same mask. A mission keeps one mask and marks every report on
-its belief grid, so what the mask hides is already marked, and most senses
-walk no occluders at all (see ``mission``).
+Nothing is memoized per pose. Instead a caller keeps a target mask
+(``GroundTruth.targets``): one int with bit ``i`` set when byte ``i`` of the
+templates' layout is an obstacle some ray can reach and not yet reported.
+A reading shifts the mask right to the pose's window and ANDs it with the
+disk, one shift-and-AND per pose; an empty result returns at once.
+Otherwise it walks the cells between only for the set bits, lowest first,
+and clears every reported bit with one XOR. A ray's last cell before its
+target is a 4-neighbour of the target, so an obstacle whose 4-neighbours on
+the map are all obstacles is never detected and never a target. Occlusion
+is tested on the true obstacle bytes, so a reading reports exactly what a
+fresh mask would, minus the cells reported before under the same mask. A
+mission keeps one mask and marks every report on its belief grid, so what
+the mask hides is already marked, and most readings walk no occluders at
+all (see ``mission``).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class SensorModel:
 class _RayTemplates:
     """The ray templates of one sensor range over one map, and the bytes they index."""
 
-    __slots__ = ("stride", "origin", "obstacle", "visible", "rows")
+    __slots__ = ("stride", "origin", "obstacle", "visible", "lo", "disk", "window")
 
     def __init__(self, gt: "GroundTruth", range_m: float):
         reach = math.floor(range_m)
@@ -71,8 +73,9 @@ class _RayTemplates:
         for c, r in gt.obstacles:
             obstacle[self.origin + r * stride + c] = 1
         # the obstacles some ray can reach: those with a free 4-neighbour on
-        # the map (module docstring)
-        self.visible = visible = bytearray(len(obstacle))
+        # the map (module docstring), as '1' digits of a base-2 literal whose
+        # last digit is byte 0
+        visible = bytearray(b"0") * len(obstacle)
         last_c, last_r = gt.width - 1, gt.height - 1
         for c, r in gt.obstacles:
             i = self.origin + r * stride + c
@@ -82,22 +85,39 @@ class _RayTemplates:
                 or (r > 0 and not obstacle[i - stride])
                 or (r < last_r and not obstacle[i + stride])
             ):
-                visible[i] = 1
+                visible[i] = ord("1")
+        # base 2 converts in linear time and is exempt from the int-string digit limit
+        self.visible = int(visible[::-1], 2)
         limit = range_m * range_m + 1e-12
-        rows = []
-        for dr in range(-reach_r, reach_r + 1):
-            # the disk's offsets in one row are a run -span..span around the
-            # pose's column; the pose itself is free, so its template never fires
-            span = max(dc for dc in range(reach_c + 1) if dc * dc + dr * dr <= limit)
-            # the cells strictly between pose and target; a supercover line
-            # stays inside the bounding box of its ends, so these lie on the
-            # map whenever pose and target do
-            between = tuple(
-                array("i", (r * stride + c for c, r in supercover_line((0, 0), (dc, dr))[1:-1]))
-                for dc in range(-span, span + 1)
-            )
-            rows.append((dr * stride - span, dr * stride + span + 1, -span, dr, between))
-        self.rows = rows
+        # the disk's offsets in one row are a run -span..span around the
+        # pose's column; the pose itself is free, so its bit is never a target
+        spans = [
+            (dr, max(dc for dc in range(reach_c + 1) if dc * dc + dr * dr <= limit))
+            for dr in range(-reach_r, reach_r + 1)
+        ]
+        self.lo = lo = -reach_r * stride - spans[0][1]
+        disk = 0
+        window = [None] * (reach_r * stride + spans[-1][1] + 1 - lo)
+        for dr, span in spans:
+            for dc in range(-span, span + 1):
+                k = dr * stride + dc - lo
+                disk |= 1 << k
+                # the cells strictly between pose and target; a supercover
+                # line stays inside the bounding box of its ends, so these lie
+                # on the map whenever pose and target do
+                between = array("i", (r * stride + c for c, r in supercover_line((0, 0), (dc, dr))[1:-1]))
+                window[k] = (dc, dr, between)
+        self.disk = disk
+        self.window = window
+
+
+class _Targets:
+    """A target mask: bit ``i`` is set while the obstacle at byte ``i`` of the layout is unreported."""
+
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: int):
+        self.bits = bits
 
 
 class GroundTruth:
@@ -142,11 +162,11 @@ class GroundTruth:
             rays = self._templates[range_m] = _RayTemplates(self, range_m)
         return rays
 
-    def targets(self, sensor: SensorModel) -> bytearray:
+    def targets(self, sensor: SensorModel) -> _Targets:
         """A fresh target mask for ``sense``: every obstacle a ray can reach is still to be reported."""
-        return bytearray(self._rays(sensor.range_m).visible)
+        return _Targets(self._rays(sensor.range_m).visible)
 
-    def sense(self, sensor: SensorModel, pose: Cell, targets: bytearray) -> frozenset[Cell]:
+    def sense(self, sensor: SensorModel, pose: Cell, targets: _Targets) -> frozenset[Cell]:
         """Obstacle cells visible from the pose cell (in range, not occluded) and set in ``targets``.
 
         ``targets`` is a mask from ``targets(sensor)``; each reported cell is
@@ -158,22 +178,27 @@ class GroundTruth:
         if self.is_obstacle(pose):
             raise ValueError(f"sensor pose {pose} is inside an obstacle")
         rays = self._rays(sensor.range_m)
-        obstacle = rays.obstacle
         base = rays.origin + row * rays.stride + col  # flat index of the pose
+        shift = base + rays.lo  # flat index of the window's bit 0
+        hits = (targets.bits >> shift) & rays.disk
+        if not hits:
+            return frozenset()
+        obstacle = rays.obstacle
+        window = rays.window
         detected = []
-        find = targets.find
-        for lo, hi, dc0, dr, between in rays.rows:
-            lo += base
-            hi += base
-            i = find(1, lo, hi)
-            while i >= 0:
-                for off in between[i - lo]:
-                    if obstacle[base + off]:
-                        break
-                else:
-                    detected.append((col + dc0 + i - lo, row + dr))
-                    targets[i] = 0
-                i = find(1, i + 1, hi)
+        reported = 0
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            dc, dr, between = window[low.bit_length() - 1]
+            for off in between:
+                if obstacle[base + off]:
+                    break
+            else:
+                detected.append((col + dc, row + dr))
+                reported |= low
+        if reported:
+            targets.bits ^= reported << shift
         return frozenset(detected)
 
     def validate_move(self, frm: Cell, to: Cell) -> bool:

@@ -894,16 +894,16 @@ def test_the_world_is_read_only_at_cells_not_held_explored(monkeypatch):
 
 
 class SensingEveryVisit(Mission):
-    """Takes a full reading, with no target mask, wherever the mission senses.
+    """Takes a full reading, with no target mask, wherever the mission senses
+    and after every coverage move, also onto a cell explored before.
 
-    The mission senses at every pose of the coverage loop, repeats
-    included, and at each cell a flight explores, all through one mask, so
-    a repeat reports nothing. At each first visit of a pose this also reads
-    through one mask of its own, as the mission does, and checks that
-    reading against the full one: it must leave out exactly the cells the
-    mask reported before. A flight passes explored cells without sensing,
-    so this never sees them; ``test_the_world_is_read_only_at_cells_not_held_explored``
-    checks that each of them is free and was sensed when it was explored.
+    The mission senses each cell once, when it explores it, through one
+    mask. At each first visit of a pose this also reads through one mask of
+    its own, as the mission does, and checks that reading against the full
+    one: it must leave out exactly the cells the mask reported before. A
+    flight passes explored cells without sensing, so this never sees them;
+    ``test_the_world_is_read_only_at_cells_not_held_explored`` checks that
+    each of them is free and was sensed when it was explored.
     """
 
     def __init__(self, gt, config):
@@ -923,6 +923,10 @@ class SensingEveryVisit(Mission):
         self._seen.add(self.pos)
         return self._add_obstacles(full)
 
+    def _coverage_move(self, nxt, estimate):
+        super()._coverage_move(nxt, estimate)
+        return True  # the coverage loop then senses the pose, explored before or not
+
 
 def test_sensing_each_pose_once_changes_no_log_row_or_report():
     # a pose's detections are fixed, so a repeat sensing, masked or full,
@@ -936,6 +940,29 @@ def test_sensing_each_pose_once_changes_no_log_row_or_report():
         assert report_to_text(shipped_report) == report_to_text(every_report), name
         repeats += every.repeats
     assert repeats
+
+
+def test_each_explored_cell_is_sensed_once(monkeypatch):
+    # a pose is sensed when it is explored, and never again: not after a
+    # contact, not where an advance arrived, not on a coverage route over
+    # explored cells
+    sense = GroundTruth.sense
+    poses = []
+
+    def counted_sense(gt, sensor, pose, targets):
+        poses.append(pose)
+        return sense(gt, sensor, pose, targets)
+
+    monkeypatch.setattr(GroundTruth, "sense", counted_sense)
+    cases = [(name, gt_from_text(text), cfg) for name, text, cfg in islice(retreat_cases(), 3)]
+    cases += [(f"tight-budget-{i}", gt, cfg) for i, (gt, cfg, _) in enumerate(islice(tight_budget_maps(), 8))]
+    for name, gt, cfg in cases:
+        poses.clear()
+        mission = Mission(gt, cfg)
+        mission.run()
+        explored = [c for c in grid_cells(mission.grid) if mission.grid.state(c) is CellState.EXPLORED]
+        assert len(poses) == len(set(poses)), (name, len(poses) - len(set(poses)))
+        assert sorted(poses) == sorted(explored), name
 
 
 def test_missions_on_one_ground_truth_do_not_share_a_mask():

@@ -167,23 +167,52 @@ def test_templated_sense_matches_reference_on_random_maps(shape):
 @settings(max_examples=200, deadline=None)
 def test_a_shared_mask_reports_only_cells_not_reported_before(shape, data):
     # each reading under one mask is the full reading minus every cell
-    # reported before, and the mask loses exactly the reported cells' bytes
+    # reported before, and the mask loses exactly the reported cells' bits
     w, h, obstacles = shape
     gt = GroundTruth(w, h, obstacles, (0, 0))
     sensor = SensorModel(data.draw(st.sampled_from((1.0, 1.5, 2.5, 4.0)), label="range"))
     free = [(c, r) for r in range(h) for c in range(w) if (c, r) not in obstacles]
     poses = data.draw(st.lists(st.sampled_from(free), max_size=12), label="poses")
-    fresh = gt.targets(sensor)
+    fresh = gt.targets(sensor).bits
     mask = gt.targets(sensor)
     reported = set()
     for pose in poses:
+        before = mask.bits
         report = gt.sense(sensor, pose, mask)
         assert report == full_sense(gt, sensor, pose) - reported, pose
+        assert mask.bits & ~before == 0, pose  # bits are only cleared
         reported |= report
     rays = gt._templates[sensor.range_m]
-    cleared = {i for i, (a, b) in enumerate(zip(fresh, mask)) if a != b}
-    assert cleared == {rays.origin + r * rays.stride + c for c, r in reported}
-    assert all(a >= b for a, b in zip(fresh, mask))  # bytes are only cleared
+    cleared = fresh ^ mask.bits
+    assert cleared == sum(1 << (rays.origin + r * rays.stride + c) for c, r in reported)
+    assert mask.bits & ~fresh == 0
+
+
+def test_sense_matches_reference_at_the_borders_of_larger_maps():
+    # masks of a few thousand bits, read from every corner and every free
+    # border pose, where a pose's window reaches into the padding; walking
+    # the border in order, neighbouring poses share most of their targets
+    rng = random.Random(23)
+    for _ in range(4):
+        w, h = rng.randint(30, 60), rng.randint(30, 60)
+        corners = {(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1)}
+        obstacles = frozenset(random_rect_obstacles(rng, w, h, (0, 0), rng.uniform(0.1, 0.3)) - corners)
+        gt = GroundTruth(w, h, obstacles, (0, 0))
+        sensor = SensorModel(5.0)
+        border = (
+            [(c, 0) for c in range(w)]
+            + [(w - 1, r) for r in range(1, h)]
+            + [(c, h - 1) for c in range(w - 2, -1, -1)]
+            + [(0, r) for r in range(h - 2, 0, -1)]
+        )
+        mask = gt.targets(sensor)
+        reported = set()
+        for pose in (cell for cell in border if cell not in obstacles):
+            full = reference_sense(gt, 5.0, pose)
+            assert full_sense(gt, sensor, pose) == full, (w, h, pose)
+            report = gt.sense(sensor, pose, mask)
+            assert report == full - reported, (w, h, pose)
+            reported |= report
 
 
 def test_sense_rejects_a_pose_off_the_map():
