@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import deque
 from enum import IntEnum
 from typing import Iterable
 
@@ -249,18 +250,21 @@ class CellGrid:
         """Clear from the mask the components of ``starts`` cut off from the station.
 
         One search per start runs in lockstep over non-obstacle cells
-        (Even & Shiloach, J. ACM 1981); searches that meet merge. Once at
-        most one group is still searching, every finished group is a whole
-        component, and one without the station is a pocket. A finished
-        group that holds the station drops the mask instead, so the next
-        fill floods only the station's component.
+        (Even & Shiloach, J. ACM 1981), breadth-first from a frontier of
+        its own; ``label`` maps every cell a search reached to the group of
+        the start it came from. Searches that meet merge: the absorbing
+        group takes the other's frontier, and ``into`` sends the other
+        group to it. Once at most one group is still searching, every
+        finished group is a whole component, and one without the station
+        is a pocket whose labelled cells are cleared. A finished group
+        that holds the station drops the mask instead, so the next fill
+        floods only the station's component.
         """
         flat = self.flat
         obstacle = int(CellState.OBSTACLE)
         offsets = [off for off, _ in self.steps]
         n = len(starts)
-        found = [[j] for j in starts]  # per group: the cells it labelled, in search order
-        head = [0] * n  # per group: the next cell of found[g] to expand
+        frontier = [deque([j]) for j in starts]  # per group: labelled cells still to expand
         into = list(range(n))  # group -> the group it merged into (itself while open)
         label = {j: g for g, j in enumerate(starts)}
 
@@ -272,10 +276,9 @@ class CellGrid:
         searching = list(range(n))
         while len(searching) > 1:
             for g in searching:  # one expansion per searching group and round
-                if into[g] != g or head[g] == len(found[g]):
+                if into[g] != g or not frontier[g]:
                     continue
-                c = found[g][head[g]]
-                head[g] += 1
+                c = frontier[g].popleft()
                 for off in offsets:
                     j = c + off
                     if flat[j] >= obstacle:
@@ -283,22 +286,20 @@ class CellGrid:
                     h = label.get(j)
                     if h is None:
                         label[j] = g
-                        found[g].append(j)
+                        frontier[g].append(j)
                     elif (h := root(h)) != g:  # the searches met: one group from now on
-                        a, b = found[g], found[h]
-                        found[g] = a[: head[g]] + b[: head[h]] + a[head[g] :] + b[head[h] :]
-                        head[g] += head[h]
+                        frontier[g] += frontier[h]
+                        frontier[h].clear()
                         into[h] = g
-                        found[h] = []
-            searching = [g for g in searching if into[g] == g and head[g] < len(found[g])]
-        pockets = [g for g in range(n) if into[g] == g and head[g] == len(found[g])]
+            searching = [g for g in searching if into[g] == g and frontier[g]]
+        pocket = [into[g] == g and not frontier[g] for g in range(n)]
         station = label.get(self.index(self.station))
-        if station is not None and root(station) in pockets:
+        if station is not None and pocket[root(station)]:
             self._reach = None
             return
         reach = self._reach
-        for g in pockets:
-            for j in found[g]:
+        for j, g in label.items():
+            if pocket[root(g)]:
                 reach[j] = 0
 
     def counts(self) -> dict[CellState, int]:

@@ -27,7 +27,7 @@ local-window ascent, which this planner does not do.
 
 from __future__ import annotations
 
-from .grid import Cell, CellGrid, CellState
+from .grid import Cell, CellGrid
 
 
 class MapsHierarchy:
@@ -71,12 +71,13 @@ class MapsHierarchy:
                     counts[key] = n
         self.unexplored_count = counts
 
-    def on_state_change(self, cell: Cell, old: CellState, new: CellState) -> None:
-        """Incremental counter update for a single cell transition."""
-        if old is new:
-            return
-        if old is not CellState.UNEXPLORED:
-            raise ValueError(f"illegal transition {old} -> {new} at {cell}")
+    def on_state_change(self, cell: Cell) -> None:
+        """Count the cell out of its block: it just left the unexplored state.
+
+        Cells leave that state once and never return, and the grid refuses
+        every other transition (``MapConflictError``), so the caller passes
+        only the cell, after the grid changed it.
+        """
         key = ((cell[0] & -2) + 1) * self.grid.stride + (cell[1] & -2) + 1
         n = self.unexplored_count[key] - 1
         if n:

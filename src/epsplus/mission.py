@@ -128,7 +128,7 @@ from .pathfind import (
 )
 # restart_point stays bound here: bench/spans.py traces it under this module's name
 from .planner import next_waypoint, restart_candidates, restart_point  # noqa: F401
-from .sim import GroundTruth, SensorModel
+from .sim import GroundTruth
 
 SQRT2 = math.sqrt(2.0)  # the longest single step, a diagonal between 1 m cells
 
@@ -225,7 +225,6 @@ class Mission:
             travel_rate=self.config.travel_rate,
             coverage_rate=self.config.coverage_rate,
         )
-        self.sensor = SensorModel(self.config.sensor_range)
         self._targets = None  # obstacles not yet reported (GroundTruth.targets); first sense builds it
         self.pos: Cell = gt.station
         self.dfield = DistanceField(self.grid)
@@ -285,14 +284,14 @@ class Mission:
         if new:
             self._rejected = set()
             for c in new:
-                self.hier.on_state_change(c, CellState.UNEXPLORED, CellState.OBSTACLE)
+                self.hier.on_state_change(c)
             self._route = []
         return new
 
     def _sense_here(self) -> list[Cell]:
         if self._targets is None:
-            self._targets = self.gt.targets(self.sensor)
-        detected = self.gt.sense(self.sensor, self.pos, self._targets)
+            self._targets = self.gt.targets(self.config.sensor_range)
+        detected = self.gt.sense(self._targets, self.pos)
         return self._add_obstacles(detected) if detected else []
 
     def _mark_explored(self, cell: Cell, estimate: float | None = None) -> bool:
@@ -303,7 +302,7 @@ class Mission:
         if self.grid.state(cell) is not CellState.UNEXPLORED:
             return False
         self.grid.mark_traversed(cell)
-        self.hier.on_state_change(cell, CellState.UNEXPLORED, CellState.EXPLORED)
+        self.hier.on_state_change(cell)
         self.dfield.insert(cell, estimate)
         return True
 

@@ -9,30 +9,34 @@ seen from a better vantage point.
 
 Ranges are in meters and cells are 1 m squares. ``supercover_line`` is
 translation-invariant, so the rays of one range are the same from every
-pose: on the first use of a range, the ground truth builds the ray
+pose: on the first mask of a range, the ground truth builds the ray
 templates of that range once. They index a copy of the obstacle map as
-flat bytes, with a border wide enough that no target off the map wraps onto
-another row. The disk's offsets from a pose span one window of those bytes,
-from its first offset ``lo`` (top row, leftmost column) to its last; the
-templates hold the disk as an int with bit ``k`` set for the window's byte
-``k``, and per set bit the target's column and row offsets and the flat
-offsets of the supercover cells strictly between the pose and the target.
+flat bytes, with ``reach_r`` rows above and below the map and one border of
+``reach_c`` columns between rows: a target off the right edge of a row
+lands in the next row's border, off the left edge in its own row's, so no
+target off the map aliases a cell on it. The disk's offsets from a pose
+span one window of those bytes, from its first offset ``lo`` (top row,
+leftmost column) to its last; the templates hold the disk as an int with
+bit ``k`` set for the window's byte ``k``, and per set bit the target's
+column and row offsets and the flat offsets of the supercover cells
+strictly between the pose and the target.
 
 The disk is clipped to the map's extent: no offset reaches further than the
 map is wide or tall, so a range beyond the map's diagonal senses the whole
 map without enumerating a disk larger than it.
 
 Nothing is memoized per pose. Instead a caller keeps a target mask
-(``GroundTruth.targets``): one int with bit ``i`` set when byte ``i`` of the
-templates' layout is an obstacle some ray can reach and not yet reported.
-A reading shifts the mask right to the pose's window and ANDs it with the
-disk, one shift-and-AND per pose; an empty result returns at once.
-Otherwise it walks the cells between only for the set bits, lowest first,
-and clears every reported bit with one XOR. A ray's last cell before its
-target is a 4-neighbour of the target, so an obstacle whose 4-neighbours on
-the map are all obstacles is never detected and never a target. Occlusion
-is tested on the true obstacle bytes, so a reading reports exactly what a
-fresh mask would, minus the cells reported before under the same mask. A
+(``GroundTruth.targets``), which owns the templates of its range: one int
+with bit ``i`` set when byte ``i`` of the templates' layout is an obstacle
+some ray can reach and not yet reported. A reading shifts the mask right
+to the pose's window and ANDs it with the disk, one shift-and-AND per
+pose; an empty result returns at once. Otherwise it walks the cells
+between only for the set bits, lowest first, and clears every reported bit
+with one XOR. A ray's last cell before its target is a 4-neighbour of the
+target, so an obstacle whose 4-neighbours on the map are all obstacles is
+never detected and never a target. Occlusion is tested on the true
+obstacle bytes, so a reading reports exactly what a fresh mask of the same
+range would, minus the cells reported before under the same mask. A
 mission keeps one mask and marks every report on its belief grid, so what
 the mask hides is already marked, and most readings walk no occluders at
 all (see ``mission``).
@@ -47,15 +51,6 @@ from .grid import Cell, ParsedMap
 from .pathfind import supercover_line
 
 
-class SensorModel:
-    """Disk field-of-view sonar with a fixed range in meters."""
-
-    def __init__(self, range_m: float):
-        if not 0 < range_m < math.inf:
-            raise ValueError(f"sensor range must be a positive finite number, got {range_m}")
-        self.range_m = float(range_m)
-
-
 class _RayTemplates:
     """The ray templates of one sensor range over one map, and the bytes they index."""
 
@@ -65,9 +60,9 @@ class _RayTemplates:
         reach = math.floor(range_m)
         reach_c = min(reach, gt.width - 1)
         reach_r = min(reach, gt.height - 1)
-        # a border of reach_c columns on each side and reach_r rows above and
-        # below holds every in-range target of every pose on the map
-        self.stride = stride = gt.width + 2 * reach_c
+        # reach_r rows above and below the map and reach_c columns between
+        # rows: no in-range target of a pose on the map aliases a map cell
+        self.stride = stride = gt.width + reach_c
         self.origin = reach_r * stride + reach_c  # flat index of cell (0, 0)
         self.obstacle = obstacle = bytearray(stride * (gt.height + 2 * reach_r))
         for c, r in gt.obstacles:
@@ -112,19 +107,20 @@ class _RayTemplates:
 
 
 class _Targets:
-    """A target mask: bit ``i`` is set while the obstacle at byte ``i`` of the layout is unreported."""
+    """A target mask: bit ``i`` is set while the obstacle at byte ``i`` of ``rays``' layout is unreported."""
 
-    __slots__ = ("bits",)
+    __slots__ = ("rays", "bits")
 
-    def __init__(self, bits: int):
-        self.bits = bits
+    def __init__(self, rays: _RayTemplates):
+        self.rays = rays
+        self.bits = rays.visible
 
 
 class GroundTruth:
     """True map used by the simulator; never read by the planner.
 
     The map never changes. The ray templates of a sensor range are derived
-    from it on the first ``targets`` or ``sense`` at that range.
+    from it on the first ``targets`` at that range.
     """
 
     def __init__(
@@ -156,34 +152,38 @@ class GroundTruth:
     def is_obstacle(self, cell: Cell) -> bool:
         return cell in self.obstacles
 
-    def _rays(self, range_m: float) -> _RayTemplates:
+    def targets(self, range_m: float) -> _Targets:
+        """A fresh target mask for ``sense`` at a sensor range in meters.
+
+        Every obstacle a ray can reach is still to be reported. The mask
+        holds the range's ray templates, so ``sense`` reads at its range.
+        """
+        if not 0 < range_m < math.inf:
+            raise ValueError(f"sensor range must be a positive finite number, got {range_m}")
         rays = self._templates.get(range_m)
         if rays is None:
             rays = self._templates[range_m] = _RayTemplates(self, range_m)
-        return rays
+        return _Targets(rays)
 
-    def targets(self, sensor: SensorModel) -> _Targets:
-        """A fresh target mask for ``sense``: every obstacle a ray can reach is still to be reported."""
-        return _Targets(self._rays(sensor.range_m).visible)
-
-    def sense(self, sensor: SensorModel, pose: Cell, targets: _Targets) -> frozenset[Cell]:
+    def sense(self, targets: _Targets, pose: Cell) -> frozenset[Cell]:
         """Obstacle cells visible from the pose cell (in range, not occluded) and set in ``targets``.
 
-        ``targets`` is a mask from ``targets(sensor)``; each reported cell is
-        cleared from it, so a later reading with the same mask leaves it out.
+        ``targets`` is a mask from ``targets(range_m)`` and reads at its
+        range; each reported cell is cleared from it, so a later reading
+        with the same mask leaves it out.
         """
         col, row = pose
         if not (0 <= col < self.width and 0 <= row < self.height):
             raise ValueError(f"sensor pose {pose} is off the map")
-        if self.is_obstacle(pose):
-            raise ValueError(f"sensor pose {pose} is inside an obstacle")
-        rays = self._rays(sensor.range_m)
+        rays = targets.rays
         base = rays.origin + row * rays.stride + col  # flat index of the pose
+        obstacle = rays.obstacle
+        if obstacle[base]:
+            raise ValueError(f"sensor pose {pose} is inside an obstacle")
         shift = base + rays.lo  # flat index of the window's bit 0
         hits = (targets.bits >> shift) & rays.disk
         if not hits:
             return frozenset()
-        obstacle = rays.obstacle
         window = rays.window
         detected = []
         reported = 0

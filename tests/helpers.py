@@ -107,9 +107,9 @@ def los_clear(grid, a, b, rule, exempt=frozenset()):
     return all(rule[state(c)] or c in exempt for c in supercover_line(a, b))
 
 
-def full_sense(gt, sensor, pose):
-    """A full reading: ``GroundTruth.sense`` with a fresh target mask."""
-    return gt.sense(sensor, pose, gt.targets(sensor))
+def full_sense(gt, range_m, pose):
+    """A full reading: ``GroundTruth.sense`` with a fresh target mask of the range."""
+    return gt.sense(gt.targets(range_m), pose)
 
 
 def reference_sense(gt, range_m, pose):

@@ -324,6 +324,10 @@ class CutRecording(CellGrid):
 
 _RING_AROUND_33 = [(2, 2), (3, 2), (4, 2), (4, 3), (4, 4), (3, 4), (2, 4), (2, 3)]
 _WALL_AROUND_CORNER = [(5, 7), (5, 6), (5, 5), (6, 5), (7, 5)]  # of an 8x8 grid
+# of a 9x9 grid: a wall down column 6 open only at (6, 4), whose ring keeps
+# three components once (6, 4) is marked last: (5, 4) on the left, and (7, 3)
+# and (7, 5) on the right, joined around the obstacle (7, 4)
+_CUT_WITH_A_LOOP = [(6, r) for r in (0, 1, 2, 3, 5, 6, 7, 8)] + [(5, 3), (5, 5), (7, 4), (6, 4)]
 
 _carve = st.one_of(
     st.tuples(st.just("wall"), st.integers(0, 8), st.integers(0, 8), st.integers(1, 3), st.integers(1, 3)),
@@ -341,6 +345,10 @@ _carve = st.one_of(
 @example(8, 8, 0, [("traverse", 7, 7, 1, 1)] + [("wall", c, r, 1, 1) for c, r in _WALL_AROUND_CORNER])
 # the two sides of a cut meet around the wall
 @example(8, 8, 0, [("wall", 4, 2, 1, 1), ("wall", 4, 4, 1, 1), ("wall", 4, 3, 1, 1)])
+# the two searches of the right side meet, and that side is cut off (station
+# at (0, 0)) or holds the station (7, 3), a start of the search absorbed
+@example(9, 9, 0, [("wall", c, r, 1, 1) for c, r in _CUT_WITH_A_LOOP])
+@example(9, 9, 34, [("wall", c, r, 1, 1) for c, r in _CUT_WITH_A_LOOP])
 def test_pocket_carving_keeps_mask_exact_and_blocks_whole(width, height, station_raw, ops):
     station = (station_raw % width, (station_raw // width) % height)
     grid = CutRecording(width, height, station)

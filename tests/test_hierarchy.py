@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, strategies as st
 
 from epsplus.grid import CellGrid, CellState
@@ -64,7 +63,7 @@ def test_coarse_potential_extremes():
     for c in range(2):
         for r in range(2):
             grid.mark_traversed((c, r))
-            h.on_state_change((c, r), CellState.UNEXPLORED, CellState.EXPLORED)
+            h.on_state_change((c, r))
     assert block_potential(h, block_key(grid, 0, 0)) == 0.0
 
 
@@ -75,7 +74,7 @@ def test_coarse_potential_fraction_vs_recount():
     explored = rng.sample([c for c in grid_cells(grid)], 63)
     for cell in explored:
         grid.mark_traversed(cell)
-        h.on_state_change(cell, CellState.UNEXPLORED, CellState.EXPLORED)
+        h.on_state_change(cell)
     oracle = brute_counts(grid)
     assert sum(oracle.values()) == sum(h.unexplored_count.values()) == 37
     for (ci, cj), n in oracle.items():
@@ -86,7 +85,7 @@ def test_rebuild_counts_matches_incremental():
     grid = CellGrid(9, 7, (0, 0))
     h = MapsHierarchy(grid)
     grid.mark_traversed((4, 4))
-    h.on_state_change((4, 4), CellState.UNEXPLORED, CellState.EXPLORED)
+    h.on_state_change((4, 4))
     before = dict(h.unexplored_count)
     assert before[block_key(grid, 2, 2)] == 3  # block (2, 2) holds (4, 4)
     h.rebuild_counts()
@@ -106,10 +105,10 @@ def test_counters_match_brute_force(flips):
             continue
         if as_obstacle and cell != grid.station:
             grid.apply_sensor_update({cell})
-            h.on_state_change(cell, CellState.UNEXPLORED, CellState.OBSTACLE)
+            h.on_state_change(cell)
         else:
             grid.mark_traversed(cell)
-            h.on_state_change(cell, CellState.UNEXPLORED, CellState.EXPLORED)
+            h.on_state_change(cell)
     oracle = brute_counts(grid)
     assert len(oracle) == 5 * 4
     assert block_cells(grid, 4, 3) == [(8, 6)]  # edge blocks are clipped
@@ -129,17 +128,3 @@ def test_counters_match_brute_force(flips):
             c for c in block_cells(grid, ci, cj) if grid.state(c) is CellState.UNEXPLORED
         ]
 
-
-def test_state_change_ignores_a_non_change_and_refuses_to_leave_explored_or_obstacle():
-    # cells only leave the unexplored state; any other transition is a caller's bug
-    grid = CellGrid(5, 5, (0, 0))
-    hier = MapsHierarchy(grid)
-    before = dict(hier.unexplored_count)
-    for state in CellState:
-        hier.on_state_change((2, 3), state, state)
-    for old in (CellState.EXPLORED, CellState.OBSTACLE):
-        for new in CellState:
-            if new is not old:
-                with pytest.raises(ValueError, match="illegal transition"):
-                    hier.on_state_change((2, 3), old, new)
-    assert hier.unexplored_count == before

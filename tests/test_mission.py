@@ -27,7 +27,7 @@ from epsplus.pathfind import (
     supercover_line,
 )
 from epsplus.planner import restart_candidates
-from epsplus.sim import GroundTruth, SensorModel
+from epsplus.sim import GroundTruth
 
 from helpers import (
     flood_reachable,
@@ -852,12 +852,12 @@ def test_the_world_is_read_only_at_cells_not_held_explored(monkeypatch):
         mission = missions[-1]
         mission.reads.append((what, mission._segments[-1].kind, mission.grid.state(cell)))
 
-    def recorded_sense(gt, sensor, pose, targets):
+    def recorded_sense(gt, targets, pose):
         read("sense", pose)
         missions[-1].poses.add(pose)
         sensing.append(pose)
         try:
-            return sense(gt, sensor, pose, targets)
+            return sense(gt, targets, pose)
         finally:
             sensing.pop()
 
@@ -909,15 +909,15 @@ class SensingEveryVisit(Mission):
     def __init__(self, gt, config):
         self.repeats = 0
         self._seen = set()
-        self._mask = gt.targets(SensorModel(config.sensor_range))
+        self._mask = gt.targets(config.sensor_range)
         self._reported = set()
         super().__init__(gt, config)
 
     def _sense_here(self):
         self.repeats += self.pos in self._seen
-        full = full_sense(self.gt, self.sensor, self.pos)
+        full = full_sense(self.gt, self.config.sensor_range, self.pos)
         if self.pos not in self._seen:
-            masked = self.gt.sense(self.sensor, self.pos, self._mask)
+            masked = self.gt.sense(self._mask, self.pos)
             assert masked == full - self._reported, self.pos
             self._reported |= masked
         self._seen.add(self.pos)
@@ -949,9 +949,9 @@ def test_each_explored_cell_is_sensed_once(monkeypatch):
     sense = GroundTruth.sense
     poses = []
 
-    def counted_sense(gt, sensor, pose, targets):
+    def counted_sense(gt, targets, pose):
         poses.append(pose)
-        return sense(gt, sensor, pose, targets)
+        return sense(gt, targets, pose)
 
     monkeypatch.setattr(GroundTruth, "sense", counted_sense)
     cases = [(name, gt_from_text(text), cfg) for name, text, cfg in islice(retreat_cases(), 3)]

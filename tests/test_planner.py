@@ -34,12 +34,12 @@ def explore_all_but(grid, keep_unexplored, obstacles=()):
     if obstacles:
         grid.apply_sensor_update(set(obstacles))
         for c in obstacles:
-            h.on_state_change(c, CellState.UNEXPLORED, CellState.OBSTACLE)
+            h.on_state_change(c)
     for cell in grid_cells(grid):
         if cell in keep_unexplored or grid.state(cell) is not CellState.UNEXPLORED:
             continue
         grid.mark_traversed(cell)
-        h.on_state_change(cell, CellState.UNEXPLORED, CellState.EXPLORED)
+        h.on_state_change(cell)
     return h
 
 
@@ -145,7 +145,7 @@ def test_current_on_obstacle_rejected():
     grid = CellGrid(5, 5, (0, 0))
     h = hierarchy_for(grid)
     grid.apply_sensor_update({(2, 2)})
-    h.on_state_change((2, 2), CellState.UNEXPLORED, CellState.OBSTACLE)
+    h.on_state_change((2, 2))
     with pytest.raises(ValueError):
         next_waypoint(grid, h, (2, 2))
 
@@ -157,10 +157,10 @@ def random_belief(rng, w, h):
         r = rng.random()
         if r < 0.2 and cell != grid.station:
             grid.apply_sensor_update({cell})
-            hier.on_state_change(cell, CellState.UNEXPLORED, CellState.OBSTACLE)
+            hier.on_state_change(cell)
         elif r < 0.5:
             grid.mark_traversed(cell)
-            hier.on_state_change(cell, CellState.UNEXPLORED, CellState.EXPLORED)
+            hier.on_state_change(cell)
     return grid, hier
 
 
@@ -230,10 +230,10 @@ def test_one_coarse_level_matches_the_k_level_reference():
             r = rng.random()
             if r < obstacle_share and cell != station:
                 grid.apply_sensor_update([cell])
-                hier.on_state_change(cell, CellState.UNEXPLORED, CellState.OBSTACLE)
+                hier.on_state_change(cell)
             elif r < obstacle_share + explored_share * (1 - obstacle_share):
                 grid.mark_traversed(cell)
-                hier.on_state_change(cell, CellState.UNEXPLORED, CellState.EXPLORED)
+                hier.on_state_change(cell)
         free = [c for c in grid_cells(grid) if grid.state(c) is not CellState.OBSTACLE]
         origin = rng.choice(free)
         unexplored = [c for c in grid_cells(grid) if grid.state(c) is CellState.UNEXPLORED]

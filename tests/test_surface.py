@@ -6,14 +6,18 @@ others. A name either of them reads that the library drops must fail here,
 not only in a traced benchmark run.
 """
 
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import epsplus
 import epsplus.mission as mission_mod
 import epsplus.pathfind as pathfind_mod
+from epsplus.config import MissionConfig
 from epsplus.energy import EnergyState
-from epsplus.grid import CellGrid
+from epsplus.grid import CellGrid, CellState, parse_map_text
 from epsplus.hierarchy import MapsHierarchy
 from epsplus.mission import Mission
 from epsplus.pathfind import DistanceField, _Core
@@ -79,3 +83,44 @@ def test_ladder_wraps_names_that_exist():
     for name in ("supercover_line", "grid_astar", "build_visibility_graph"):
         assert callable(getattr(mission_mod, name))
     assert callable(pathfind_mod.supercover_line)
+
+
+def test_tracer_counts_one_reading_per_covered_cell_and_one_update_per_change(monkeypatch):
+    # the traced counters read the call arguments: a repeat reading is keyed
+    # on the pose as the third positional argument of GroundTruth.sense
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+
+    gt = GroundTruth.from_parsed(parse_map_text((ROOT / "scenarios" / "small_office.txt").read_text()))
+    config = MissionConfig(capacity_e0=14.0, travel_rate=0.5, coverage_rate=1.0, sensor_range=1.5)
+    with spans.Tracer().installed() as tracer:
+        mission = Mission(gt, config)
+        mission.run()
+    metrics = tracer.layer_metrics()
+    covered = mission.grid.counts()[CellState.EXPLORED]
+    assert covered == mission.report.covered_cell_count == 110
+    assert metrics["sim.sense.calls"] == covered
+    assert metrics["sim.sense.repeat_ratio"] == 0
+    assert metrics["hierarchy.on_state_change.calls"] == len(mission.grid.changes) == 120
+
+
+# scripts/ladder.py --sizes 50; a change that moves a counter on purpose updates it here
+LADDER_50 = {
+    "covered_cells": 1980,
+    "flood_fills": 1,
+    "grid_astar_calls": 71,
+    "visgraphs_built": 53,
+    "cores_built": 2,
+    "core_lines": 11287,
+    "sight_lines": 2947,
+}
+
+
+def test_ladder_counters_at_50():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ladder.py"), "--sizes", "50"],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    (record,) = json.loads(out.splitlines()[-1])
+    assert record["correct"] is True
+    assert {key: record[key] for key in LADDER_50} == LADDER_50
