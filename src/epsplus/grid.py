@@ -180,8 +180,12 @@ class CellGrid:
                 self._cut(i)
         return new
 
-    def mark_traversed(self, cell: Cell) -> None:
-        """Record that the vehicle traversed the cell (unexplored -> explored)."""
+    def mark_traversed(self, cell: Cell) -> bool:
+        """Record that the vehicle traversed the cell (unexplored -> explored).
+
+        Returns True when this call marked the cell explored, False when it
+        already was; traversing an obstacle cell raises :class:`MapConflictError`.
+        """
         if not self.in_bounds(cell):
             raise ValueError(f"traversed cell {cell} out of bounds")
         i = self.index(cell)
@@ -189,11 +193,12 @@ class CellGrid:
         if st == CellState.OBSTACLE:
             raise MapConflictError(f"cannot traverse obstacle cell {cell}")
         if st == CellState.EXPLORED:
-            return
+            return False
         self.flat[i] = CellState.EXPLORED
         self.changes.append(i)
         if self._reach is not None:  # connectivity is unchanged
             self._reach[i] = 0
+        return True
 
     # -- queries ------------------------------------------------------------
 
@@ -211,22 +216,19 @@ class CellGrid:
     def _flood_unexplored(self) -> None:
         # the station is never an obstacle (apply_sensor_update refuses it)
         flat = self.flat
-        obstacle = int(CellState.OBSTACLE)
+        unexplored, obstacle = int(CellState.UNEXPLORED), int(CellState.OBSTACLE)
         offsets = [off for off, _ in self.steps]
         reached = [self.index(self.station)]
-        seen = bytearray(len(flat))
+        seen, reach = bytearray(len(flat)), bytearray(len(flat))
         seen[reached[0]] = 1
         for i in reached:  # breadth-first: visits the cells appended meanwhile
+            reach[i] = flat[i] == unexplored
             for off in offsets:
                 j = i + off
                 if not seen[j]:
                     seen[j] = 1
                     if flat[j] < obstacle:  # neither obstacle nor border
                         reached.append(j)
-        reach = bytearray(len(flat))
-        for i in reached:
-            if flat[i] == CellState.UNEXPLORED:
-                reach[i] = 1
         self._reach = reach
 
     def _cut(self, i: int) -> None:

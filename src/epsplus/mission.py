@@ -299,9 +299,8 @@ class Mission:
 
         ``estimate`` is the cell's field estimate, if known.
         """
-        if self.grid.state(cell) is not CellState.UNEXPLORED:
+        if not self.grid.mark_traversed(cell):
             return False
-        self.grid.mark_traversed(cell)
         self.hier.on_state_change(cell)
         self.dfield.insert(cell, estimate)
         return True
@@ -363,11 +362,15 @@ class Mission:
         return self._mark_explored(nxt, estimate)
 
     def _execute_polyline(self, nodes: list[Cell]):
-        """Fly an advance plan edge by edge; yields MOVED per node reached.
+        """Fly an advance plan edge by edge; yields MOVED per edge booked.
 
         Returns True on arrival at the last node, or False when a contact
         detection or a newly sensed obstacle invalidates the rest of the
-        plan. The world is read only at cells the belief grid does not hold
+        plan. Either stop leaves the vehicle at ``self.pos``: a contact on
+        the last cell flown, a reading on the pose just sensed. An edge
+        flown to its end books ``u -> v``; a stopped one books
+        ``u -> self.pos`` if the vehicle moved, then the flight returns.
+        The world is read only at cells the belief grid does not hold
         explored: an explored cell was traversed, so it is free in the
         static ground truth, and it was sensed when it was explored, so the
         vehicle just passes it. Every other cell gets the contact test,
@@ -383,7 +386,6 @@ class Mission:
                 chain = [u, v]  # plain 8-connected motion, not a sight-line segment
             else:
                 chain = supercover_line(u, v)
-            stop: Cell | None = None
             for ci in range(1, len(chain)):
                 cell = chain[ci]
                 if grid.state(cell) is CellState.EXPLORED:
@@ -391,7 +393,6 @@ class Mission:
                     continue
                 if self.gt.is_obstacle(cell):
                     self._add_obstacles([cell])
-                    stop = self.pos
                     break
                 self.pos = cell
                 self._mark_explored(cell)
@@ -399,16 +400,15 @@ class Mission:
                     any(grid.state(x) is CellState.OBSTACLE for x in chain[ci + 1 :])
                     or any(grid.state(n) is CellState.OBSTACLE for n in nodes[k + 1 :])
                 ):
-                    stop = cell
                     break
-            if stop is None:
+            else:  # no stop: the vehicle is at v
                 self._book(u, v, SegmentKind.ADVANCE)
                 yield MissionEvent.MOVED
-            else:
-                if stop != u:
-                    self._book(u, stop, SegmentKind.ADVANCE)
-                    yield MissionEvent.MOVED
-                return False
+                continue
+            if self.pos != u:
+                self._book(u, self.pos, SegmentKind.ADVANCE)
+                yield MissionEvent.MOVED
+            return False
         return True
 
     # -- path planning -----------------------------------------------------------
@@ -608,15 +608,9 @@ class Mission:
             # than its rounding
             d = self.dfield.distance(self.pos)
             limit = (energy.remaining * (1.0 + 1e-9) / travel - d) / 2.0
-            new_plan = self._shortest(self.pos, target, limit)
-            if new_plan is None:
+            plan = self._shortest(self.pos, target, limit)
+            if plan is None or not energy.can_continue(travel * plan.length, travel * (plan.length + d)):
                 return False
-            if not energy.can_continue(
-                travel * new_plan.length,
-                travel * (new_plan.length + d),
-            ):
-                return False
-            plan = new_plan
 
     # -- wrap-up ----------------------------------------------------------------
 

@@ -520,12 +520,12 @@ def astar(graph: VisibilityGraph, start: Cell, goal: Cell, limit: float = math.i
     """Minimum-length node path on a visibility graph (straight-line heuristic).
 
     Returns None when no path is at most ``limit`` long; see the module
-    docstring for why a path that fits is the unbounded search's.
+    docstring for why a path that fits is the unbounded search's. A start
+    that is the goal needs no case of its own: the first pop returns
+    ``[start]`` of length 0, and a negative ``limit`` fails the bound test.
     """
     if start not in graph.adjacency or goal not in graph.adjacency:
         raise ValueError("start and goal must be graph nodes")
-    if start == goal:
-        return PathResult([start], 0.0) if limit >= 0.0 else None
     bound = limit * _MARGIN
     f = math.dist(start, goal)
     if f > bound:
@@ -540,8 +540,13 @@ def astar(graph: VisibilityGraph, start: Cell, goal: Cell, limit: float = math.i
             continue
         closed.add(u)
         if u == goal:
-            path = _reconstruct(parent, goal)
-            return path if path.length <= limit else None
+            cells = []
+            while u is not None:
+                cells.append(u)
+                u = parent[u]
+            cells.reverse()
+            length = path_length(cells)
+            return PathResult(cells, length) if length <= limit else None
         gu = g[u]
         for v, w in graph.adjacency[u]:
             if v in closed:
@@ -555,14 +560,6 @@ def astar(graph: VisibilityGraph, start: Cell, goal: Cell, limit: float = math.i
                 parent[v] = u
                 heapq.heappush(heap, (f, v))
     return None
-
-
-def _reconstruct(parent: dict[Cell, Cell | None], goal: Cell) -> PathResult:
-    cells = [goal]
-    while parent[cells[-1]] is not None:
-        cells.append(parent[cells[-1]])  # type: ignore[arg-type]
-    cells.reverse()
-    return PathResult(cells, path_length(cells))
 
 
 def path_length(cells: list[Cell]) -> float:

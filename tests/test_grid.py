@@ -93,9 +93,9 @@ def test_flat_index_round_trip():
 
 def test_mark_traversed():
     grid = CellGrid(4, 4, (0, 0))
-    grid.mark_traversed((2, 2))
+    assert grid.mark_traversed((2, 2)) is True
     assert grid.state((2, 2)) is CellState.EXPLORED
-    grid.mark_traversed((2, 2))  # explored is absorbing
+    assert grid.mark_traversed((2, 2)) is False  # explored is absorbing
     assert grid.state((2, 2)) is CellState.EXPLORED
     grid.apply_sensor_update({(3, 3)})
     with pytest.raises(MapConflictError):

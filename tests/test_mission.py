@@ -249,6 +249,41 @@ def test_diagonally_hidden_obstacle_is_bumped_not_crashed():
                 assert not gt.is_obstacle(cell)
 
 
+def fly(obstacles, sensor_range, nodes):
+    """Fly an advance plan over a 6x1 strip from the station at (0, 0).
+
+    Returns the mission, the events the flight yielded and its return value.
+    """
+    mission = Mission(gt_from_text(map_text(6, 1, obstacles, (0, 0))), MissionConfig(sensor_range=sensor_range))
+    mission._begin_segment(SegmentKind.ADVANCE, mission.pos)
+    flight, events = mission._execute_polyline(nodes), []
+    while True:
+        try:
+            events.append(next(flight))
+        except StopIteration as done:
+            return mission, events, done.value
+
+
+def advance_rows(mission):
+    return [row[2:4] for row in mission.log_rows if row[1] == SegmentKind.ADVANCE.value]
+
+
+def test_a_stopped_advance_edge_books_the_pose_it_stopped_on():
+    # a sensor range of 0.5 m reads no cell but the pose, so (3, 0) is found by contact
+    mission, events, arrived = fly({(3, 0)}, 0.5, [(0, 0), (5, 0)])
+    assert (arrived, events, advance_rows(mission)) == (False, [MissionEvent.MOVED], [(2, 0)])
+    assert mission.pos == (2, 0) and mission.grid.state((3, 0)) is CellState.OBSTACLE
+    # a contact on the first cell of the second edge books the first edge only
+    mission, events, arrived = fly({(3, 0)}, 0.5, [(0, 0), (2, 0), (4, 0)])
+    assert (arrived, events, advance_rows(mission)) == (False, [MissionEvent.MOVED], [(2, 0)])
+    # at 1.5 m the reading at (3, 0) marks (4, 0) on the rest of the edge
+    mission, events, arrived = fly({(4, 0)}, 1.5, [(0, 0), (5, 0)])
+    assert (arrived, events, advance_rows(mission)) == (False, [MissionEvent.MOVED], [(3, 0)])
+    assert mission.pos == (3, 0) and mission.grid.state((4, 0)) is CellState.OBSTACLE
+    mission, events, arrived = fly(set(), 1.5, [(0, 0), (2, 0), (5, 0)])
+    assert (arrived, events, advance_rows(mission)) == (True, [MissionEvent.MOVED] * 2, [(2, 0), (5, 0)])
+
+
 def test_safety_and_completeness_on_random_maps():
     rng = random.Random(77)
     for _ in range(12):

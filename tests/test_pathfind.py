@@ -177,8 +177,10 @@ def test_visibility_routes_around_rectangle():
 def test_visibility_goal_equals_start():
     grid = explored_grid(4, 4, set(), (0, 0))
     g = build_visibility_graph(grid, (1, 1), (1, 1), explored_only)
-    path = astar(g, (1, 1), (1, 1))
-    assert path.cells == [(1, 1)] and path.length == 0.0
+    for limit in (math.inf, 0.0):
+        path = astar(g, (1, 1), (1, 1), limit)
+        assert path.cells == [(1, 1)] and path.length == 0.0
+    assert astar(g, (1, 1), (1, 1), -1.0) is None
 
 
 def test_unexplored_goal_is_admitted():

@@ -104,23 +104,38 @@ def test_tracer_counts_one_reading_per_covered_cell_and_one_update_per_change(mo
     assert metrics["hierarchy.on_state_change.calls"] == len(mission.grid.changes) == 120
 
 
-# scripts/ladder.py --sizes 50; a change that moves a counter on purpose updates it here
-LADDER_50 = {
-    "covered_cells": 1980,
-    "flood_fills": 1,
-    "grid_astar_calls": 71,
-    "visgraphs_built": 53,
-    "cores_built": 2,
-    "core_lines": 11287,
-    "sight_lines": 2947,
+# scripts/ladder.py --sizes 50 100 (the workflow pins 150); a change that
+# moves a counter on purpose updates it here and says why
+LADDER = {
+    50: {
+        "covered_cells": 1980,
+        "flood_fills": 1,
+        "grid_astar_calls": 71,
+        "visgraphs_built": 53,
+        "cores_built": 2,
+        "core_lines": 11287,
+        "sight_lines": 2947,
+    },
+    100: {
+        "covered_cells": 7881,
+        "flood_fills": 1,
+        "grid_astar_calls": 225,
+        "visgraphs_built": 233,
+        "cores_built": 2,
+        "core_lines": 30850,
+        "sight_lines": 15141,
+    },
 }
 
 
-def test_ladder_counters_at_50():
+def test_ladder_counters_at_50_and_100():
     out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "ladder.py"), "--sizes", "50"],
+        [sys.executable, str(ROOT / "scripts" / "ladder.py"), "--sizes", *map(str, LADDER)],
         check=True, capture_output=True, text=True,
     ).stdout
-    (record,) = json.loads(out.splitlines()[-1])
-    assert record["correct"] is True
-    assert {key: record[key] for key in LADDER_50} == LADDER_50
+    records = json.loads(out.splitlines()[-1])
+    assert [record["size"] for record in records] == list(LADDER)
+    for record in records:
+        pinned = LADDER[record["size"]]
+        assert record["correct"] is True
+        assert {key: record[key] for key in pinned} == pinned
